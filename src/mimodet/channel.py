@@ -76,6 +76,39 @@ class ChannelInstance:
         return c.symbols[self.x_true]
 
 
+def sample_stack(
+    m: int,
+    n: int,
+    c: Constellation,
+    sigma2: float,
+    rngs,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one instance per stream and return stacked (H, x_true, v, r).
+
+    Instance i is drawn from ``rngs[i]`` in the fixed order H, then x*, then
+    v, with the same draws as :func:`sample_channel` and
+    :func:`sample_instance`; shapes are (B, m, n), (B, n), (B, m) and (B, m).
+    The normals land in float64 views of the complex arrays, and the scaling
+    and r = H x* + v are done once for the whole stack.
+    """
+    if not (m >= n >= 1):
+        raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
+    if sigma2 < 0:
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    B = len(rngs)
+    H = np.empty((B, m, n), dtype=np.complex128)
+    x_true = np.empty((B, n), dtype=np.int64)
+    v = np.empty((B, m), dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=H[i].view(np.float64))
+        x_true[i] = rng.integers(0, c.M, size=n)
+        rng.standard_normal(out=v[i].view(np.float64))
+    H /= np.sqrt(2.0)
+    v *= np.sqrt(sigma2 / 2.0)
+    r = np.matmul(H, c.symbols[x_true][..., None])[..., 0] + v
+    return H, x_true, v, r
+
+
 def sample_instance(
     m: int,
     n: int,
@@ -89,13 +122,7 @@ def sample_instance(
     entries are i.i.d. CN(0, sigma2).  sigma2 = 0 is allowed (noiseless
     oracle paths); experiment configs reject it separately.  Draw order is
     fixed (H, then x*, then v) so a recorded stream reproduces the instance
-    bit for bit.
+    bit for bit; this is :func:`sample_stack` with a stack of one.
     """
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    H = sample_channel(m, n, rng)
-    x_true = rng.integers(0, c.M, size=n)
-    z = rng.standard_normal((m, 2))
-    v = np.sqrt(sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    r = H @ c.symbols[x_true] + v
-    return ChannelInstance(H=H, x_true=x_true, v=v, r=r, sigma2=float(sigma2))
+    H, x_true, v, r = sample_stack(m, n, c, sigma2, [rng])
+    return ChannelInstance(H=H[0], x_true=x_true[0], v=v[0], r=r[0], sigma2=float(sigma2))

@@ -58,7 +58,7 @@ class Constellation:
         object.__setattr__(self, "avg_energy", float(np.mean(np.abs(sym) ** 2)))
 
     def cache_token(self) -> tuple:
-        """Hashable identity used to key per-process enumeration caches."""
+        """Hashable identity behind equality and hashing."""
         return (self.kind.value, self.M, self.symbols.tobytes())
 
     def __eq__(self, other) -> bool:

@@ -17,19 +17,12 @@ from scipy.linalg import solve_triangular
 
 from .constellation import Constellation, ConstellationKind, nearest_symbols
 
-#: Refuse exhaustive enumeration beyond this many candidates (M^n).
+#: Refuse exhaustive enumeration beyond this many candidates (M^n).  The
+#: split enumeration also scores at most this many candidates per pass.
 DEFAULT_ML_BUDGET = 1 << 20
-
-#: Candidates evaluated per vectorized chunk in the exhaustive search.
-_ENUM_CHUNK = 1 << 16
-
-#: Full enumerations up to this size are cached per (constellation, n).
-_ENUM_CACHE_LIMIT = 1 << 16
 
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
-
-_enum_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -75,25 +68,53 @@ def _check_system(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return H, r
 
 
-def _candidate_chunk(start: int, stop: int, M: int, n: int) -> np.ndarray:
-    """Candidate index vectors for lexicographic ranks [start, stop)."""
-    ranks = np.arange(start, stop, dtype=np.int64)
-    powers = M ** (n - 1 - np.arange(n, dtype=np.int64))
+def _index_vectors(M: int, k: int) -> np.ndarray:
+    """All M^k index vectors of length k, rows in lexicographic order."""
+    ranks = np.arange(M**k, dtype=np.int64)
+    powers = M ** (k - 1 - np.arange(k, dtype=np.int64))
     return (ranks[:, None] // powers) % M
 
 
-def _enumeration(c: Constellation, n: int):
-    """Cached (indices, symbols, conj symbols) for small full enumerations."""
-    key = (c.cache_token(), n)
-    hit = _enum_cache.get(key)
-    if hit is None:
-        idx = _candidate_chunk(0, c.M**n, c.M, n)
-        X = c.symbols[idx]
-        hit = (idx, X, X.conj())
-        if len(_enum_cache) > 8:
-            _enum_cache.clear()
-        _enum_cache[key] = hit
-    return hit
+def _own_terms(X: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^H G x - 2 Re(x^H y) for every row x of X."""
+    Xc = X.conj()
+    return np.einsum("kj,kj->k", Xc @ G, X).real - 2.0 * (Xc @ y).real
+
+
+def _ml_split_search(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
+    """Index vector minimizing ||H x - r||^2 over all M^n candidates.
+
+    With x = (a, b), a the first n // 2 entries and G = H^H H, y = H^H r,
+    the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b).  The
+    cross term of a block of a-rows against every b is one real matmul, so
+    every candidate is still scored.  Row-major order over (a, b) is the
+    lexicographic order of x, and argmin keeps the first minimizer, so ties
+    break to the lexicographically smallest index vector.  Each pass over a
+    block of a-rows scores at most DEFAULT_ML_BUDGET candidates, which bounds
+    the temporaries whatever budget the caller allows.
+    """
+    n = H.shape[1]
+    na = n // 2
+    G = H.conj().T @ H
+    y = H.conj().T @ r
+    ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
+    A, Bs = c.symbols[ia], c.symbols[ib]
+    qa = _own_terms(A, G[:na, :na], y[:na])
+    qb = _own_terms(Bs, G[na:, na:], y[na:])
+    # Re(P b) with P = a^H G_ab, as one real product over stacked parts
+    P = A.conj() @ G[:na, na:]
+    left = 2.0 * np.concatenate([P.real, -P.imag], axis=1)
+    right = np.concatenate([Bs.real, Bs.imag], axis=1).T
+    rows = max(1, DEFAULT_ML_BUDGET // len(ib))
+    best_val, best_rank = np.inf, 0
+    for lo in range(0, len(ia), rows):
+        q = left[lo : lo + rows] @ right
+        q += qa[lo : lo + rows, None]
+        q += qb
+        j = int(np.argmin(q))
+        if q.flat[j] < best_val:
+            best_val, best_rank = q.flat[j], lo * len(ib) + j
+    return np.concatenate([ia[best_rank // len(ib)], ib[best_rank % len(ib)]])
 
 
 def detect_ml_exhaustive(
@@ -120,29 +141,7 @@ def detect_ml_exhaustive(
             f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
             f"the budget of {budget}; raise the budget explicitly to override"
         )
-
-    G = H.conj().T @ H
-    b = H.conj().T @ r
-    best_val = np.inf
-    best_idx: np.ndarray | None = None
-
-    def consider(idx: np.ndarray, X: np.ndarray, Xc: np.ndarray) -> None:
-        nonlocal best_val, best_idx
-        # ||Hx - r||^2 = x^H G x - 2 Re(x^H b) + ||r||^2; the constant is dropped
-        quad = np.einsum("kj,kj->k", Xc @ G, X).real - 2.0 * (Xc @ b).real
-        j = int(np.argmin(quad))
-        if quad[j] < best_val:
-            best_val = quad[j]
-            best_idx = idx[j].copy()
-
-    if total <= _ENUM_CACHE_LIMIT:
-        consider(*_enumeration(c, n))
-    else:
-        for start in range(0, total, _ENUM_CHUNK):
-            idx = _candidate_chunk(start, min(start + _ENUM_CHUNK, total), c.M, n)
-            X = c.symbols[idx]
-            consider(idx, X, X.conj())
-
+    best_idx = _ml_split_search(H, r, c)
     metric = float(np.sum(np.abs(H @ c.symbols[best_idx] - r) ** 2))
     return DetectionOutcome(x_hat=best_idx, detector="ml-exhaustive", metric=metric)
 
@@ -253,6 +252,47 @@ def detect_ml_sphere(
     return DetectionOutcome(x_hat=x_hat, detector="ml-sphere", metric=metric)
 
 
+def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and R.
+
+    One QR factorization per member (H[k] = Q R), then x_tilde solves
+    R x = Q^H r by back-substitution over the stack.  Q is never formed: the
+    R factor of [H | r] holds R in its first n columns and Q^H r in the first
+    n rows of its last column.  Raises LinAlgError if any member is
+    numerically rank deficient.
+    """
+    n = H.shape[-1]
+    Ra = np.linalg.qr(np.concatenate([H, r[..., None]], axis=-1), mode="r")
+    R, y = Ra[:, :n, :n], Ra[:, :n, n]
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    if np.any(diag.min(axis=-1) < RANK_TOLERANCE * diag.max(axis=-1)):
+        raise np.linalg.LinAlgError("channel matrix is numerically rank deficient")
+    # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
+    # solve swaps no rows and leaves R as it is: what remains is LAPACK's
+    # back-substitution, run per member in one call.
+    x = np.linalg.solve(R, y[..., None])[..., 0]
+    return x, R
+
+
+def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
+    """ZF decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
+
+    Member k is decided exactly as :func:`detect_zf` decides (H[k], r[k]).
+    Raises ValueError on non-finite input and LinAlgError when any member is
+    numerically rank deficient.
+    """
+    H = np.asarray(H, dtype=np.complex128)
+    r = np.asarray(r, dtype=np.complex128)
+    if H.ndim != 3 or r.shape != H.shape[:2]:
+        raise ValueError(f"need H of shape (B, m, n) and r of shape (B, m), got {H.shape} and {r.shape}")
+    if not (H.shape[1] >= H.shape[2] >= 1):
+        raise ValueError(f"need m >= n >= 1, got H of shape {H.shape}")
+    if not (np.all(np.isfinite(H.view(np.float64))) and np.all(np.isfinite(r.view(np.float64)))):
+        raise ValueError("H and r must be finite")
+    x_tilde, _ = _zf_solve(H, r)
+    return nearest_symbols(c, x_tilde)
+
+
 def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
     """Least-squares decorrelation x_tilde = argmin ||H x - r||^2 plus gamma.
 
@@ -261,22 +301,15 @@ def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
     from the squared row norms of R^-1.
     """
     H, r = _check_system(H, r)
-    n = H.shape[1]
-    Q, R = np.linalg.qr(H, mode="reduced")
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_TOLERANCE * diag.max():
-        raise np.linalg.LinAlgError("channel matrix is numerically rank deficient")
-    x_tilde = solve_triangular(R, Q.conj().T @ r)
-    Rinv = solve_triangular(R, np.eye(n, dtype=np.complex128))
+    x_tilde, R = _zf_solve(H[None], r[None])
+    Rinv = solve_triangular(R[0], np.eye(H.shape[1], dtype=np.complex128))
     gamma = 1.0 / np.sum(np.abs(Rinv) ** 2, axis=1)
-    return ZfIntermediate(x_tilde=x_tilde, gamma=gamma)
+    return ZfIntermediate(x_tilde=x_tilde[0], gamma=gamma)
 
 
 def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcome:
     """Zero-forcing detection: decorrelate, then quantize entrywise."""
-    inter = zf_decorrelate(H, r)
-    x_hat = nearest_symbols(c, inter.x_tilde).astype(np.int64)
-    H = np.asarray(H, dtype=np.complex128)
-    r = np.asarray(r, dtype=np.complex128).ravel()
+    H, r = _check_system(H, r)
+    x_hat = detect_zf_stack(H[None], r[None], c)[0]
     metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
     return DetectionOutcome(x_hat=x_hat, detector="zf", metric=metric)

@@ -4,6 +4,8 @@ Every trial owns a private counter-based random stream keyed by
 (master_seed, grid-point index, trial index), and per-point results are sums
 of integer counts over fixed-size trial blocks.  Sweep output is therefore a
 pure function of the config, independent of worker count and scheduling.
+Inside a block, trials are sampled and detected as stacked arrays of
+``TRIAL_CHUNK`` trials; :func:`run_trial` is the per-instance reference.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_instance, sigma2_from_snr, substream
+from .channel import sample_instance, sample_stack, sigma2_from_snr, substream
 from .constellation import Constellation, ConstellationKind
 from .detect import (
     DEFAULT_ML_BUDGET,
@@ -22,6 +24,7 @@ from .detect import (
     detect_ml_exhaustive,
     detect_ml_sphere,
     detect_zf,
+    detect_zf_stack,
 )
 from . import theory
 
@@ -30,6 +33,11 @@ DETECTOR_NAMES = ("ml-exhaustive", "ml-sphere", "zf")
 #: Trials per work block.  Fixed (never derived from worker count) so the
 #: adaptive-stop boundary and all counts are scheduling independent.
 TRIAL_BLOCK = 256
+
+#: Trials stacked into one array pass inside a block.  Divides TRIAL_BLOCK.
+#: Stacking a whole block instead raised the peak RSS of a (48, 16) ZF sweep
+#: from 85 to 95 MiB.
+TRIAL_CHUNK = 32
 
 #: Wilson score interval critical value for 95% coverage.
 WILSON_Z = 1.96
@@ -212,17 +220,35 @@ def run_trial(m: int, n: int, config: ExperimentConfig, trial_index: int) -> dic
     return out
 
 
+def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+    """Index decisions (B, n) of one detector on a stack of instances."""
+    c = config.constellation
+    if det == "zf":
+        return detect_zf_stack(H, r, c)
+    if det == "ml-exhaustive":
+        return np.array([detect_ml_exhaustive(Hk, rk, c, budget=config.ml_budget).x_hat for Hk, rk in zip(H, r)])
+    return np.array([detect_ml_sphere(Hk, rk, c).x_hat for Hk, rk in zip(H, r)])
+
+
 def _block_counts(args) -> dict[str, tuple[int, int, int]]:
-    """Integer error counts for trials [start, stop) at one grid point."""
+    """Integer error counts for trials [start, stop) at one grid point.
+
+    Trials run in stacked chunks of TRIAL_CHUNK; trial t still draws from
+    its own substream, so the counts equal the sum of :func:`run_trial`
+    over the same trials.
+    """
     config, m, n, start, stop = args
+    point_index = config.m_grid.index(m)
     counts = {det: [0, 0, 0] for det in config.detectors}
-    for trial_index in range(start, stop):
-        outcomes = run_trial(m, n, config, trial_index)
-        for det, res in outcomes.items():
+    for lo in range(start, stop, TRIAL_CHUNK):
+        rngs = [substream(config.master_seed, point_index, t) for t in range(lo, min(lo + TRIAL_CHUNK, stop))]
+        H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, rngs)
+        for det in config.detectors:
+            errs = _decisions(det, H, r, config) != x_true
             c = counts[det]
-            c[0] += int(res.vector_error)
-            c[1] += int(res.symbol_errors.sum())
-            c[2] += int(res.symbol_errors[0])
+            c[0] += int(errs.any(axis=1).sum())
+            c[1] += int(errs.sum())
+            c[2] += int(errs[:, 0].sum())
     return {det: tuple(c) for det, c in counts.items()}
 
 
@@ -234,50 +260,50 @@ def _point_blocks(config: ExperimentConfig, m: int, n: int):
         yield (config, m, n, start, stop)
 
 
+def _block_results(blocks: list, pool, workers: int):
+    """Yield ``_block_counts`` of each block, strictly in block order.
+
+    Serially each block is computed when it is asked for.  With a pool,
+    blocks are submitted speculatively with a bounded lookahead, topped up
+    before each wait; closing the generator waits for what is in flight.
+    """
+    if pool is None:
+        yield from map(_block_counts, blocks)
+        return
+    lookahead = max(2 * workers, 4)
+    pending = []
+    try:
+        for i in range(len(blocks)):
+            while i + len(pending) < len(blocks) and len(pending) < lookahead:
+                pending.append(pool.apply_async(_block_counts, (blocks[i + len(pending)],)))
+            yield pending.pop(0).get()
+    finally:
+        for res in pending:
+            res.wait()
+
+
 def _run_point(config: ExperimentConfig, m: int, n: int, pool, workers: int):
     """Accumulate block counts in block order; stop early when allowed.
 
-    With a pool, blocks are submitted speculatively (bounded lookahead) but
-    consumed strictly in index order, so the adaptive-stop boundary is the
-    same for every worker count.
+    Blocks are consumed strictly in index order, so the adaptive-stop
+    boundary is the same for every worker count.
     """
     totals = {det: [0, 0, 0] for det in config.detectors}
     trials_done = 0
-
-    def met_target() -> bool:
-        if config.target_errors is None:
-            return False
-        return all(totals[det][0] >= config.target_errors for det in config.detectors)
-
     blocks = list(_point_blocks(config, m, n))
-    if pool is None:
-        for args in blocks:
-            res = _block_counts(args)
+    results = _block_results(blocks, pool, workers)
+    try:
+        for args, res in zip(blocks, results):
             trials_done = args[4]
-            for det, (e, s, u1) in res.items():
-                totals[det][0] += e
-                totals[det][1] += s
-                totals[det][2] += u1
-            if met_target():
+            for det, counts in res.items():
+                for k, v in enumerate(counts):
+                    totals[det][k] += v
+            if config.target_errors is not None and all(
+                totals[det][0] >= config.target_errors for det in config.detectors
+            ):
                 break
-    else:
-        lookahead = max(2 * workers, 4)
-        pending: dict[int, object] = {}
-        next_submit = 0
-        for i in range(len(blocks)):
-            while next_submit < len(blocks) and len(pending) < lookahead:
-                pending[next_submit] = pool.apply_async(_block_counts, (blocks[next_submit],))
-                next_submit += 1
-            res = pending.pop(i).get()
-            trials_done = blocks[i][4]
-            for det, (e, s, u1) in res.items():
-                totals[det][0] += e
-                totals[det][1] += s
-                totals[det][2] += u1
-            if met_target():
-                break
-        for r in pending.values():
-            r.wait()
+    finally:
+        results.close()
     return trials_done, totals
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mimodet.channel import sample_channel, sample_instance, sigma2_from_snr, substream
+from mimodet.channel import sample_channel, sample_instance, sample_stack, sigma2_from_snr, substream
 from mimodet.constellation import custom_constellation, make_constellation
 
 
@@ -76,6 +76,20 @@ def test_instance_bit_identical_regeneration():
     np.testing.assert_array_equal(a.x_true, b.x_true)
     np.testing.assert_array_equal(a.v, b.v)
     np.testing.assert_array_equal(a.r, b.r)
+
+
+def test_stack_members_equal_instances_bit_for_bit():
+    c = make_constellation("qam", 16)
+    H, x_true, v, r = sample_stack(9, 3, c, 0.7, [substream(22, 1, t) for t in range(33)])
+    assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
+    for t in range(33):
+        inst = sample_instance(9, 3, c, 0.7, substream(22, 1, t))
+        np.testing.assert_array_equal(H[t], inst.H)
+        np.testing.assert_array_equal(x_true[t], inst.x_true)
+        np.testing.assert_array_equal(v[t], inst.v)
+        np.testing.assert_array_equal(r[t], inst.r)
+        # H draws match sample_channel on the same stream
+        np.testing.assert_array_equal(H[t], sample_channel(9, 3, substream(22, 1, t)))
 
 
 def test_noiseless_instance():

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimodet.channel import sample_channel, sample_instance, substream
-from mimodet.constellation import custom_constellation, make_constellation, nearest_symbol
+from mimodet import detect
+from mimodet.channel import sample_channel, sample_instance, sample_stack, substream
+from mimodet.constellation import custom_constellation, make_constellation, nearest_symbol, nearest_symbols
 from mimodet.detect import (
     _sphere_search,
     detect_ml_exhaustive,
     detect_ml_sphere,
     detect_zf,
+    detect_zf_stack,
     zf_decorrelate,
 )
 
@@ -87,6 +89,41 @@ def test_ml_optimality_over_all_candidates():
     # in particular the truth's objective is never beaten
     truth_val = np.sum(np.abs(inst.H @ QPSK.symbols[inst.x_true] - inst.r) ** 2)
     assert out.metric <= truth_val + 1e-9
+
+
+def all_candidates_argmin(H, r, c):
+    """Oracle: score every candidate at once, first minimizer in lexicographic order."""
+    idx = np.array(list(itertools.product(range(c.M), repeat=H.shape[1])))
+    vals = np.sum(np.abs(c.symbols[idx] @ H.T - r) ** 2, axis=1)
+    return idx[int(np.argmin(vals))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_split_ml_matches_full_argmin(n):
+    # n = 1 puts no entries in the first half of the split
+    for trial in range(40):
+        inst = sample_instance(n + 2, n, QPSK, 1.5, substream(125, n, trial))
+        out = detect_ml_exhaustive(inst.H, inst.r, QPSK)
+        np.testing.assert_array_equal(out.x_hat, all_candidates_argmin(inst.H, inst.r, QPSK))
+
+
+def test_split_ml_exact_tie_breaks_to_first_candidate(monkeypatch):
+    r = sample_instance(5, 5, QPSK, 1.0, substream(126)).r
+    H = np.zeros((5, 5), dtype=complex)
+    out = detect_ml_exhaustive(H, r, QPSK)
+    np.testing.assert_array_equal(out.x_hat, np.zeros(5, dtype=np.int64))
+    # the same when the cross term is scored in many row blocks
+    monkeypatch.setattr(detect, "DEFAULT_ML_BUDGET", 16)
+    np.testing.assert_array_equal(detect_ml_exhaustive(H, r, QPSK).x_hat, np.zeros(5, dtype=np.int64))
+
+
+def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
+    # one row of the first half per pass: 16 passes over 4^3 second halves
+    monkeypatch.setattr(detect, "DEFAULT_ML_BUDGET", 16)
+    for trial in range(20):
+        inst = sample_instance(7, 5, QPSK, 1.5, substream(127, trial))
+        out = detect_ml_exhaustive(inst.H, inst.r, QPSK)
+        np.testing.assert_array_equal(out.x_hat, all_candidates_argmin(inst.H, inst.r, QPSK))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +226,38 @@ def test_zf_rejects_rank_deficient():
     H = np.hstack([h, 2.0 * h])
     with pytest.raises(np.linalg.LinAlgError):
         zf_decorrelate(H, np.zeros(5, dtype=complex))
+
+
+def zf_stack_of(B, m, n, c, sigma2, key):
+    H, _, _, r = sample_stack(m, n, c, sigma2, [substream(key, t) for t in range(B)])
+    return H, r
+
+
+def test_zf_stack_equals_per_instance_loop():
+    H, r = zf_stack_of(37, 12, 4, QAM16, 1.0, 128)
+    stacked = detect_zf_stack(H, r, QAM16)
+    assert stacked.shape == (37, 4)
+    for k in range(37):
+        np.testing.assert_array_equal(stacked[k], detect_zf(H[k], r[k], QAM16).x_hat)
+        # independent least-squares solver
+        lstsq = np.linalg.lstsq(H[k], r[k], rcond=None)[0]
+        np.testing.assert_array_equal(stacked[k], nearest_symbols(QAM16, lstsq))
+
+
+def test_zf_stack_rejects_bad_members():
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 129)
+    deficient = H.copy()
+    deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        detect_zf_stack(deficient, r, QAM16)
+    for bad in (np.nan, np.inf):
+        H_bad, r_bad = H.copy(), r.copy()
+        H_bad[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            detect_zf_stack(H_bad, r, QAM16)
+        r_bad[4, 0] = bad
+        with pytest.raises(ValueError):
+            detect_zf_stack(H, r_bad, QAM16)
 
 
 def test_zf_noiseless_detection():

@@ -1,5 +1,6 @@
 """Sweep engine tests: Wilson intervals, determinism, slope fitting."""
 
+import functools
 import math
 
 import numpy as np
@@ -196,6 +197,53 @@ def test_sweep_adaptive_stop_deterministic_and_block_aligned():
     assert p1.errors >= 30
     assert p1.trials % TRIAL_BLOCK == 0
     assert p1.trials < 10 * TRIAL_BLOCK  # actually stopped early
+
+
+KERNEL_CFG = dict(detectors=("zf", "ml-exhaustive", "ml-sphere"), m_grid=(6, 9), n=3, trials=300, snr_db=-2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def per_trial_counts(m, n):
+    """Per-trial (vector error, symbol errors, user-1 error) from run_trial, per detector."""
+    cfg = base_config(**KERNEL_CFG)
+    rows = {det: [] for det in cfg.detectors}
+    for t in range(cfg.trials):
+        for det, res in run_trial(m, n, cfg, t).items():
+            rows[det].append((int(res.vector_error), int(res.symbol_errors.sum()), int(res.symbol_errors[0])))
+    return {det: np.array(v) for det, v in rows.items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_kernel_counts_equal_run_trial_sums(workers):
+    # 300 trials: the last 32-trial chunk and the last 256-trial block are partial
+    cfg = base_config(**KERNEL_CFG)
+    res = sweep(cfg, workers=workers)
+    for i, (m, n) in enumerate(cfg.grid_points()):
+        ref = per_trial_counts(m, n)
+        for det in cfg.detectors:
+            pt = res.curves[det].points[i]
+            assert pt.trials == 300
+            assert (pt.errors, pt.symbol_errors_total, pt.user1_errors) == tuple(int(v) for v in ref[det].sum(axis=0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_kernel_adaptive_stop_lands_on_run_trial_block(workers):
+    probe = base_config(**KERNEL_CFG)
+    refs = [per_trial_counts(m, n) for m, n in probe.grid_points()]
+    # reachable within the first block at the first point for every detector
+    target = min(int(ref[det][:TRIAL_BLOCK, 0].sum()) for det in probe.detectors for ref in refs[:1])
+    cfg = base_config(**KERNEL_CFG, target_errors=target)
+    res = sweep(cfg, workers=workers)
+    for i, ref in enumerate(refs):
+        stops = [b for b in (TRIAL_BLOCK, cfg.trials) if all(ref[d][:b, 0].sum() >= target for d in cfg.detectors)]
+        expected = stops[0] if stops else cfg.trials
+        for det in cfg.detectors:
+            pt = res.curves[det].points[i]
+            assert pt.trials == expected
+            assert (pt.errors, pt.symbol_errors_total, pt.user1_errors) == tuple(
+                int(v) for v in ref[det][:expected].sum(axis=0)
+            )
+    assert res.curves["zf"].points[0].trials == TRIAL_BLOCK
 
 
 def test_sweep_counting_identity_zf():
