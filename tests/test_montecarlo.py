@@ -231,7 +231,7 @@ def test_block_kernel_adaptive_stop_lands_on_run_trial_block(workers):
     probe = base_config(**KERNEL_CFG)
     refs = [per_trial_counts(m, n) for m, n in probe.grid_points()]
     # reachable within the first block at the first point for every detector
-    target = min(int(ref[det][:TRIAL_BLOCK, 0].sum()) for det in probe.detectors for ref in refs[:1])
+    target = min(int(refs[0][det][:TRIAL_BLOCK, 0].sum()) for det in probe.detectors)
     cfg = base_config(**KERNEL_CFG, target_errors=target)
     res = sweep(cfg, workers=workers)
     for i, ref in enumerate(refs):
