@@ -37,7 +37,7 @@ def sample_channel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def sigma2_from_snr(snr_db: float, c: Constellation, n: int = 1) -> float:
+def sigma2_from_snr(snr_db: float, c: Constellation) -> float:
     """Noise variance for a target received SNR per user, in dB.
 
     SNR is defined per user as E[||Hx*||^2] / (n E[||v||^2]), which reduces to

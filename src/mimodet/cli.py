@@ -11,19 +11,24 @@ Exit codes: 0 success, 2 config/validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import json
-import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, theory
+from .channel import sigma2_from_snr
 from .constellation import Constellation, ConstellationKind, custom_constellation, make_constellation
-from .montecarlo import ExperimentConfig, SweepResult, VepCurve, PointStats, fit_slope, sweep
+from .montecarlo import (
+    ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, fit_slope, sweep, users_for_ratio,
+)
 
 CSV_COLUMNS = [
     "m",
@@ -75,42 +80,69 @@ class Campaign:
     echo: dict
 
 
-def _line_of(text: str, *needles: str) -> int:
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        for needle in needles:
-            if stripped.startswith(needle):
-                return i
-    return 1
+def _words(raw) -> list:
+    """Items of a list value: "a, b c" in INI, a list in JSON."""
+    return raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
 
 
 def _parse_symbols(raw) -> list[complex]:
-    if isinstance(raw, str):
-        pairs = [p for p in (chunk.strip() for chunk in raw.split(";")) if p]
-        out = []
-        for p in pairs:
-            re_s, im_s = p.split(",")
-            out.append(complex(float(re_s), float(im_s)))
-        return out
-    return [complex(float(re), float(im)) for re, im in raw]
+    """Custom symbols from "re,im; re,im; ..." or from a JSON list of [re, im] pairs."""
+    pairs = [chunk.split(",") for chunk in raw.split(";") if chunk.strip()] if isinstance(raw, str) else raw
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"symbols must be re,im pairs, got {raw!r}")
+    return [complex(float(re), float(im)) for re, im in pairs]
 
 
-def _build_constellation(fields: dict, path: str, text: str) -> Constellation:
-    kind = str(fields.get("kind", "")).lower()
-    if kind in ("psk", "qam"):
-        if "M" not in fields:
-            raise ConfigError(f"{path}:{_line_of(text, 'kind')}: constellation needs M for kind={kind}")
-        return make_constellation(kind, int(fields["M"]))
-    if kind == "custom":
-        if "symbols" not in fields:
-            raise ConfigError(f"{path}:{_line_of(text, 'kind')}: custom constellation needs symbols")
-        return custom_constellation(_parse_symbols(fields["symbols"]))
-    raise ConfigError(f"{path}:{_line_of(text, 'kind')}: unknown constellation kind {kind!r}")
+#: The config schema: each key's section and the parser of its raw value (an
+#: INI string or a JSON value).  The experiment keys are the fields of
+#: ExperimentConfig, which holds their defaults and says which are required;
+#: their order here is the order of the manifest echo.
+KEYS = {
+    "kind": ("constellation", lambda raw: ConstellationKind(str(raw).lower())),
+    "M": ("constellation", int),
+    "symbols": ("constellation", _parse_symbols),
+    "detectors": ("experiment", lambda raw: tuple(str(d) for d in _words(raw))),
+    "snr_db": ("experiment", float),
+    "m_grid": ("experiment", lambda raw: tuple(int(m) for m in _words(raw))),
+    "trials": ("experiment", int),
+    "master_seed": ("experiment", int),
+    "target_errors": ("experiment", int),
+    "ml_budget": ("experiment", int),
+    "n": ("experiment", int),
+    "delta": ("experiment", float),
+}
+BASE_SECTIONS = ("constellation", "experiment")
 
 
-def _ini_to_dict(path: str, text: str) -> dict:
-    import configparser
+def _parse(key: str, raw):
+    try:
+        return KEYS[key][1](raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigValueError(key, f"bad value {raw!r} for {key}: {exc}") from exc
 
+
+def _build_constellation(kind, M, symbols) -> Constellation:
+    """Constellation from the raw kind, M and symbols of a config or of `theory`'s flags.
+
+    Failures raise ConfigValueError naming the key at fault.
+    """
+    kind = _parse("kind", kind)
+    key, raw = ("symbols", symbols) if kind is ConstellationKind.CUSTOM else ("M", M)
+    if raw is None:
+        raise ConfigValueError(key, f"constellation needs {key} for kind={kind.value}")
+    value = _parse(key, raw)
+    try:
+        return custom_constellation(value) if kind is ConstellationKind.CUSTOM else make_constellation(kind, value)
+    except ValueError as exc:
+        raise ConfigValueError(key, str(exc)) from exc
+
+
+def _read_ini(path: str, text: str) -> tuple[dict, dict]:
+    """Sections {name: {key: raw value}} of INI text, and its (section, key) -> line map.
+
+    A section's own line is mapped from (section, None).  Indented lines
+    continue a value, so only unindented key lines are mapped.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep key case: "M" must stay "M"
     try:
@@ -118,116 +150,62 @@ def _ini_to_dict(path: str, text: str) -> dict:
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None) or 1
         raise ConfigError(f"{path}:{lineno}: {exc.message if hasattr(exc, 'message') else exc}") from exc
-    doc: dict = {"variants": {}}
-    for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "constellation":
-            doc["constellation"] = items
-        elif section == "experiment":
-            doc["experiment"] = items
-        elif section.startswith("variant:"):
-            doc["variants"][section.split(":", 1)[1]] = items
-        else:
-            raise ConfigError(f"{path}:{_line_of(text, '[' + section + ']')}: unknown section [{section}]")
-    return doc
+    lines: dict[tuple, int] = {}
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if header := parser.SECTCRE.match(line):
+            section = header["header"]
+            lines[(section, None)] = lineno
+        elif (option := parser.OPTCRE.match(line)) and not line[:1].isspace():
+            lines.setdefault((section, option["option"].strip()), lineno)
+    return {name: dict(parser.items(name)) for name in parser.sections()}, lines
 
 
-_EXPERIMENT_KEYS = {
-    "detectors",
-    "snr_db",
-    "delta",
-    "n",
-    "m_grid",
-    "trials",
-    "master_seed",
-    "target_errors",
-    "ml_budget",
-}
-_CONSTELLATION_KEYS = {"kind", "M", "symbols"}
+def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Campaign:
+    """One campaign from ``sections`` of ``doc``, each overriding the ones before.
 
-
-def _as_list(raw, cast):
-    if isinstance(raw, str):
-        return [cast(tok) for tok in raw.replace(",", " ").split()]
-    return [cast(tok) for tok in raw]
-
-
-def _resolve_campaign(
-    name: str, base_exp: dict, base_const: dict, overrides: dict, path: str, text: str
-) -> Campaign:
-    exp = dict(base_exp)
-    const = dict(base_const)
-    for key, value in overrides.items():
-        if key == "constellation":
-            const = dict(value)
-        elif key in _CONSTELLATION_KEYS:
-            const[key] = value
-        elif key in _EXPERIMENT_KEYS:
-            # a variant switching user rule clears the other side
-            if key == "n" and value not in (None, ""):
-                exp.pop("delta", None)
-            if key == "delta" and value not in (None, ""):
-                exp.pop("n", None)
-            if value in (None, ""):
-                exp.pop(key, None)
-            else:
-                exp[key] = value
-        else:
-            raise ConfigError(f"{path}:{_line_of(text, key)}: unknown key {key!r}")
-
-    constellation = _build_constellation(const, path, text)
-
-    def need(key):
-        if key not in exp:
-            raise ConfigError(f"{path}:{_line_of(text, '[experiment]')}: missing required key {key!r}")
-        return exp[key]
-
-    kwargs = {
-        "constellation": constellation,
-        "detectors": tuple(_as_list(need("detectors"), str)),
-        "snr_db": float(need("snr_db")),
-        "m_grid": tuple(_as_list(need("m_grid"), int)),
-        "trials": int(exp.get("trials", 10000)),
-        "master_seed": int(exp.get("master_seed", 0)),
-    }
-    if "n" in exp and exp["n"] not in (None, ""):
-        kwargs["n"] = int(exp["n"])
-    if "delta" in exp and exp["delta"] not in (None, ""):
-        kwargs["delta"] = float(exp["delta"])
-    if exp.get("target_errors") not in (None, ""):
-        kwargs["target_errors"] = int(exp["target_errors"])
-    if exp.get("ml_budget") not in (None, ""):
-        kwargs["ml_budget"] = int(exp["ml_budget"])
-
+    An empty value unsets its key.  In a variant, setting n unsets delta and
+    setting delta unsets n, so a variant can switch the user rule.  Every
+    failure is a ConfigError at the line of the key at fault, or at the line
+    of its section when the key is missing.
+    """
+    settings: dict = {}  # key -> (raw value, section that set it)
+    for section in sections:
+        variant = section not in BASE_SECTIONS
+        for key, raw in doc[section].items():
+            if key not in KEYS or not (variant or KEYS[key][0] == section):
+                raise ConfigError(f"{at(section, key)}: unknown key {key!r} in [{section}]")
+            if variant and raw not in ("", None):
+                settings.pop({"n": "delta", "delta": "n"}.get(key), None)
+            settings[key] = (raw, section)
+        if section == "experiment" and seed is not None:
+            settings["master_seed"] = (seed, section)
+    raw = {key: value for key, (value, _) in settings.items() if value not in ("", None)}
     try:
-        config = ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        msg = str(exc)
-        anchor_keys = [k for k in ("m_grid", "delta", "detector", "trials", "snr_db", "target_errors", "ml_budget", "n") if k in msg]
-        lineno = _line_of(text, *(anchor_keys or ["[experiment]"]))
-        raise ConfigError(f"{path}:{lineno}: {msg}") from exc
+        constellation = _build_constellation(raw.get("kind", ""), raw.get("M"), raw.get("symbols"))
+        exp = {key: _parse(key, value) for key, value in raw.items() if KEYS[key][0] == "experiment"}
+        for f in fields(ExperimentConfig):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and f.name not in exp and f.name != "constellation":
+                raise ConfigValueError(f.name, f"missing required key {f.name!r}")
+        config = ExperimentConfig(constellation=constellation, **exp)
+    except ConfigValueError as exc:
+        section = settings[exc.key][1] if exc.key in settings else KEYS[exc.key][0]
+        raise ConfigError(f"{at(section, exc.key)}: {exc}") from exc
 
     echo_const: dict = {"kind": constellation.kind.value, "M": constellation.M}
     if constellation.kind is ConstellationKind.CUSTOM:
         echo_const["symbols"] = [[s.real, s.imag] for s in constellation.symbols]
-    echo_exp: dict = {
-        "detectors": list(config.detectors),
-        "snr_db": config.snr_db,
-        "m_grid": list(config.m_grid),
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "target_errors": config.target_errors,
-        "ml_budget": config.ml_budget,
-    }
-    if config.n is not None:
-        echo_exp["n"] = config.n
-    else:
-        echo_exp["delta"] = config.delta
-    return Campaign(name=name, config=config, echo={"constellation": echo_const, "experiment": echo_exp})
+    echo_exp = {key: getattr(config, key) for key, (section, _) in KEYS.items() if section == "experiment"}
+    echo = {"constellation": echo_const, "experiment": {k: v for k, v in echo_exp.items() if v is not None}}
+    return Campaign(name=name, config=config, echo=echo)
 
 
 def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
-    """Parse an INI (key = value with sections) or JSON experiment file."""
+    """Parse an INI (key = value with sections) or JSON experiment file.
+
+    JSON has the same sections plus a "variants" object; its errors anchor at line 1.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{path}: no such config file")
@@ -237,20 +215,26 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}:1: a JSON config is an object of sections")
+        doc.update({f"variant:{name}": items for name, items in doc.pop("variants", {}).items()})
+        lines: dict = {}
     else:
-        doc = _ini_to_dict(path, text)
-    if "experiment" not in doc:
-        raise ConfigError(f"{path}:1: missing [experiment] section")
-    if "constellation" not in doc:
-        raise ConfigError(f"{path}:1: missing [constellation] section")
-    base_exp = dict(doc["experiment"])
-    if seed_override is not None:
-        base_exp["master_seed"] = seed_override
-    campaigns = [_resolve_campaign("", base_exp, dict(doc["constellation"]), {}, path, text)]
-    for name, overrides in doc.get("variants", {}).items():
-        campaigns.append(
-            _resolve_campaign(name, base_exp, dict(doc["constellation"]), dict(overrides), path, text)
-        )
+        doc, lines = _read_ini(path, text)
+
+    def at(section: str, key: str | None = None) -> str:
+        return f"{path}:{lines.get((section, key), lines.get((section, None), 1))}"
+
+    for section in BASE_SECTIONS:
+        if section not in doc:
+            raise ConfigError(f"{path}:1: missing [{section}] section")
+    variants = [section for section in doc if section not in BASE_SECTIONS]
+    for section in variants:
+        if not section.startswith("variant:"):
+            raise ConfigError(f"{at(section)}: unknown section [{section}]")
+    campaigns = [_campaign("", doc, BASE_SECTIONS, at, seed_override)]
+    for section in variants:
+        campaigns.append(_campaign(section.split(":", 1)[1], doc, (*BASE_SECTIONS, section), at, seed_override))
     return campaigns
 
 
@@ -274,10 +258,10 @@ def _csv_rows(result: SweepResult):
                 _prob(pt.ci_low),
                 _prob(pt.ci_high),
                 _prob(pt.sep_hat),
-                _prob(math.exp(min(o.log_ml_lower, 0.0))),
-                _prob(min(1.0, math.exp(min(o.log_ml_union, 0.0)))),
-                _prob(math.exp(min(o.log_zf_vep_lower, 0.0))),
-                _prob(min(1.0, math.exp(min(o.log_zf_vep_upper, 0.0)))),
+                _prob(theory.prob_from_log(o.log_ml_lower)),
+                _prob(theory.prob_from_log(o.log_ml_union)),
+                _prob(theory.prob_from_log(o.log_zf_vep_lower)),
+                _prob(theory.prob_from_log(o.log_zf_vep_upper)),
                 _fmt(o.f_ml_ref),
                 _fmt(o.f_zf_ref),
                 _prob(o.log_ml_lower),
@@ -287,12 +271,18 @@ def _csv_rows(result: SweepResult):
             ]
 
 
-def _write_csv(result: SweepResult, out_path: Path) -> None:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(_csv_rows(result))
+@contextmanager
+def _replacing(path: Path):
+    """Write a temporary file beside ``path``: it replaces ``path`` on success, is removed on failure."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _campaign_csv_path(out: Path, name: str) -> Path:
@@ -313,7 +303,10 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
     for camp in campaigns:
         result = sweep(camp.config, workers=threads)
         csv_path = _campaign_csv_path(out, camp.name)
-        _write_csv(result, csv_path)
+        with _replacing(csv_path) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(_csv_rows(result))
         manifest["campaigns"].append(
             {
                 "name": camp.name,
@@ -329,7 +322,7 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
     manifest["duration_s"] = time.perf_counter() - t0
     manifest["master_seed"] = campaigns[0].config.master_seed
     manifest_path = out.with_suffix(".manifest.json")
-    with open(manifest_path, "w", newline="") as fh:
+    with _replacing(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(f"wrote {manifest_path}")
@@ -349,20 +342,19 @@ def cmd_theory(
     n: int | None = None,
     symbols: str | None = None,
 ) -> int:
-    if kind.lower() == "custom":
-        if not symbols:
-            raise ConfigError("custom constellation needs --symbols")
-        c = custom_constellation(_parse_symbols(symbols))
-    else:
-        c = make_constellation(kind, M)
-    sigma2 = float(c.avg_energy / 10.0 ** (snr_db / 10.0))
-    if n is not None and m is None:
-        raise ConfigError("--n needs --m as well")
+    try:
+        c = _build_constellation(kind, M, symbols)
+    except ConfigValueError as exc:
+        raise ConfigError(f"--{exc.key}: {exc}") from exc
+    sigma2 = sigma2_from_snr(snr_db, c)
     if m is not None and n is None:
         if delta is None:
             raise ConfigError("--m needs --n or --delta to fix the user count")
-        n = int(math.floor(delta * m + 0.5))
-    params = theory.SystemParams.from_system(c, sigma2, m=m, n=n, delta=None if m else delta)
+        n = users_for_ratio(delta, m)
+    try:
+        params = theory.SystemParams.from_system(c, sigma2, m=m, n=n, delta=None if m else delta)
+    except ValueError as exc:
+        raise ConfigError(f"theory flags: {exc}") from exc
 
     rows: list[tuple[str, str]] = []
     rows.append(("constellation", f"{c.kind.value.upper()} M={c.M}"))
@@ -474,6 +466,13 @@ def cmd_fit(csv_path: str, min_errors: int = 50) -> int:
 # entry point
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mimodet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="experiment file (INI or JSON)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes (does not change results)")
+    p_sweep.add_argument("--threads", type=positive_int, default=1, help="worker processes (does not change results)")
 
     p_theory = sub.add_parser("theory", help="print closed-form quantities")
     p_theory.add_argument("--kind", required=True, choices=["psk", "qam", "custom"])
@@ -506,8 +505,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out, seed=args.seed, threads=args.threads)
         if args.command == "theory":
-            if args.delta is None and args.m is None:
-                raise ConfigError("theory needs --delta and/or --m with --n")
             return cmd_theory(
                 args.kind,
                 args.M,

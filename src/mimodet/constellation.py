@@ -20,19 +20,13 @@ class ConstellationKind(enum.Enum):
     CUSTOM = "custom"
 
 
-def _pairwise_min_distance(symbols: np.ndarray) -> float:
-    diffs = symbols[:, None] - symbols[None, :]
-    dist = np.abs(diffs)
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
-
-
 @dataclass(frozen=True)
 class Constellation:
     """An ordered set of complex constellation points.
 
-    ``d_min`` and ``avg_energy`` are always recomputed from the symbol list,
-    so custom (possibly unnormalized) sets report their true geometry.
+    ``d_min`` (the exact minimum |s - s'| over distinct symbol pairs) and
+    ``avg_energy`` are always recomputed from the symbol list, so custom
+    (possibly unnormalized) sets report their true geometry.
     Instances are immutable and safe to share across worker processes.
     """
 
@@ -48,7 +42,9 @@ class Constellation:
             raise ValueError(f"constellation needs at least 2 symbols, got {sym.size}")
         if not np.all(np.isfinite(sym.view(np.float64))):
             raise ValueError("constellation symbols must be finite")
-        d = _pairwise_min_distance(sym)
+        dist = np.abs(sym[:, None] - sym[None, :])
+        np.fill_diagonal(dist, np.inf)
+        d = float(dist.min())
         if d == 0.0:
             raise ValueError("constellation symbols must be pairwise distinct")
         sym.setflags(write=False)
@@ -102,23 +98,13 @@ def custom_constellation(points) -> Constellation:
     return Constellation(symbols=np.asarray(points, dtype=np.complex128), kind=ConstellationKind.CUSTOM)
 
 
-def min_distance(c: Constellation) -> float:
-    """Exact minimum |s - s'| over all distinct symbol pairs."""
-    return _pairwise_min_distance(c.symbols)
-
-
-def nearest_symbol(c: Constellation, z: complex) -> int:
-    """Index of the symbol closest to z; ties break to the lowest index."""
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"nearest_symbol needs a finite point, got {z!r}")
-    return int(np.argmin(np.abs(c.symbols - z)))
-
-
 def nearest_symbols(c: Constellation, z: np.ndarray) -> np.ndarray:
-    """Entrywise nearest-symbol indices for a vector of points."""
+    """Entrywise nearest-symbol indices for an array (or scalar) of points.
+
+    Ties break to the lowest symbol index.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(z.view(np.float64))):
+    if not np.isfinite(z).all():
         raise ValueError("nearest_symbols needs finite points")
-    # argmin returns the first (lowest-index) minimizer, matching nearest_symbol
+    # argmin returns the first (lowest-index) minimizer
     return np.argmin(np.abs(z[..., None] - c.symbols), axis=-1)

@@ -121,7 +121,6 @@ def detect_ml_exhaustive(
     H: np.ndarray,
     r: np.ndarray,
     c: Constellation,
-    n: int | None = None,
     budget: int = DEFAULT_ML_BUDGET,
 ) -> DetectionOutcome:
     """Global minimizer of ||H x - r||^2 over all M^n candidate vectors.
@@ -130,11 +129,7 @@ def detect_ml_exhaustive(
     run when M^n exceeds ``budget`` rather than approximating.
     """
     H, r = _check_system(H, r)
-    m, n_cols = H.shape
-    if n is None:
-        n = n_cols
-    elif n != n_cols:
-        raise ValueError(f"n={n} does not match H with {n_cols} columns")
+    n = H.shape[1]
     total = c.M**n
     if total > budget:
         raise ValueError(
@@ -218,7 +213,6 @@ def detect_ml_sphere(
     H: np.ndarray,
     r: np.ndarray,
     c: Constellation,
-    n: int | None = None,
 ) -> DetectionOutcome:
     """Exact ML detection for square-QAM constellations via sphere decoding.
 
@@ -229,10 +223,7 @@ def detect_ml_sphere(
     if c.kind is not ConstellationKind.QAM:
         raise ValueError(f"sphere decoder supports QAM constellations only, got {c.kind.value}")
     H, r = _check_system(H, r)
-    m, n_cols = H.shape
-    if n is not None and n != n_cols:
-        raise ValueError(f"n={n} does not match H with {n_cols} columns")
-    n = n_cols
+    n = H.shape[1]
 
     scale, levels, lookup = _qam_lattice(c)
     B = np.block([[H.real, -H.imag], [H.imag, H.real]])

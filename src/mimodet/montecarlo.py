@@ -43,12 +43,25 @@ TRIAL_CHUNK = 32
 WILSON_Z = 1.96
 
 
+class ConfigValueError(ValueError):
+    """A configuration value that fails validation; ``key`` names its config key."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
+def users_for_ratio(delta: float, m: int) -> int:
+    """User count n = round(delta * m) at m antennas, half rounding away from zero."""
+    return int(math.floor(delta * m + 0.5))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one sweep campaign.
 
     The user count per grid point comes from either a fixed ``n`` or a ratio
-    ``delta`` with n = round(delta * m) (half rounds away from zero).  When
+    ``delta``, with n = round(delta * m) from :func:`users_for_ratio`.  When
     ``target_errors`` is set, a grid point stops early at the first block
     boundary where every configured detector has accumulated at least that
     many vector errors; ``trials`` then acts as the cap.
@@ -69,45 +82,48 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
         if not self.detectors:
-            raise ValueError("at least one detector is required")
+            raise ConfigValueError("detectors", "at least one detector is required")
         for d in self.detectors:
             if d not in DETECTOR_NAMES:
-                raise ValueError(f"unknown detector {d!r}; choose from {DETECTOR_NAMES}")
+                raise ConfigValueError("detectors", f"unknown detector {d!r}; choose from {DETECTOR_NAMES}")
         if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError("duplicate detectors in config")
+            raise ConfigValueError("detectors", "duplicate detectors in config")
         if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite (noiseless sweeps are not meaningful)")
+            raise ConfigValueError("snr_db", "snr_db must be finite (noiseless sweeps are not meaningful)")
         if not self.m_grid:
-            raise ValueError("m_grid must not be empty")
+            raise ConfigValueError("m_grid", "m_grid must not be empty")
         if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
-            raise ValueError(f"m_grid must be strictly ascending, got {self.m_grid}")
+            raise ConfigValueError("m_grid", f"m_grid must be strictly ascending, got {self.m_grid}")
         if (self.n is None) == (self.delta is None):
-            raise ValueError("give exactly one of fixed n or ratio delta")
+            raise ConfigValueError("n", "give exactly one of fixed n or ratio delta")
         if self.n is not None and self.n < 1:
-            raise ValueError(f"fixed n must be >= 1, got {self.n}")
+            raise ConfigValueError("n", f"fixed n must be >= 1, got {self.n}")
         if self.delta is not None and not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+            raise ConfigValueError("delta", f"delta must lie in (0, 1], got {self.delta}")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigValueError("trials", f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ConfigValueError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
         if self.target_errors is not None and self.target_errors < 1:
-            raise ValueError(f"target_errors must be >= 1, got {self.target_errors}")
+            raise ConfigValueError("target_errors", f"target_errors must be >= 1, got {self.target_errors}")
         for m in self.m_grid:
             n = self.users_for(m)
             if not (m >= n >= 1):
-                raise ValueError(f"grid point m={m} gives n={n}; need m >= n >= 1")
+                raise ConfigValueError("m_grid", f"grid point m={m} gives n={n}; need m >= n >= 1")
             M = self.constellation.M
             if "ml-exhaustive" in self.detectors and M**n > self.ml_budget:
-                raise ValueError(
+                raise ConfigValueError(
+                    "detectors",
                     f"ml-exhaustive infeasible at m={m}: {M}^{n} = {M**n} candidates "
-                    f"exceeds the enumeration budget {self.ml_budget}"
+                    f"exceeds the enumeration budget {self.ml_budget}",
                 )
         if "ml-sphere" in self.detectors and self.constellation.kind is not ConstellationKind.QAM:
-            raise ValueError("ml-sphere requires a QAM constellation")
+            raise ConfigValueError("detectors", "ml-sphere requires a QAM constellation")
 
     def users_for(self, m: int) -> int:
         if self.n is not None:
             return self.n
-        return int(math.floor(self.delta * m + 0.5))
+        return users_for_ratio(self.delta, m)
 
     @property
     def sigma2(self) -> float:

@@ -102,6 +102,11 @@ def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> 
     return val / math.pi
 
 
+def prob_from_log(log_p: float) -> float:
+    """Linear-scale probability from its log, clamped to at most 1."""
+    return math.exp(min(log_p, 0.0))
+
+
 def antenna_efficiency_ml(p: SystemParams) -> float:
     """ML antenna efficiency log(1 + rho), in nats per antenna.
 
@@ -185,7 +190,7 @@ def ml_union_bound_log(p: SystemParams) -> float:
 
 def ml_union_bound(p: SystemParams) -> float:
     """Linear-scale union bound, clamped to 1 for reporting."""
-    return min(1.0, math.exp(min(ml_union_bound_log(p), 0.0)))
+    return prob_from_log(ml_union_bound_log(p))
 
 
 def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
@@ -202,7 +207,7 @@ def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: fl
 
 
 def pairwise_error_bound(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
-    return math.exp(min(pairwise_error_bound_log(x_star, x_prime, sigma2, m), 0.0))
+    return prob_from_log(pairwise_error_bound_log(x_star, x_prime, sigma2, m))
 
 
 def large_n_threshold(rho: float, M: int) -> float:
@@ -244,7 +249,7 @@ def large_n_union_bound(p: SystemParams) -> float | None:
     lg = large_n_union_bound_log(p)
     if lg is None:
         return None
-    return min(1.0, math.exp(min(lg, 0.0)))
+    return prob_from_log(lg)
 
 
 def zf_sep_bounds_log(p: SystemParams) -> tuple[float, float]:
@@ -267,7 +272,7 @@ def zf_sep_bounds_log(p: SystemParams) -> tuple[float, float]:
 def zf_sep_bounds(p: SystemParams) -> tuple[float, float]:
     """Linear per-user SEP sandwich, upper clamped to 1."""
     lo, hi = zf_sep_bounds_log(p)
-    return math.exp(min(lo, 0.0)), min(1.0, math.exp(min(hi, 0.0)))
+    return prob_from_log(lo), prob_from_log(hi)
 
 
 def zf_vep_bounds_log(p: SystemParams) -> tuple[float, float]:
@@ -281,4 +286,4 @@ def zf_vep_bounds_log(p: SystemParams) -> tuple[float, float]:
 
 def zf_vep_bounds(p: SystemParams) -> tuple[float, float]:
     lo, hi = zf_vep_bounds_log(p)
-    return math.exp(min(lo, 0.0)), min(1.0, math.exp(min(hi, 0.0)))
+    return prob_from_log(lo), prob_from_log(hi)

@@ -18,7 +18,7 @@ def test_sigma2_from_snr_unit_energy():
 def test_sigma2_from_snr_scales_with_energy():
     c = custom_constellation([0.0, 2.0])  # avg energy (0 + 4)/2 = 2
     assert c.avg_energy == pytest.approx(2.0)
-    assert sigma2_from_snr(0.0, c, n=5) == pytest.approx(2.0, rel=1e-15)
+    assert sigma2_from_snr(0.0, c) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_entry_second_moment():

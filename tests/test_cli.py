@@ -274,3 +274,83 @@ def test_bundled_configs_parse():
     fig3 = load_config(str(root / "configs" / "fig3.cfg"))
     assert fig3[1].config.constellation.M == 4
     assert fig3[2].config.constellation.M == 2
+
+
+BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("trials = 300", "trails = 30", 10, "unknown key 'trails' in [experiment]"),
+        ("M = 16", "M = 16\nphase = 0.5", 4, "unknown key 'phase' in [constellation]"),
+        ("master_seed = 42\n", "master_seed = 42\n" + BROKEN_VARIANT, 17, "trials must be >= 1"),
+        ("trials = 300", "trials = abc", 10, "bad value 'abc' for trials"),
+        ("master_seed = 42", "master_seed = 4x2", 11, "bad value '4x2' for master_seed"),
+        ("master_seed = 42", "master_seed = -3", 11, "master_seed must be >= 0"),
+        ("M = 16", "M = 15", 3, "QAM needs M an even power of two"),
+        ("kind = qam\nM = 16", "kind = custom\nsymbols = 1,0; -1", 3, "symbols must be re,im pairs"),
+    ],
+    ids=[
+        "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
+        "qam-M", "symbols",
+    ],
+)
+def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(INI_CONFIG.replace(old, new))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}:{line}: " in err and message in err
+    assert not out.exists()
+
+
+def test_theory_bad_flags_are_config_errors(capsys):
+    assert main(["theory", "--kind", "qam", "--M", "15", "--snr-db", "0", "--delta", "0.25"]) == 2
+    assert "--M: QAM needs M" in capsys.readouterr().err
+    assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", "--m", "4", "--n", "8"]) == 2
+    assert "need m >= n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_is_usage_error(tmp_path, ini_path, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "x.csv"), "--threads", threads])
+    assert exc.value.code == 2
+
+
+def test_variant_empty_value_unsets_base_key(tmp_path):
+    p = tmp_path / "unset.cfg"
+    p.write_text(INI_CONFIG + "target_errors = 50\n\n[variant:uncapped]\ntarget_errors =\ntrials =\n")
+    base, variant = (c.config for c in load_config(str(p)))
+    assert (base.target_errors, base.trials) == (50, 300)
+    assert (variant.target_errors, variant.trials) == (None, 10000)
+
+
+def test_failed_csv_write_keeps_existing_output(tmp_path, ini_path, monkeypatch):
+    from mimodet import cli
+
+    out = tmp_path / "res.csv"
+    out.write_text("previous run\n")
+    real_rows = cli._csv_rows
+
+    def rows_then_fail(result):
+        rows = real_rows(result)
+        yield next(rows)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_csv_rows", rows_then_fail)
+    assert main(["sweep", "--config", str(ini_path), "--out", str(out)]) == 3
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv", "small.cfg"]
+
+
+def test_schema_experiment_keys_are_config_fields():
+    from dataclasses import fields
+
+    from mimodet.cli import KEYS
+    from mimodet.montecarlo import ExperimentConfig
+
+    experiment_keys = {key for key, (section, _) in KEYS.items() if section == "experiment"}
+    assert experiment_keys == {f.name for f in fields(ExperimentConfig)} - {"constellation"}

@@ -12,8 +12,6 @@ from mimodet.constellation import (
     ConstellationKind,
     custom_constellation,
     make_constellation,
-    min_distance,
-    nearest_symbol,
     nearest_symbols,
 )
 
@@ -55,7 +53,6 @@ def test_qam16_grid_and_dmin():
 def test_unit_energy_and_dmin_recompute(kind, M):
     c = make_constellation(kind, M)
     assert c.avg_energy == pytest.approx(1.0, abs=1e-12)
-    assert min_distance(c) == pytest.approx(c.d_min, abs=1e-12)
     assert c.d_min == pytest.approx(brute_force_min_distance(list(c.symbols)), abs=1e-12)
 
 
@@ -68,7 +65,7 @@ def test_invalid_orders_rejected(kind, M):
 def test_custom_min_distance_brute_force():
     c = custom_constellation([0, 3, 4j])
     # pairs: |3| = 3, |4i| = 4, |3 - 4i| = 5
-    assert min_distance(c) == pytest.approx(3.0, abs=1e-12)
+    assert c.d_min == pytest.approx(3.0, abs=1e-12)
     assert c.kind is ConstellationKind.CUSTOM
     assert c.avg_energy == pytest.approx((0 + 9 + 16) / 3, abs=1e-12)
 
@@ -83,23 +80,23 @@ def test_duplicate_and_short_sets_rejected():
 def test_nearest_symbol_identity_and_ties():
     c = make_constellation("qam", 16)
     for k in range(c.M):
-        assert nearest_symbol(c, c.symbols[k]) == k
+        assert nearest_symbols(c, c.symbols[k]) == k
     bpsk = make_constellation("psk", 2)
     # z = 0 is equidistant; the lowest index (symbol +1) wins
-    assert nearest_symbol(bpsk, 0.0) == 0
+    assert nearest_symbols(bpsk, 0.0) == 0
 
 
 def test_nearest_symbol_far_corner():
     c = make_constellation("qam", 16)
     expected = int(np.argmin(np.abs(c.symbols - (10 + 10j))))
     assert abs(c.symbols[expected] - (3 + 3j) / np.sqrt(10)) < 1e-12
-    assert nearest_symbol(c, 10 + 10j) == expected
+    assert nearest_symbols(c, 10 + 10j) == expected
 
 
 def test_nearest_symbol_rejects_non_finite():
     c = make_constellation("psk", 2)
     with pytest.raises(ValueError):
-        nearest_symbol(c, complex(np.inf, 0))
+        nearest_symbols(c, complex(np.inf, 0))
     with pytest.raises(ValueError):
         nearest_symbols(c, np.array([1.0, np.nan]))
 
@@ -113,7 +110,7 @@ def test_nearest_symbol_rejects_non_finite():
 def test_half_dmin_decoding_guarantee(k, mag, phase):
     c = make_constellation("qam", 16)
     e = mag * (c.d_min / 2.0) * np.exp(1j * phase)
-    assert nearest_symbol(c, c.symbols[k] + e) == k
+    assert nearest_symbols(c, c.symbols[k] + e) == k
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +128,7 @@ def test_scaling_preserves_decisions_and_scales_dmin(scale, zr, zi):
     # once scaled; the invariance claim holds away from boundaries
     dists = np.sort(np.abs(base.symbols - z))
     assume(dists[1] - dists[0] > 1e-9 * (1.0 + dists[0]))
-    assert nearest_symbol(scaled, scale * z) == nearest_symbol(base, z)
+    assert nearest_symbols(scaled, scale * z) == nearest_symbols(base, z)
 
 
 def test_symbols_immutable():
@@ -145,4 +142,4 @@ def test_nearest_symbols_vector_matches_scalar():
     rng = np.random.default_rng(3)
     z = rng.normal(size=32) + 1j * rng.normal(size=32)
     vec = nearest_symbols(c, z)
-    assert vec.tolist() == [nearest_symbol(c, zz) for zz in z]
+    assert vec.tolist() == [nearest_symbols(c, zz) for zz in z]
