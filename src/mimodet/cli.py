@@ -143,7 +143,8 @@ def _read_ini(path: str, text: str) -> tuple[dict, dict]:
     A section's own line is mapped from (section, None).  Indented lines
     continue a value, so only unindented key lines are mapped.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # only "#" starts an inline comment: ";" separates the points of `symbols`
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep key case: "M" must stay "M"
     try:
         parser.read_string(text, source=path)
@@ -165,7 +166,8 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
     """One campaign from ``sections`` of ``doc``, each overriding the ones before.
 
     An empty value unsets its key.  In a variant, setting n unsets delta and
-    setting delta unsets n, so a variant can switch the user rule.  Every
+    setting delta unsets n, so a variant can switch the user rule.  ``seed``,
+    when given, overrides master_seed after every section.  Every
     failure is a ConfigError at the line of the key at fault, or at the line
     of its section when the key is missing.
     """
@@ -178,8 +180,8 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
             if variant and raw not in ("", None):
                 settings.pop({"n": "delta", "delta": "n"}.get(key), None)
             settings[key] = (raw, section)
-        if section == "experiment" and seed is not None:
-            settings["master_seed"] = (seed, section)
+    if seed is not None:
+        settings["master_seed"] = (seed, "experiment")
     raw = {key: value for key, (value, _) in settings.items() if value not in ("", None)}
     try:
         constellation = _build_constellation(raw.get("kind", ""), raw.get("M"), raw.get("symbols"))

@@ -6,20 +6,37 @@ returns the identical decision for square-QAM constellations by exact
 Schnorr-Euchner enumeration of the equivalent real-valued lattice problem.
 ZF solves the unconstrained least-squares problem by QR and quantizes each
 entry to the nearest symbol.
+
+Each detector has one implementation, for a stack of systems H (B, m, n),
+r (B, m) (``detect_*_stack``); the per-instance ``detect_*`` functions are
+its one-member case and add the decision's metric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .constellation import Constellation, ConstellationKind, nearest_symbols
 
 #: Refuse exhaustive enumeration beyond this many candidates (M^n).  The
 #: split enumeration also scores at most this many candidates per pass.
 DEFAULT_ML_BUDGET = 1 << 20
+
+#: Candidates the split enumeration scores per pass, over all members of the
+#: pass: one QPSK instance at n = 8.  Small instances are grouped up to it,
+#: large ones split into blocks of rows, so no temporary outgrows it.
+ML_PASS_CANDIDATES = 1 << 16
+
+#: Multiply-adds of one member's cross-term product per pass.  OpenBLAS
+#: spreads a dgemm of more than 4 * 65536 multiply-adds over all its threads;
+#: at n = 8 QPSK the whole 256 x 8 x 256 product took 200-400 us that way
+#: against about 30 us per 128 rows on one thread (2-core VM, inherited
+#: threading), and left both threads spinning into the numpy work around it.
+#: Half that threshold keeps every product on the calling thread.
+ML_PASS_MACS = 1 << 17
 
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
@@ -53,19 +70,45 @@ class ZfIntermediate:
     gamma: np.ndarray
 
 
-def _check_system(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_stack(H: np.ndarray, r: np.ndarray, ndim: int | None = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Validated complex H (..., m, n) and r (..., m); ``ndim`` fixes H's rank."""
     H = np.asarray(H, dtype=np.complex128)
-    r = np.asarray(r, dtype=np.complex128).ravel()
-    if H.ndim != 2:
-        raise ValueError(f"H must be a matrix, got shape {H.shape}")
-    m, n = H.shape
-    if not (m >= n >= 1):
+    r = np.asarray(r, dtype=np.complex128)
+    if H.ndim < 2 or (ndim is not None and H.ndim != ndim) or r.shape != H.shape[:-1]:
+        lead = "B, " if ndim == 3 else "..., "
+        raise ValueError(f"need H of shape ({lead}m, n) and r of shape ({lead}m), got {H.shape} and {r.shape}")
+    if not (H.shape[-2] >= H.shape[-1] >= 1):
         raise ValueError(f"need m >= n >= 1, got H of shape {H.shape}")
-    if r.size != m:
-        raise ValueError(f"r has length {r.size}, expected {m}")
     if not (np.all(np.isfinite(H.view(np.float64))) and np.all(np.isfinite(r.view(np.float64)))):
         raise ValueError("H and r must be finite")
     return H, r
+
+
+def _one_member(detector: str, stack_detector, H, r, c: Constellation, *args) -> DetectionOutcome:
+    """``stack_detector``'s decision on one system H (m, n), r (m,), with its metric."""
+    H = np.asarray(H, dtype=np.complex128)
+    if H.ndim != 2:
+        raise ValueError(f"H must be a matrix, got shape {H.shape}")
+    r = np.asarray(r, dtype=np.complex128).ravel()
+    x_hat = stack_detector(H[None], r[None], c, *args)[0]
+    metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
+    return DetectionOutcome(x_hat=x_hat, detector=detector, metric=metric)
+
+
+def _qr_augmented(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R factor of each member of B (..., p, d), and the first d entries of Q^H y.
+
+    Q is never formed: the R factor of [B | y] holds R in its first d columns
+    and Q^H y in the first d rows of its last column.  Raises LinAlgError if
+    any member is numerically rank deficient.
+    """
+    d = B.shape[-1]
+    Ra = np.linalg.qr(np.concatenate([B, y[..., None]], axis=-1), mode="r")
+    R = Ra[..., :d, :d]
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    if np.any(diag.min(axis=-1) < RANK_TOLERANCE * diag.max(axis=-1)):
+        raise np.linalg.LinAlgError("channel matrix is numerically rank deficient")
+    return R, Ra[..., :d, d]
 
 
 def _index_vectors(M: int, k: int) -> np.ndarray:
@@ -76,45 +119,82 @@ def _index_vectors(M: int, k: int) -> np.ndarray:
 
 
 def _own_terms(X: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H G x - 2 Re(x^H y) for every row x of X."""
+    """x^H G[k] x - 2 Re(x^H y[k]) for every row x of X and member k: (g, rows)."""
     Xc = X.conj()
-    return np.einsum("kj,kj->k", Xc @ G, X).real - 2.0 * (Xc @ y).real
+    return ((Xc @ G) * X).sum(axis=-1).real - 2.0 * (Xc @ y[..., None])[..., 0].real
 
 
-def _ml_split_search(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
-    """Index vector minimizing ||H x - r||^2 over all M^n candidates.
+def _split_ranks(H, r, A: np.ndarray, Bs: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
+    """Flattened (a, b) rank of each member's minimizer; see detect_ml_exhaustive_stack.
+
+    A and Bs hold the candidate first and second halves as rows, ``right``
+    the real and imaginary parts of Bs as columns; each pass scores ``rows``
+    rows of A against every row of Bs for every member.
+    """
+    na = A.shape[1]
+    Hh = H.conj().swapaxes(-1, -2)
+    G = Hh @ H
+    y = (Hh @ r[..., None])[..., 0]
+    qa = _own_terms(A, G[:, :na, :na], y[:, :na])
+    qb = _own_terms(Bs, G[:, na:, na:], y[:, na:])
+    # Re(P b) with P = a^H G_ab, as one real product over stacked parts
+    P = A.conj() @ G[:, :na, na:]
+    left = 2.0 * np.concatenate([P.real, -P.imag], axis=-1)
+    members = np.arange(len(H))
+    best_val = np.full(len(H), np.inf)
+    best_rank = np.zeros(len(H), dtype=np.int64)
+    for lo in range(0, len(A), rows):
+        q = left[:, lo : lo + rows] @ right
+        q += qa[:, lo : lo + rows, None]
+        q += qb[:, None, :]
+        q = q.reshape(len(H), -1)
+        j = np.argmin(q, axis=1)
+        val = q[members, j]
+        better = val < best_val
+        best_val[better] = val[better]
+        best_rank[better] = lo * len(Bs) + j[better]
+    return best_rank
+
+
+def detect_ml_exhaustive_stack(
+    H: np.ndarray,
+    r: np.ndarray,
+    c: Constellation,
+    budget: int = DEFAULT_ML_BUDGET,
+) -> np.ndarray:
+    """Exhaustive ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
     With x = (a, b), a the first n // 2 entries and G = H^H H, y = H^H r,
     the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b).  The
-    cross term of a block of a-rows against every b is one real matmul, so
-    every candidate is still scored.  Row-major order over (a, b) is the
-    lexicographic order of x, and argmin keeps the first minimizer, so ties
-    break to the lexicographically smallest index vector.  Each pass over a
-    block of a-rows scores at most DEFAULT_ML_BUDGET candidates, which bounds
-    the temporaries whatever budget the caller allows.
+    cross term of a block of a-rows against every b is one real matmul per
+    group of members, so every candidate is still scored.  Row-major order
+    over (a, b) is the lexicographic order of x, and argmin keeps the first
+    minimizer, so ties break to the lexicographically smallest index vector.
+    A pass scores at most ML_PASS_CANDIDATES (and DEFAULT_ML_BUDGET)
+    candidates, which bounds the temporaries whatever budget the caller
+    allows, and its product costs at most ML_PASS_MACS multiply-adds per
+    member, which keeps BLAS on one thread.  Refuses to run when M^n
+    exceeds ``budget`` rather than approximating.
     """
-    n = H.shape[1]
+    H, r = _check_stack(H, r)
+    n = H.shape[-1]
+    total = c.M**n
+    if total > budget:
+        raise ValueError(
+            f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
+            f"the budget of {budget}; raise the budget explicitly to override"
+        )
     na = n // 2
-    G = H.conj().T @ H
-    y = H.conj().T @ r
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
     A, Bs = c.symbols[ia], c.symbols[ib]
-    qa = _own_terms(A, G[:na, :na], y[:na])
-    qb = _own_terms(Bs, G[na:, na:], y[na:])
-    # Re(P b) with P = a^H G_ab, as one real product over stacked parts
-    P = A.conj() @ G[:na, na:]
-    left = 2.0 * np.concatenate([P.real, -P.imag], axis=1)
     right = np.concatenate([Bs.real, Bs.imag], axis=1).T
-    rows = max(1, DEFAULT_ML_BUDGET // len(ib))
-    best_val, best_rank = np.inf, 0
-    for lo in range(0, len(ia), rows):
-        q = left[lo : lo + rows] @ right
-        q += qa[lo : lo + rows, None]
-        q += qb
-        j = int(np.argmin(q))
-        if q.flat[j] < best_val:
-            best_val, best_rank = q.flat[j], lo * len(ib) + j
-    return np.concatenate([ia[best_rank // len(ib)], ib[best_rank % len(ib)]])
+    per_pass = min(ML_PASS_CANDIDATES, DEFAULT_ML_BUDGET)
+    rows = max(1, min(per_pass // len(ib), ML_PASS_MACS // right.size))
+    group = max(1, per_pass // total)
+    ranks = np.concatenate(
+        [_split_ranks(H[lo : lo + group], r[lo : lo + group], A, Bs, right, rows) for lo in range(0, len(H), group)]
+    )
+    return np.concatenate([ia[ranks // len(ib)], ib[ranks % len(ib)]], axis=1)
 
 
 def detect_ml_exhaustive(
@@ -125,36 +205,29 @@ def detect_ml_exhaustive(
 ) -> DetectionOutcome:
     """Global minimizer of ||H x - r||^2 over all M^n candidate vectors.
 
-    Ties break to the lexicographically smallest index vector.  Refuses to
-    run when M^n exceeds ``budget`` rather than approximating.
+    The one-member case of :func:`detect_ml_exhaustive_stack`: ties break to
+    the lexicographically smallest index vector, and M^n above ``budget`` is
+    refused.
     """
-    H, r = _check_system(H, r)
-    n = H.shape[1]
-    total = c.M**n
-    if total > budget:
-        raise ValueError(
-            f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
-            f"the budget of {budget}; raise the budget explicitly to override"
-        )
-    best_idx = _ml_split_search(H, r, c)
-    metric = float(np.sum(np.abs(H @ c.symbols[best_idx] - r) ** 2))
-    return DetectionOutcome(x_hat=best_idx, detector="ml-exhaustive", metric=metric)
+    return _one_member("ml-exhaustive", detect_ml_exhaustive_stack, H, r, c, budget)
 
 
-def _qam_lattice(c: Constellation) -> tuple[float, np.ndarray, dict]:
+def _qam_lattice(c: Constellation) -> tuple[float, np.ndarray, np.ndarray]:
     """Decompose a square-QAM set into scale * (a + i b), a,b odd integers.
 
-    Returns (scale, sorted integer levels, (a, b) -> symbol index lookup).
+    Returns (scale, sorted integer levels, table) where table[i, j] is the
+    index of the symbol scale * (levels[i] + i levels[j]).
     """
     scale = c.d_min / 2.0
-    a = np.rint(c.symbols.real / scale).astype(np.int64)
-    b = np.rint(c.symbols.imag / scale).astype(np.int64)
-    lookup = {(int(ai), int(bi)): i for i, (ai, bi) in enumerate(zip(a, b))}
-    levels = np.unique(a).astype(np.float64)
-    return scale, levels, lookup
+    a = np.rint(c.symbols.real / scale)
+    b = np.rint(c.symbols.imag / scale)
+    levels = np.unique(a)
+    table = np.empty((levels.size, levels.size), dtype=np.int64)
+    table[np.searchsorted(levels, a), np.searchsorted(levels, b)] = np.arange(c.M)
+    return scale, levels, table
 
 
-def _sphere_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray):
+def _sphere_search(R, y, levels):
     """Exact Schnorr-Euchner search of argmin ||y - R u||^2, u in levels^d.
 
     R is upper triangular with nonzero diagonal.  Levels at each layer are
@@ -162,12 +235,14 @@ def _sphere_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray):
     the first leaf reached is the Babai point and sets the initial radius;
     the radius then shrinks with every improving leaf.  Returns the best
     level vector, its squared distance, and the number of leaves visited.
+    R, y and levels are read entry by entry, so nested lists of Python
+    floats (``R.tolist()``) search fastest; arrays give the same result.
     """
-    d = R.shape[0]
-    nlev = levels.size
+    d = len(R)
+    nlev = len(levels)
     best_u = None
-    best_dist = np.inf
-    u = np.zeros(d)
+    best_dist = math.inf
+    u = [0.0] * d
     order = [None] * d
     t = [0] * d
     acc = [0.0] * d
@@ -175,9 +250,14 @@ def _sphere_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray):
     leaves = 0
 
     def enter(k: int, dist_above: float) -> None:
-        srow[k] = float(R[k, k + 1 :] @ u[k + 1 :]) if k + 1 < d else 0.0
-        center = (y[k] - srow[k]) / R[k, k]
-        order[k] = np.argsort(np.abs(levels - center), kind="stable")
+        Rk = R[k]
+        s = 0.0
+        for j in range(k + 1, d):
+            s += Rk[j] * u[j]
+        srow[k] = s
+        center = (y[k] - s) / Rk[k]
+        # sorted is stable: two levels equally far from the center keep their order
+        order[k] = sorted(range(nlev), key=lambda i: abs(levels[i] - center))
         t[k] = 0
         acc[k] = dist_above
 
@@ -191,7 +271,7 @@ def _sphere_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray):
             t[k] += 1
             continue
         lev = levels[order[k][t[k]]]
-        e = y[k] - srow[k] - R[k, k] * lev
+        e = y[k] - srow[k] - R[k][k] * lev
         cand = acc[k] + e * e
         if cand >= best_dist:
             # remaining levels at this layer are at least as far from the center
@@ -200,13 +280,39 @@ def _sphere_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray):
         u[k] = lev
         if k == 0:
             best_dist = cand
-            best_u = u.copy()
+            best_u = u[:]
             leaves += 1
             t[k] += 1
             continue
         k -= 1
         enter(k, cand)
     return best_u, best_dist, leaves
+
+
+def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
+    """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
+
+    Square-QAM constellations only.  Each complex system is rewritten as a
+    2m x 2n real lattice problem (stacked real/imaginary parts); one stacked
+    QR gives every member's R and Q^T y, and each member is then searched
+    exactly, so every decision equals :func:`detect_ml_exhaustive_stack`'s.
+    Raises ValueError on non-finite input and LinAlgError when any member is
+    numerically rank deficient.
+    """
+    if c.kind is not ConstellationKind.QAM:
+        raise ValueError(f"sphere decoder supports QAM constellations only, got {c.kind.value}")
+    H, r = _check_stack(H, r)
+    n = H.shape[-1]
+    scale, levels, table = _qam_lattice(c)
+    B = np.concatenate(
+        [np.concatenate([H.real, -H.imag], axis=-1), np.concatenate([H.imag, H.real], axis=-1)], axis=-2
+    )
+    R, y = _qr_augmented(B, np.concatenate([r.real, r.imag], axis=-1))
+    # fold the lattice scale into R so the search runs over integer levels
+    lev = levels.tolist()
+    u = [_sphere_search(Rk, yk, lev)[0] for Rk, yk in zip((R * scale).tolist(), y.tolist())]
+    at = np.searchsorted(levels, np.array(u))
+    return table[at[:, :n], at[:, n:]]
 
 
 def detect_ml_sphere(
@@ -216,48 +322,20 @@ def detect_ml_sphere(
 ) -> DetectionOutcome:
     """Exact ML detection for square-QAM constellations via sphere decoding.
 
-    The complex system is rewritten as a 2m x 2n real lattice problem
-    (stacked real/imaginary parts) and searched exactly, so the decision
+    The one-member case of :func:`detect_ml_sphere_stack`; the decision
     always equals :func:`detect_ml_exhaustive`.
     """
-    if c.kind is not ConstellationKind.QAM:
-        raise ValueError(f"sphere decoder supports QAM constellations only, got {c.kind.value}")
-    H, r = _check_system(H, r)
-    n = H.shape[1]
-
-    scale, levels, lookup = _qam_lattice(c)
-    B = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    y = np.concatenate([r.real, r.imag])
-    Q, R = np.linalg.qr(B, mode="reduced")
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_TOLERANCE * diag.max():
-        raise np.linalg.LinAlgError("channel matrix is numerically rank deficient")
-    ytil = Q.T @ y
-    # fold the lattice scale into R so the search runs over integer levels
-    u, _, _ = _sphere_search(R * scale, ytil, levels)
-
-    a = np.rint(u[:n]).astype(np.int64)
-    b = np.rint(u[n:]).astype(np.int64)
-    x_hat = np.array([lookup[(int(ai), int(bi))] for ai, bi in zip(a, b)], dtype=np.int64)
-    metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
-    return DetectionOutcome(x_hat=x_hat, detector="ml-sphere", metric=metric)
+    return _one_member("ml-sphere", detect_ml_sphere_stack, H, r, c)
 
 
 def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and R.
 
     One QR factorization per member (H[k] = Q R), then x_tilde solves
-    R x = Q^H r by back-substitution over the stack.  Q is never formed: the
-    R factor of [H | r] holds R in its first n columns and Q^H r in the first
-    n rows of its last column.  Raises LinAlgError if any member is
-    numerically rank deficient.
+    R x = Q^H r by back-substitution over the stack.  Raises LinAlgError if
+    any member is numerically rank deficient.
     """
-    n = H.shape[-1]
-    Ra = np.linalg.qr(np.concatenate([H, r[..., None]], axis=-1), mode="r")
-    R, y = Ra[:, :n, :n], Ra[:, :n, n]
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    if np.any(diag.min(axis=-1) < RANK_TOLERANCE * diag.max(axis=-1)):
-        raise np.linalg.LinAlgError("channel matrix is numerically rank deficient")
+    R, y = _qr_augmented(H, r)
     # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
     # solve swaps no rows and leaves R as it is: what remains is LAPACK's
     # back-substitution, run per member in one call.
@@ -268,18 +346,10 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """ZF decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Member k is decided exactly as :func:`detect_zf` decides (H[k], r[k]).
     Raises ValueError on non-finite input and LinAlgError when any member is
     numerically rank deficient.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    r = np.asarray(r, dtype=np.complex128)
-    if H.ndim != 3 or r.shape != H.shape[:2]:
-        raise ValueError(f"need H of shape (B, m, n) and r of shape (B, m), got {H.shape} and {r.shape}")
-    if not (H.shape[1] >= H.shape[2] >= 1):
-        raise ValueError(f"need m >= n >= 1, got H of shape {H.shape}")
-    if not (np.all(np.isfinite(H.view(np.float64))) and np.all(np.isfinite(r.view(np.float64)))):
-        raise ValueError("H and r must be finite")
+    H, r = _check_stack(H, r)
     x_tilde, _ = _zf_solve(H, r)
     return nearest_symbols(c, x_tilde)
 
@@ -287,20 +357,22 @@ def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarra
 def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
     """Least-squares decorrelation x_tilde = argmin ||H x - r||^2 plus gamma.
 
-    Solved through the QR factorization of H; the explicit Gram inverse is
-    never formed (it exists only as a test oracle).  gamma[j] is obtained
-    from the squared row norms of R^-1.
+    Takes one system (H (m, n), r (m,)) or a stack (H (..., m, n),
+    r (..., m)); x_tilde and gamma then have shape (..., n).  Solved through
+    the QR factorization of H; the explicit Gram inverse is never formed (it
+    exists only as a test oracle).  gamma[j] is obtained from the squared row
+    norms of R^-1, which a stacked solve of the triangular R forms.
     """
-    H, r = _check_system(H, r)
-    x_tilde, R = _zf_solve(H[None], r[None])
-    Rinv = solve_triangular(R[0], np.eye(H.shape[1], dtype=np.complex128))
-    gamma = 1.0 / np.sum(np.abs(Rinv) ** 2, axis=1)
-    return ZfIntermediate(x_tilde=x_tilde[0], gamma=gamma)
+    H, r = _check_stack(H, r, ndim=None)
+    x_tilde, R = _zf_solve(H, r)
+    Rinv = np.linalg.solve(R, np.eye(H.shape[-1], dtype=np.complex128))
+    gamma = 1.0 / np.sum(np.abs(Rinv) ** 2, axis=-1)
+    return ZfIntermediate(x_tilde=x_tilde, gamma=gamma)
 
 
 def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcome:
-    """Zero-forcing detection: decorrelate, then quantize entrywise."""
-    H, r = _check_system(H, r)
-    x_hat = detect_zf_stack(H[None], r[None], c)[0]
-    metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
-    return DetectionOutcome(x_hat=x_hat, detector="zf", metric=metric)
+    """Zero-forcing detection: decorrelate, then quantize entrywise.
+
+    The one-member case of :func:`detect_zf_stack`.
+    """
+    return _one_member("zf", detect_zf_stack, H, r, c)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,9 @@ from .detect import (
     DEFAULT_ML_BUDGET,
     DetectionOutcome,
     detect_ml_exhaustive,
+    detect_ml_exhaustive_stack,
     detect_ml_sphere,
+    detect_ml_sphere_stack,
     detect_zf,
     detect_zf_stack,
 )
@@ -38,6 +41,10 @@ TRIAL_BLOCK = 256
 #: Stacking a whole block instead raised the peak RSS of a (48, 16) ZF sweep
 #: from 85 to 95 MiB.
 TRIAL_CHUNK = 32
+
+#: Chunk tasks kept in flight per pool worker.  After an adaptive stop at
+#: most this many per worker are computed for nothing.
+POOL_CHUNKS_PER_WORKER = 2
 
 #: Wilson score interval critical value for 95% coverage.
 WILSON_Z = 1.96
@@ -242,8 +249,8 @@ def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig)
     if det == "zf":
         return detect_zf_stack(H, r, c)
     if det == "ml-exhaustive":
-        return np.array([detect_ml_exhaustive(Hk, rk, c, budget=config.ml_budget).x_hat for Hk, rk in zip(H, r)])
-    return np.array([detect_ml_sphere(Hk, rk, c).x_hat for Hk, rk in zip(H, r)])
+        return detect_ml_exhaustive_stack(H, r, c, budget=config.ml_budget)
+    return detect_ml_sphere_stack(H, r, c)
 
 
 def _block_counts(args) -> dict[str, tuple[int, int, int]]:
@@ -279,20 +286,33 @@ def _point_blocks(config: ExperimentConfig, m: int, n: int):
 def _block_results(blocks: list, pool, workers: int):
     """Yield ``_block_counts`` of each block, strictly in block order.
 
-    Serially each block is computed when it is asked for.  With a pool,
-    blocks are submitted speculatively with a bounded lookahead, topped up
-    before each wait; closing the generator waits for what is in flight.
+    Serially each block is computed when it is asked for.  With a pool, each
+    block is split into TRIAL_CHUNK-trial tasks, at most POOL_CHUNKS_PER_WORKER
+    per worker in flight, topped up before each wait; a block's chunk counts
+    are summed in chunk order.  Closing the generator waits for what is in
+    flight.
     """
     if pool is None:
         yield from map(_block_counts, blocks)
         return
-    lookahead = max(2 * workers, 4)
-    pending = []
+    chunks = [
+        (config, m, n, lo, min(lo + TRIAL_CHUNK, stop))
+        for config, m, n, start, stop in blocks
+        for lo in range(start, stop, TRIAL_CHUNK)
+    ]
+    in_flight = POOL_CHUNKS_PER_WORKER * workers
+    pending: deque = deque()
+    submitted = 0
     try:
-        for i in range(len(blocks)):
-            while i + len(pending) < len(blocks) and len(pending) < lookahead:
-                pending.append(pool.apply_async(_block_counts, (blocks[i + len(pending)],)))
-            yield pending.pop(0).get()
+        for config, _, _, start, stop in blocks:
+            totals = {det: [0, 0, 0] for det in config.detectors}
+            for _ in range(start, stop, TRIAL_CHUNK):
+                while submitted < len(chunks) and len(pending) < in_flight:
+                    pending.append(pool.apply_async(_block_counts, (chunks[submitted],)))
+                    submitted += 1
+                for det, counts in pending.popleft().get().items():
+                    totals[det] = [s + v for s, v in zip(totals[det], counts)]
+            yield {det: tuple(c) for det, c in totals.items()}
     finally:
         for res in pending:
             res.wait()

@@ -187,13 +187,16 @@ def test_c4_detector_equivalence():
 # ---------------------------------------------------------------------------
 # criterion 5: chi-square laws of the post-detection SNR statistics
 
+#: Channel samples decorrelated per stacked zf_decorrelate call.
+GAMMA_GROUP = 4096
+
 
 def _sample_gamma1(m: int, n: int, samples: int, seed: int) -> np.ndarray:
+    # sample i is still drawn from substream(seed, i); groups bound the memory
     out = np.empty(samples)
-    zero = np.zeros(m, dtype=complex)
-    for i in range(samples):
-        H = sample_channel(m, n, substream(seed, i))
-        out[i] = zf_decorrelate(H, zero).gamma[0]
+    for lo in range(0, samples, GAMMA_GROUP):
+        H = np.stack([sample_channel(m, n, substream(seed, i)) for i in range(lo, min(lo + GAMMA_GROUP, samples))])
+        out[lo : lo + len(H)] = zf_decorrelate(H, np.zeros(H.shape[:-1], dtype=complex)).gamma[:, 0]
     return out
 
 

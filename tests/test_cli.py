@@ -354,3 +354,20 @@ def test_schema_experiment_keys_are_config_fields():
 
     experiment_keys = {key for key, (section, _) in KEYS.items() if section == "experiment"}
     assert experiment_keys == {f.name for f in fields(ExperimentConfig)} - {"constellation"}
+
+
+def test_semicolon_does_not_start_a_comment(tmp_path):
+    # ";" after whitespace separates a third point, it does not comment it out
+    p = tmp_path / "custom.cfg"
+    p.write_text(
+        "[constellation]\nkind = custom\nsymbols = 1,0; -1,0 ; 0,1\n\n"
+        "[experiment]\ndetectors = zf\nsnr_db = 0\nn = 1\nm_grid = 4\ntrials = 50\nmaster_seed = 1\n"
+    )
+    assert load_config(str(p))[0].config.constellation.M == 3
+
+
+def test_seed_override_beats_variant_master_seed(tmp_path):
+    p = tmp_path / "seeded.cfg"
+    p.write_text(INI_CONFIG + "\n[variant:v]\nmaster_seed = 9\n")
+    assert [c.config.master_seed for c in load_config(str(p))] == [42, 9]
+    assert [c.config.master_seed for c in load_config(str(p), seed_override=1)] == [1, 1]

@@ -337,3 +337,95 @@ def test_input_validation():
         detect_ml_exhaustive(inst.H, inst.r[:3], QPSK)
     with pytest.raises(ValueError):
         detect_ml_sphere(inst.H.T, inst.r, QAM16)  # m < n after transpose
+
+
+# ---------------------------------------------------------------------------
+# stacked ML detectors
+
+
+@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_stack_equals_per_instance_loop(M, n):
+    c = make_constellation("qam", M)
+    H, r = zf_stack_of(33, n + 3, n, c, 0.5, 130 + n)
+    stacked = detect.detect_ml_sphere_stack(H, r, c)
+    assert stacked.shape == (33, n) and stacked.dtype == np.int64
+    loop = np.array([detect_ml_sphere(Hk, rk, c).x_hat for Hk, rk in zip(H, r)])
+    np.testing.assert_array_equal(stacked, loop)
+    if M == 16:  # the exhaustive oracle, where enumeration is cheap
+        np.testing.assert_array_equal(stacked, detect.detect_ml_exhaustive_stack(H, r, c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_exhaustive_stack_equals_per_instance_loop(n):
+    B = 6 if n == 8 else 37
+    H, r = zf_stack_of(B, n + 2, n, QPSK, 1.5, 140 + n)
+    H[1] = 0.0  # every candidate ties: the all-zeros index vector wins
+    stacked = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    assert stacked.shape == (B, n) and stacked.dtype == np.int64
+    np.testing.assert_array_equal(stacked[1], np.zeros(n, dtype=np.int64))
+    loop = np.array([detect_ml_exhaustive(Hk, rk, QPSK).x_hat for Hk, rk in zip(H, r)])
+    np.testing.assert_array_equal(stacked, loop)
+    if n <= 5:
+        for k in (0, 2, B - 1):
+            np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], QPSK))
+
+
+@pytest.mark.parametrize("per_pass", [16, 64, 200])
+def test_exhaustive_stack_passes_match_one_pass(monkeypatch, per_pass):
+    # 16: one a-row per pass; 64: one member per pass; 200: three members per pass
+    H, r = zf_stack_of(11, 5, 3, QPSK, 1.5, 150)
+    H[4] = 0.0
+    one_pass = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", per_pass)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
+
+
+@pytest.mark.parametrize("macs", [1, 2000])
+def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
+    # n = 5 QPSK: 16 a-rows, each 64 b-rows x 6 real columns = 384 MACs;
+    # 1: one a-row per pass, 2000: five a-rows, so the last pass is short
+    H, r = zf_stack_of(9, 7, 5, QPSK, 1.5, 152)
+    H[2] = 0.0
+    one_pass = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    monkeypatch.setattr(detect, "ML_PASS_MACS", macs)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
+
+
+def test_sphere_stack_rejects_rank_deficient_member():
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
+    H[3, :, 1] = 2.0 * H[3, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        detect.detect_ml_sphere_stack(H, r, QAM16)
+
+
+@pytest.mark.parametrize(
+    "stack_detector",
+    [detect.detect_ml_sphere_stack, detect.detect_ml_exhaustive_stack],
+    ids=["sphere", "exhaustive"],
+)
+def test_ml_stack_rejects_non_finite_member(stack_detector):
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
+    for bad in (np.nan, np.inf):
+        H_bad, r_bad = H.copy(), r.copy()
+        H_bad[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            stack_detector(H_bad, r, QAM16)
+        r_bad[4, 0] = bad
+        with pytest.raises(ValueError):
+            stack_detector(H, r_bad, QAM16)
+
+
+def test_zf_decorrelate_stack_equals_per_instance():
+    H, r = zf_stack_of(9, 7, 3, QAM16, 1.0, 152)
+    H, r = H.reshape(3, 3, 7, 3), r.reshape(3, 3, 7)
+    stacked = zf_decorrelate(H, r)
+    assert stacked.x_tilde.shape == stacked.gamma.shape == (3, 3, 3)
+    for i, j in itertools.product(range(3), repeat=2):
+        single = zf_decorrelate(H[i, j], r[i, j])
+        np.testing.assert_array_equal(stacked.x_tilde[i, j], single.x_tilde)
+        np.testing.assert_array_equal(stacked.gamma[i, j], single.gamma)
+    deficient = H.copy()
+    deficient[1, 2, :, 2] = deficient[1, 2, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        zf_decorrelate(deficient, r)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from mimodet.channel import sample_instance, substream
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_zf
 from mimodet.montecarlo import (
+    POOL_CHUNKS_PER_WORKER,
     TRIAL_BLOCK,
+    TRIAL_CHUNK,
     ExperimentConfig,
     PointStats,
     VepCurve,
     estimate_vep,
+    _run_point,
     fit_slope,
     run_trial,
     sweep,
@@ -244,6 +248,68 @@ def test_block_kernel_adaptive_stop_lands_on_run_trial_block(workers):
                 int(v) for v in ref[det][:expected].sum(axis=0)
             )
     assert res.curves["zf"].points[0].trials == TRIAL_BLOCK
+
+
+POOL_CFG = dict(detectors=("zf", "ml-sphere"), m_grid=(6, 8), n=3, trials=700, snr_db=-2.0, master_seed=11)
+
+
+@functools.lru_cache(maxsize=None)
+def pool_cfg_trial_counts(m, n):
+    """Per-trial (vector error, symbol errors, user-1 error) under POOL_CFG, per detector."""
+    cfg = base_config(**POOL_CFG)
+    rows = {det: [] for det in cfg.detectors}
+    for t in range(cfg.trials):
+        for det, res in run_trial(m, n, cfg, t).items():
+            rows[det].append((int(res.vector_error), int(res.symbol_errors.sum()), int(res.symbol_errors[0])))
+    return {det: np.array(v) for det, v in rows.items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
+    # three blocks per point, the last partial; the target is reached in the
+    # second block of the first point, so chunks of later blocks are in flight
+    probe = base_config(**POOL_CFG)
+    refs = [pool_cfg_trial_counts(m, n) for m, n in probe.grid_points()]
+    target = min(int(refs[0][det][: 2 * TRIAL_BLOCK, 0].sum()) for det in probe.detectors)
+    cfg = base_config(**POOL_CFG, target_errors=target)
+    res = sweep(cfg, workers=workers)
+    for i, ref in enumerate(refs):
+        bounds = (TRIAL_BLOCK, 2 * TRIAL_BLOCK, cfg.trials)
+        stops = [b for b in bounds if all(ref[d][:b, 0].sum() >= target for d in cfg.detectors)]
+        expected = stops[0] if stops else cfg.trials
+        for det in cfg.detectors:
+            pt = res.curves[det].points[i]
+            assert pt.trials == expected
+            assert (pt.errors, pt.symbol_errors_total, pt.user1_errors) == tuple(
+                int(v) for v in ref[det][:expected].sum(axis=0)
+            )
+    assert res.curves["zf"].points[0].trials == 2 * TRIAL_BLOCK
+
+
+class RecordingPool:
+    """Stands in for a process pool: runs each task at once and records its arguments."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def apply_async(self, func, args):
+        self.submitted.append(args[0])
+        value = func(*args)
+        return types.SimpleNamespace(get=lambda: value, wait=lambda: None)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_dispatch_bounds_work_past_the_stop(workers):
+    cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, target_errors=1, snr_db=-6.0)
+    serial = _run_point(cfg, 8, 2, None, 1)
+    assert serial[0] == TRIAL_BLOCK  # stops after the first of eight blocks
+    pool = RecordingPool()
+    assert _run_point(cfg, 8, 2, pool, workers) == serial
+    starts = [args[3] for args in pool.submitted]
+    assert starts == list(range(0, len(starts) * TRIAL_CHUNK, TRIAL_CHUNK))
+    assert all(args[4] - args[3] == TRIAL_CHUNK for args in pool.submitted)
+    past_stop = sum(start >= serial[0] for start in starts)
+    assert 0 < past_stop <= POOL_CHUNKS_PER_WORKER * workers
 
 
 def test_sweep_counting_identity_zf():
