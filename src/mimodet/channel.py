@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; pay for it at import, not in a sweep
 
 from .constellation import Constellation
 

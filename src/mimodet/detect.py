@@ -221,7 +221,8 @@ def _qam_lattice(c: Constellation) -> tuple[float, np.ndarray, np.ndarray]:
     scale = c.d_min / 2.0
     a = np.rint(c.symbols.real / scale)
     b = np.rint(c.symbols.imag / scale)
-    levels = np.unique(a)
+    # sorted set, not np.unique: that one imports numpy.ma on first use
+    levels = np.array(sorted(set(a.tolist())))
     table = np.empty((levels.size, levels.size), dtype=np.int64)
     table[np.searchsorted(levels, a), np.searchsorted(levels, b)] = np.arange(c.M)
     return scale, levels, table

@@ -11,6 +11,7 @@ Inside a block, trials are sampled and detected as stacked arrays of
 from __future__ import annotations
 
 import math
+import multiprocessing.pool  # loaded here so no sweep and no forked worker pays for it
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -377,9 +378,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     pool = None
     try:
         if workers > 1:
-            import multiprocessing as mp
-
-            pool = mp.get_context("fork").Pool(workers)
+            pool = multiprocessing.get_context("fork").Pool(workers)
         for m, n in config.grid_points():
             tp = time.perf_counter()
             trials_done, totals = _run_point(config, m, n, pool, workers)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .constellation import Constellation
 
@@ -80,26 +79,7 @@ class SystemParams:
 
 def q_function(x: float) -> float:
     """Gaussian tail probability P(N(0,1) > x), via the complementary erf."""
-    return 0.5 * float(special.erfc(np.asarray(x) / math.sqrt(2.0)))
-
-
-def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> float:
-    """Q(x) for x >= 0 by adaptive quadrature of the finite-interval form
-
-        Q(x) = (1/pi) * int_0^{pi/2} exp(-x^2 / (2 sin^2 t)) dt.
-
-    Used as an independent cross-check of :func:`q_function`.
-    """
-    if x < 0:
-        raise ValueError("the integral form holds for x >= 0")
-    val, _ = integrate.quad(
-        lambda t: math.exp(-(x * x) / (2.0 * math.sin(t) ** 2)) if t > 0 else 0.0,
-        0.0,
-        math.pi / 2.0,
-        epsabs=epsabs,
-        epsrel=epsrel,
-    )
-    return val / math.pi
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def prob_from_log(log_p: float) -> float:
@@ -148,44 +128,29 @@ def ml_lower_bound(p: SystemParams) -> float:
     return math.exp(ml_lower_bound_log(p))
 
 
-def ml_lower_bound_integral(p: SystemParams) -> float:
-    """Quadrature value of the exact interference-free bound
-
-        (2 / (pi M)) * int_0^{pi/2} (1 + rho / sin^2 t)^-m dt,
-
-    of which :func:`ml_lower_bound` is the closed-form relaxation.  Reference
-    path for tests; underflows for very large m (use the log form there).
-    """
-    m, _ = _require_mn(p, "ml_lower_bound_integral")
-    rho = p.rho
-    val, _ = integrate.quad(
-        lambda t: (1.0 + rho / math.sin(t) ** 2) ** (-m) if t > 0 else 0.0,
-        0.0,
-        math.pi / 2.0,
-        epsabs=1e-300,
-        epsrel=1e-12,
-    )
-    return 2.0 / (math.pi * p.M) * val
-
-
 def ml_union_bound_log(p: SystemParams) -> float:
     """log of the union upper bound on ML VEP, grouped by error weight:
 
         (1/2) sum_{k=1..n} C(n,k) (M-1)^k (1 + k rho)^-m.
 
     Evaluated term by term in log space and combined with a max-shifted
-    log-sum-exp, so it stays finite for m up to 1e6 and beyond.
+    log-sum-exp, so it stays finite for m up to 1e6 and beyond.  The largest
+    term is kept out of the shifted sum, which enters through log1p.
     """
     m, n = _require_mn(p, "ml_union_bound")
-    k = np.arange(1, n + 1, dtype=np.float64)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    k = np.arange(1, n + 1)
     log_terms = (
-        special.gammaln(n + 1.0)
-        - special.gammaln(k + 1.0)
-        - special.gammaln(n - k + 1.0)
+        log_factorial[n]
+        - log_factorial[k]
+        - log_factorial[n - k]
         + k * math.log(p.M - 1)
         - m * np.log1p(k * p.rho)
     )
-    return float(special.logsumexp(log_terms)) - math.log(2.0)
+    top = int(np.argmax(log_terms))
+    shifted = np.exp(log_terms - log_terms[top])
+    shifted[top] = 0.0
+    return float(log_terms[top] + math.log1p(shifted.sum())) - math.log(2.0)
 
 
 def ml_union_bound(p: SystemParams) -> float:

@@ -1,0 +1,71 @@
+"""Independent reference implementations used only by the tests.
+
+These take scipy's routes (adaptive quadrature, ``special.gammaln`` and
+``special.logsumexp``) to quantities the library computes in closed form
+with ``math`` and numpy, so agreement checks the formulas and not one
+implementation against itself.  scipy comes with the ``test`` extra.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate, special
+
+from mimodet.theory import SystemParams
+
+
+def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> float:
+    """Q(x) for x >= 0 by adaptive quadrature of the finite-interval form
+
+        Q(x) = (1/pi) * int_0^{pi/2} exp(-x^2 / (2 sin^2 t)) dt.
+    """
+    if x < 0:
+        raise ValueError("the integral form holds for x >= 0")
+    val, _ = integrate.quad(
+        lambda t: math.exp(-(x * x) / (2.0 * math.sin(t) ** 2)) if t > 0 else 0.0,
+        0.0,
+        math.pi / 2.0,
+        epsabs=epsabs,
+        epsrel=epsrel,
+    )
+    return val / math.pi
+
+
+def q_function_erfc(x: float) -> float:
+    """Q(x) from scipy's complementary error function."""
+    return 0.5 * float(special.erfc(x / math.sqrt(2.0)))
+
+
+def ml_lower_bound_integral(p: SystemParams) -> float:
+    """Quadrature value of the exact interference-free bound
+
+        (2 / (pi M)) * int_0^{pi/2} (1 + rho / sin^2 t)^-m dt,
+
+    of which ``theory.ml_lower_bound`` is the closed-form relaxation.
+    Underflows for very large m.
+    """
+    if p.m is None:
+        raise ValueError("ml_lower_bound_integral needs explicit m and n")
+    m, rho = p.m, p.rho
+    val, _ = integrate.quad(
+        lambda t: (1.0 + rho / math.sin(t) ** 2) ** (-m) if t > 0 else 0.0,
+        0.0,
+        math.pi / 2.0,
+        epsabs=1e-300,
+        epsrel=1e-12,
+    )
+    return 2.0 / (math.pi * p.M) * val
+
+
+def ml_union_bound_log_scipy(p: SystemParams) -> float:
+    """log of (1/2) sum_k C(n,k) (M-1)^k (1 + k rho)^-m by gammaln and logsumexp."""
+    m, n = p.m, p.n
+    k = np.arange(1, n + 1, dtype=np.float64)
+    log_terms = (
+        special.gammaln(n + 1.0)
+        - special.gammaln(k + 1.0)
+        - special.gammaln(n - k + 1.0)
+        + k * math.log(p.M - 1)
+        - m * np.log1p(k * p.rho)
+    )
+    return float(special.logsumexp(log_terms)) - math.log(2.0)

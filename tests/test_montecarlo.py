@@ -1,14 +1,20 @@
-"""Sweep engine tests: Wilson intervals, determinism, slope fitting."""
+"""Sweep engine tests: Wilson intervals, determinism, slope fitting, imports."""
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimodet
 from mimodet.channel import sample_instance, substream
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_zf
@@ -462,3 +468,51 @@ def test_fit_slope_recovers_bound_curve_slopes():
     ]
     fit = fit_slope(synthetic_curve(ms, veps))
     assert fit.f_hat == pytest.approx(math.log1p(rho), abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# imports: everything a sweep needs is loaded with the package
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this mimodet."""
+    src = str(Path(mimodet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+IMPORT_GUARD = """
+import json, sys
+import mimodet.cli
+from mimodet.constellation import make_constellation
+from mimodet.montecarlo import ExperimentConfig, sweep
+
+qam16 = make_constellation("qam", 16)
+loaded = set(sys.modules)
+for det in ("zf", "ml-exhaustive", "ml-sphere"):
+    sweep(ExperimentConfig(constellation=qam16, detectors=(det,), snr_db=0.0, m_grid=(4, 6), n=2, trials=300))
+serial = sorted(set(sys.modules) - loaded)
+config = ExperimentConfig(constellation=qam16, detectors=("zf", "ml-sphere"), snr_db=0.0, m_grid=(4, 6), n=2, trials=300)
+sweep(config, workers=2)
+pooled = sorted(set(sys.modules) - loaded)
+print(json.dumps({"serial": serial, "pooled": pooled}))
+"""
+
+
+def test_sweeps_import_nothing_after_cli():
+    added = json.loads(_fresh_python(IMPORT_GUARD))
+    assert added["serial"] == []
+    assert [m for m in added["pooled"] if m.startswith(("numpy", "scipy", "multiprocessing.pool"))] == []
+
+
+def test_library_and_cli_load_no_scipy():
+    out = _fresh_python(
+        "import sys, mimodet, mimodet.cli\n"
+        "code = mimodet.cli.main(['theory', '--kind', 'qam', '--M', '16', '--snr-db', '0', '--m', '48', '--n', '16'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert out.splitlines()[-1] == "0 []"
+    package = Path(mimodet.__file__).resolve().parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "scipy" in p.read_text()] == []

@@ -5,6 +5,7 @@ their own direct event simulation, never the code path under test.
 """
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,18 +23,21 @@ from mimodet.theory import (
     large_n_union_bound,
     large_n_union_bound_log,
     ml_lower_bound,
-    ml_lower_bound_integral,
     ml_lower_bound_log,
     ml_union_bound,
     ml_union_bound_log,
     pairwise_error_bound,
     pairwise_error_bound_log,
     q_function,
-    q_function_craig,
     zf_sep_bounds,
     zf_sep_bounds_log,
     zf_vep_bounds,
 )
+from mimodet.cli import _prob, load_config
+
+from oracles import ml_lower_bound_integral, ml_union_bound_log_scipy, q_function_craig, q_function_erfc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 mpmath.mp.dps = 50
 
@@ -70,6 +74,12 @@ def test_q_matches_high_precision_erfc(x):
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0])
 def test_q_matches_craig_quadrature(x):
     assert q_function(x) == pytest.approx(q_function_craig(x), abs=1e-10, rel=1e-10)
+
+
+def test_q_matches_scipy_erfc_over_range():
+    xs = np.linspace(0.0, 37.0, 3701)
+    rel = [abs(q_function(x) - q_function_erfc(x)) / q_function_erfc(x) for x in xs]
+    assert max(rel) <= 1e-13
 
 
 def test_q_three_under_chernoff_bound():
@@ -156,6 +166,18 @@ def test_union_bound_against_mpmath():
     assert ml_union_bound(p) == pytest.approx(float(oracle), rel=1e-10)
     # the k=1 term alone is 45 * 2^-30
     assert float(oracle) == pytest.approx(4.19e-8, rel=0.01)
+
+
+def test_union_bound_csv_strings_match_scipy_reference():
+    """The CSV's union-bound columns keep their bytes at every bundled grid point."""
+    campaigns = [c.config for cfg in sorted(CONFIGS.glob("fig*.cfg")) for c in load_config(str(cfg))]
+    assert len(campaigns) == 9
+    for conf, m, n in ((conf, m, n) for conf in campaigns for m, n in conf.grid_points()):
+        p = SystemParams.from_system(conf.constellation, conf.sigma2, m=m, n=n)
+        got, ref = ml_union_bound_log(p), ml_union_bound_log_scipy(p)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert _prob(got) == _prob(ref)
+        assert _prob(theory.prob_from_log(got)) == _prob(theory.prob_from_log(ref))
 
 
 def test_union_bound_vanishes_at_high_rho():
