@@ -4,8 +4,9 @@ Every trial owns a private counter-based random stream keyed by
 (master_seed, grid-point index, trial index), and per-point results are sums
 of integer counts over fixed-size trial blocks.  Sweep output is therefore a
 pure function of the config, independent of worker count and scheduling.
-Inside a block, trials are sampled and detected as stacked arrays of
-``TRIAL_CHUNK`` trials; :func:`run_trial` is the per-instance reference.
+Inside a block, the trials' stream keys are derived at once, and trials are
+sampled and detected as stacked arrays of ``TRIAL_CHUNK`` trials;
+:func:`run_trial` is the per-instance reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_instance, sample_stack, sigma2_from_snr, substream
+from .channel import sample_instance, sample_stack, sigma2_from_snr, substream, trial_keys
 from .constellation import Constellation, ConstellationKind
 from .detect import (
     DEFAULT_ML_BUDGET,
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ConfigValueError("delta", f"delta must lie in (0, 1], got {self.delta}")
         if self.trials < 1:
             raise ConfigValueError("trials", f"trials must be >= 1, got {self.trials}")
+        if self.trials > 2**32:
+            raise ConfigValueError("trials", f"trials must be <= 2**32 (one stream-key word), got {self.trials}")
         if self.master_seed < 0:
             raise ConfigValueError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
         if self.target_errors is not None and self.target_errors < 1:
@@ -254,19 +257,19 @@ def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig)
     return detect_ml_sphere_stack(H, r, c)
 
 
-def _block_counts(args) -> dict[str, tuple[int, int, int]]:
+def _block_counts(config: ExperimentConfig, point_index: int, start: int, stop: int) -> dict[str, tuple[int, int, int]]:
     """Integer error counts for trials [start, stop) at one grid point.
 
-    Trials run in stacked chunks of TRIAL_CHUNK; trial t still draws from
-    its own substream, so the counts equal the sum of :func:`run_trial`
-    over the same trials.
+    The trials' Philox keys are derived once; trials run in stacked chunks
+    of TRIAL_CHUNK, each drawing from its own stream, so the counts equal
+    the sum of :func:`run_trial` over the same trials.
     """
-    config, m, n, start, stop = args
-    point_index = config.m_grid.index(m)
+    m = config.m_grid[point_index]
+    n = config.users_for(m)
+    keys = trial_keys(config.master_seed, point_index, np.arange(start, stop))
     counts = {det: [0, 0, 0] for det in config.detectors}
-    for lo in range(start, stop, TRIAL_CHUNK):
-        rngs = [substream(config.master_seed, point_index, t) for t in range(lo, min(lo + TRIAL_CHUNK, stop))]
-        H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, rngs)
+    for lo in range(0, stop - start, TRIAL_CHUNK):
+        H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys[lo : lo + TRIAL_CHUNK])
         for det in config.detectors:
             errs = _decisions(det, H, r, config) != x_true
             c = counts[det]
@@ -276,50 +279,59 @@ def _block_counts(args) -> dict[str, tuple[int, int, int]]:
     return {det: tuple(c) for det, c in counts.items()}
 
 
-def _point_blocks(config: ExperimentConfig, m: int, n: int):
-    nblocks = (config.trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    for b in range(nblocks):
-        start = b * TRIAL_BLOCK
-        stop = min(start + TRIAL_BLOCK, config.trials)
-        yield (config, m, n, start, stop)
+#: The sweep's config in a pool worker, set once by :func:`_init_worker`.
+_WORKER_CONFIG: ExperimentConfig | None = None
 
 
-def _block_results(blocks: list, pool, workers: int):
-    """Yield ``_block_counts`` of each block, strictly in block order.
+def _init_worker(config: ExperimentConfig) -> None:
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
 
-    Serially each block is computed when it is asked for.  With a pool, each
-    block is split into TRIAL_CHUNK-trial tasks, at most POOL_CHUNKS_PER_WORKER
-    per worker in flight, topped up before each wait; a block's chunk counts
-    are summed in chunk order.  Closing the generator waits for what is in
-    flight.
+
+def _chunk_counts(task: tuple[int, int, int]) -> dict[str, tuple[int, int, int]]:
+    """``_block_counts`` of a pool task (point_index, start, stop) under the worker's config."""
+    return _block_counts(_WORKER_CONFIG, *task)
+
+
+def _block_results(config: ExperimentConfig, point_index: int, pool, workers: int):
+    """Yield (stop, ``_block_counts``) of each TRIAL_BLOCK block of a point, strictly in block order.
+
+    Serially each block is computed when it is asked for.  With a pool
+    (whose workers hold the config), each block is split into
+    (point_index, start, stop) tasks of TRIAL_CHUNK trials, at most
+    POOL_CHUNKS_PER_WORKER per worker in flight, topped up before each wait;
+    a block's chunk counts are summed in chunk order.  Closing the generator
+    waits for what is in flight.
     """
+    blocks = [(start, min(start + TRIAL_BLOCK, config.trials)) for start in range(0, config.trials, TRIAL_BLOCK)]
     if pool is None:
-        yield from map(_block_counts, blocks)
+        for start, stop in blocks:
+            yield stop, _block_counts(config, point_index, start, stop)
         return
     chunks = [
-        (config, m, n, lo, min(lo + TRIAL_CHUNK, stop))
-        for config, m, n, start, stop in blocks
+        (point_index, lo, min(lo + TRIAL_CHUNK, stop))
+        for start, stop in blocks
         for lo in range(start, stop, TRIAL_CHUNK)
     ]
     in_flight = POOL_CHUNKS_PER_WORKER * workers
     pending: deque = deque()
     submitted = 0
     try:
-        for config, _, _, start, stop in blocks:
+        for start, stop in blocks:
             totals = {det: [0, 0, 0] for det in config.detectors}
             for _ in range(start, stop, TRIAL_CHUNK):
                 while submitted < len(chunks) and len(pending) < in_flight:
-                    pending.append(pool.apply_async(_block_counts, (chunks[submitted],)))
+                    pending.append(pool.apply_async(_chunk_counts, (chunks[submitted],)))
                     submitted += 1
                 for det, counts in pending.popleft().get().items():
                     totals[det] = [s + v for s, v in zip(totals[det], counts)]
-            yield {det: tuple(c) for det, c in totals.items()}
+            yield stop, {det: tuple(c) for det, c in totals.items()}
     finally:
         for res in pending:
             res.wait()
 
 
-def _run_point(config: ExperimentConfig, m: int, n: int, pool, workers: int):
+def _run_point(config: ExperimentConfig, point_index: int, pool, workers: int):
     """Accumulate block counts in block order; stop early when allowed.
 
     Blocks are consumed strictly in index order, so the adaptive-stop
@@ -327,11 +339,9 @@ def _run_point(config: ExperimentConfig, m: int, n: int, pool, workers: int):
     """
     totals = {det: [0, 0, 0] for det in config.detectors}
     trials_done = 0
-    blocks = list(_point_blocks(config, m, n))
-    results = _block_results(blocks, pool, workers)
+    results = _block_results(config, point_index, pool, workers)
     try:
-        for args, res in zip(blocks, results):
-            trials_done = args[4]
+        for trials_done, res in results:
             for det, counts in res.items():
                 for k, v in enumerate(counts):
                     totals[det][k] += v
@@ -378,10 +388,10 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     pool = None
     try:
         if workers > 1:
-            pool = multiprocessing.get_context("fork").Pool(workers)
-        for m, n in config.grid_points():
+            pool = multiprocessing.get_context("fork").Pool(workers, initializer=_init_worker, initargs=(config,))
+        for point_index, (m, n) in enumerate(config.grid_points()):
             tp = time.perf_counter()
-            trials_done, totals = _run_point(config, m, n, pool, workers)
+            trials_done, totals = _run_point(config, point_index, pool, workers)
             per_point_s.append(time.perf_counter() - tp)
             overlays.append(_overlay(config, m, n))
             for det in config.detectors:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mimodet.channel import sample_channel, sample_instance, sample_stack, sigma2_from_snr, substream
+from mimodet import channel
+from mimodet.channel import (
+    draw_symbol_indices,
+    sample_channel,
+    sample_instance,
+    sample_stack,
+    sigma2_from_snr,
+    substream,
+    trial_keys,
+)
 from mimodet.constellation import custom_constellation, make_constellation
 
 
@@ -78,18 +87,134 @@ def test_instance_bit_identical_regeneration():
     np.testing.assert_array_equal(a.r, b.r)
 
 
+def numpy_instance(m, n, c, sigma2, rng):
+    """The draws as numpy's own calls make them: H normals, integers(0, M), noise normals."""
+    z = rng.standard_normal((m, n, 2))
+    x_true = rng.integers(0, c.M, size=n)
+    w = rng.standard_normal((m, 2))
+    H = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return H, x_true, np.sqrt(sigma2 / 2.0) * (w[:, 0] + 1j * w[:, 1])
+
+
 def test_stack_members_equal_instances_bit_for_bit():
+    for c in (make_constellation("qam", 16), custom_constellation(np.exp(2j * np.pi * np.arange(5) / 5))):
+        generators = [substream(22, 1, t) for t in range(33)]
+        for streams in (generators, trial_keys(22, 1, range(33))):
+            H, x_true, v, r = sample_stack(9, 3, c, 0.7, streams)
+            assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
+            for t in range(33):
+                inst = sample_instance(9, 3, c, 0.7, substream(22, 1, t))
+                np.testing.assert_array_equal(H[t], inst.H)
+                np.testing.assert_array_equal(x_true[t], inst.x_true)
+                np.testing.assert_array_equal(v[t], inst.v)
+                np.testing.assert_array_equal(r[t], inst.r)
+                # H draws match sample_channel on the same stream
+                np.testing.assert_array_equal(H[t], sample_channel(9, 3, substream(22, 1, t)))
+                # and every draw matches numpy's integers() on the same stream
+                H_ref, x_ref, v_ref = numpy_instance(9, 3, c, 0.7, substream(22, 1, t))
+                np.testing.assert_array_equal(H[t], H_ref)
+                np.testing.assert_array_equal(x_true[t], x_ref)
+                np.testing.assert_array_equal(v[t], v_ref)
+
+
+def test_rejected_rows_are_redrawn_to_the_same_draws(monkeypatch):
+    # no real constellation is large enough to hit a Lemire rejection in a
+    # test, so flag rows as rejected and check the one-by-one redraw
     c = make_constellation("qam", 16)
-    H, x_true, v, r = sample_stack(9, 3, c, 0.7, [substream(22, 1, t) for t in range(33)])
-    assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
-    for t in range(33):
-        inst = sample_instance(9, 3, c, 0.7, substream(22, 1, t))
-        np.testing.assert_array_equal(H[t], inst.H)
-        np.testing.assert_array_equal(x_true[t], inst.x_true)
-        np.testing.assert_array_equal(v[t], inst.v)
-        np.testing.assert_array_equal(r[t], inst.r)
-        # H draws match sample_channel on the same stream
-        np.testing.assert_array_equal(H[t], sample_channel(9, 3, substream(22, 1, t)))
+    keys = trial_keys(23, 0, range(12))
+    expected = sample_stack(8, 5, c, 0.4, keys)
+    flag_rows = channel._indices_from_words
+
+    def flag_every_third(words, M, n):
+        x, rejected = flag_rows(words, M, n)
+        x[::3] = -1  # a redrawn row must overwrite this
+        return x, rejected | (np.arange(len(words)) % 3 == 0)
+
+    monkeypatch.setattr(channel, "_indices_from_words", flag_every_third)
+    for got, want in zip(sample_stack(8, 5, c, 0.4, keys), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20260809)
+KEY_POINTS = (0, 1, 2, 3, 4, 5, 2**32 + 1)
+
+
+def test_trial_keys_equal_seedsequence_state():
+    draws = np.random.default_rng(7)
+    checked = 0
+    for seed in KEY_SEEDS:
+        for point in KEY_POINTS:
+            trials = np.concatenate(
+                [np.arange(1200), draws.integers(0, 2**32, size=1200), [2**31, 2**32 - 2, 2**32 - 1]]
+            )
+            keys = trial_keys(seed, point, trials)
+            assert keys.dtype == np.uint64 and keys.shape == (trials.size, 2)
+            for t, key in zip(trials.tolist(), keys):
+                ref = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
+                np.testing.assert_array_equal(key, ref)
+            checked += trials.size
+    assert checked >= 10**5
+
+
+def plain_state(rng):
+    """A bit generator's state dict with its arrays as lists."""
+    st = rng.bit_generator.state
+    return {
+        **st,
+        "state": {k: np.asarray(a).tolist() for k, a in st["state"].items()},
+        "buffer": np.asarray(st["buffer"]).tolist(),
+    }
+
+
+def test_rekeyed_generator_state_equals_substream():
+    for seed, point in ((0, 0), (20260809, 2), (2**64 + 3, 2**32 + 1)):
+        for t, key in zip((0, 5, 2**32 - 1), trial_keys(seed, point, [0, 5, 2**32 - 1]).tolist()):
+            rng = channel._rekey(key)
+            ref = substream(seed, point, t)
+            assert plain_state(rng) == plain_state(ref)
+            np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+            assert plain_state(rng) == plain_state(ref)
+
+
+@pytest.mark.parametrize("trial", [2**32, -1, 2**64])
+def test_trial_index_outside_uint32_rejected(trial):
+    with pytest.raises(ValueError):
+        trial_keys(3, 0, [0, trial])
+
+
+SYMBOL_M = (2, 3, 4, 5, 8, 16, 64, 3 * 2**30)
+
+
+@pytest.mark.parametrize("M", SYMBOL_M)
+def test_symbol_indices_equal_numpy_integers(M):
+    rejected_rows = 0
+    for n in range(1, 17):
+        for seed in range(60):
+            ours = np.random.Generator(np.random.Philox(seed))
+            ref = np.random.Generator(np.random.Philox(seed))
+            x = draw_symbol_indices(ours, M, n)
+            np.testing.assert_array_equal(x, ref.integers(0, M, size=n))
+            np.testing.assert_array_equal(ours.standard_normal(5), ref.standard_normal(5))
+            # the stacked rule agrees on the first ceil(n/2) words unless it flags the row
+            words = np.random.Philox(seed).random_raw((n + 1) // 2)[None]
+            x_rows, rejected = channel._indices_from_words(words, M, n)
+            rejected_rows += int(rejected[0])
+            if not rejected[0]:
+                np.testing.assert_array_equal(x_rows[0], x)
+    # 2**32 mod M is 0 for powers of two; 3 * 2**30 rejects a quarter of all words
+    assert (rejected_rows > 0) == (M == 3 * 2**30)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
+def test_symbol_indices_need_philox(bitgen):
+    with pytest.raises(TypeError):
+        draw_symbol_indices(np.random.Generator(bitgen(1)), 4, 3)
+
+
+@pytest.mark.parametrize("M", [1, 2**32 + 1])
+def test_symbol_indices_range_of_M(M):
+    with pytest.raises(ValueError):
+        draw_symbol_indices(substream(1), M, 3)
 
 
 def test_noiseless_instance():

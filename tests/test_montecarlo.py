@@ -26,6 +26,7 @@ from mimodet.montecarlo import (
     PointStats,
     VepCurve,
     estimate_vep,
+    _init_worker,
     _run_point,
     fit_slope,
     run_trial,
@@ -128,6 +129,13 @@ def test_config_rejects_infeasible_ml():
 def test_config_rejects_sphere_on_psk():
     with pytest.raises(ValueError, match="QAM"):
         base_config(constellation=QPSK, detectors=("ml-sphere",))
+
+
+def test_config_rejects_trials_beyond_one_key_word():
+    # trial t's stream key hashes t as one uint32 word
+    assert base_config(trials=2**32).trials == 2**32
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        base_config(trials=2**32 + 1)
 
 
 def test_config_rejects_unknown_detector():
@@ -295,7 +303,8 @@ def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
 class RecordingPool:
     """Stands in for a process pool: runs each task at once and records its arguments."""
 
-    def __init__(self):
+    def __init__(self, initializer, initargs):
+        initializer(*initargs)
         self.submitted = []
 
     def apply_async(self, func, args):
@@ -307,13 +316,15 @@ class RecordingPool:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunk_dispatch_bounds_work_past_the_stop(workers):
     cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, target_errors=1, snr_db=-6.0)
-    serial = _run_point(cfg, 8, 2, None, 1)
+    serial = _run_point(cfg, 0, None, 1)
     assert serial[0] == TRIAL_BLOCK  # stops after the first of eight blocks
-    pool = RecordingPool()
-    assert _run_point(cfg, 8, 2, pool, workers) == serial
-    starts = [args[3] for args in pool.submitted]
+    pool = RecordingPool(_init_worker, (cfg,))
+    assert _run_point(cfg, 0, pool, workers) == serial
+    # a task is (point_index, start, stop); the config reaches workers once, at start-up
+    assert all(point == 0 for point, _, _ in pool.submitted)
+    starts = [start for _, start, _ in pool.submitted]
     assert starts == list(range(0, len(starts) * TRIAL_CHUNK, TRIAL_CHUNK))
-    assert all(args[4] - args[3] == TRIAL_CHUNK for args in pool.submitted)
+    assert all(stop - start == TRIAL_CHUNK for _, start, stop in pool.submitted)
     past_stop = sum(start >= serial[0] for start in starts)
     assert 0 < past_stop <= POOL_CHUNKS_PER_WORKER * workers
 
