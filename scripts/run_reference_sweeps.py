@@ -13,14 +13,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from mimodet.cli import cmd_fit, cmd_sweep
+from mimodet.cli import cmd_fit, cmd_sweep, positive_int
 
 CONFIGS = ["fig1.cfg", "fig2.cfg", "fig3.cfg"]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=positive_int, default=1)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 

@@ -11,7 +11,7 @@ error-probability bounds and antenna-efficiency formulas live in
 __version__ = "0.1.0"
 
 from .constellation import Constellation, ConstellationKind, make_constellation
-from .channel import ChannelInstance, sample_channel, sample_instance, sigma2_from_snr, substream
+from .channel import ChannelInstance, sample_instance, sigma2_from_snr, substream
 from .detect import DetectionOutcome, ZfIntermediate, detect_ml_exhaustive, detect_ml_sphere, detect_zf, zf_decorrelate
 from .theory import SystemParams, antenna_efficiency_ml, antenna_efficiency_zf, q_function
 from .montecarlo import ExperimentConfig, SlopeFit, VepCurve, estimate_vep, fit_slope, sweep
@@ -21,7 +21,6 @@ __all__ = [
     "ConstellationKind",
     "make_constellation",
     "ChannelInstance",
-    "sample_channel",
     "sample_instance",
     "sigma2_from_snr",
     "substream",

@@ -4,11 +4,12 @@ Every trial draws from its own counter-based Philox stream keyed by
 (master_seed, grid-point index, trial index), so any trial's stream can be
 reconstructed independently of worker count or scheduling order.
 :func:`substream` builds one such stream through ``numpy.random.SeedSequence``.
-A sweep instead derives the keys of a whole block at once with
+A sweep instead derives the keys of a whole chunk of trials at once with
 :func:`trial_keys`, which re-implements SeedSequence's hash on vectors, and
 :func:`sample_stack` re-keys one module-level generator per trial.  Symbol
-indices come from raw Philox words by numpy's own rule for ``integers``, so
-both routes give the same draws bit for bit.
+indices come from raw Philox words by numpy's own rule for ``integers``, and
+a row that rule rejects is drawn again with ``integers`` itself, so both
+routes give the same draws bit for bit.
 """
 
 from __future__ import annotations
@@ -144,68 +145,20 @@ def _rekey(key) -> np.random.Generator:
     return _KEYED
 
 
-def _lemire_threshold(M: int) -> int:
-    if not 2 <= M <= 1 << 32:
-        raise ValueError(f"symbol draws need 2 <= M <= 2**32, got {M}")
-    return (1 << 32) % M
-
-
-def _raw_halves(bitgen, words: list[int]):
-    """Philox's 32-bit outputs: the low half of each 64-bit word, then the high half."""
-    while True:
-        for w in words:
-            yield w & _MASK32
-            yield w >> 32
-        words = [bitgen.random_raw()]
-
-
-def draw_symbol_indices(rng: np.random.Generator, M: int, n: int) -> np.ndarray:
-    """``rng.integers(0, M, size=n)`` computed from raw Philox words.
+def _indices_from_words(words: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``integers(0, M, size=n)`` for each row of raw Philox words (B, ceil(n/2)).
 
     numpy draws an integer below M <= 2**32 by Lemire's method on 32-bit
     outputs: index (u*M) >> 32, with u redrawn while (u*M) mod 2**32 is
     below 2**32 mod M.  Philox hands out the low half of each 64-bit word
-    first.  The indices and every later 64-bit draw (normals, raw words)
-    equal numpy's, provided the generator holds no buffered 32-bit half
-    word, as a fresh stream or one that drew only normals does; a high half
-    left unused here is dropped rather than buffered.  Other bit generators
-    split words differently and are rejected.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.Philox):
-        raise TypeError(f"symbol draws need a Philox stream, got {type(bitgen).__name__}")
-    threshold = _lemire_threshold(M)
-    halves = _raw_halves(bitgen, bitgen.random_raw((n + 1) // 2).tolist())
-    out = []
-    while len(out) < n:
-        p = next(halves) * M
-        if p & _MASK32 >= threshold:
-            out.append(p >> 32)
-    return np.array(out, dtype=np.int64)
-
-
-def _indices_from_words(words: np.ndarray, M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`draw_symbol_indices` for each row of raw words (B, ceil(n/2)).
-
-    Returns the indices (B, n) and the rows where a 32-bit output was
+    first.  Returns the indices (B, n) and the rows where a 32-bit output was
     rejected; those rows' indices are wrong and must be drawn again.
     """
-    threshold = _lemire_threshold(M)
+    if not 2 <= M <= 1 << 32:
+        raise ValueError(f"symbol draws need 2 <= M <= 2**32, got {M}")
+    threshold = (1 << 32) % M
     p = words.astype("<u8", copy=False).view("<u4")[:, :n] * np.uint64(M)
     return (p >> np.uint64(32)).astype(np.int64), ((p & np.uint64(_MASK32)) < threshold).any(axis=1)
-
-
-def sample_channel(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m x n matrix with i.i.d. CN(0,1) entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so each entry has
-    unit complex variance and 2*||column||^2 is chi-square with 2m degrees
-    of freedom.
-    """
-    if not (m >= n >= 1):
-        raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
-    z = rng.standard_normal((m, n, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
 def sigma2_from_snr(snr_db: float, c: Constellation) -> float:
@@ -253,16 +206,15 @@ def sample_stack(
     """Draw one instance per stream and return stacked (H, x_true, v, r).
 
     ``streams`` is either a (B, 2) uint64 array of Philox keys from
-    :func:`trial_keys` or a sequence of Philox generators.  Instance i is
-    drawn from stream i in the fixed order H, then x*, then v, with the same
-    draws as :func:`sample_channel` and :func:`sample_instance`; shapes are
-    (B, m, n), (B, n), (B, m) and (B, m).  Keyed members run through one
-    re-keyed generator and take their symbol indices from raw words for the
-    whole stack at once; a member whose words hit a Lemire rejection, and
-    every generator member, is drawn one by one with
-    :func:`draw_symbol_indices`.  The normals land in float64 views of the
-    complex arrays, and the scaling and r = H x* + v are done once for the
-    whole stack.
+    :func:`trial_keys` or a sequence of generators of any kind.  Instance i
+    is drawn from stream i in the fixed order H, then x*, then v, with the
+    same draws as :func:`sample_instance`; shapes are (B, m, n), (B, n),
+    (B, m) and (B, m).  Keyed members run through one re-keyed generator and
+    take their symbol indices from raw words for the whole stack at once; a
+    member whose words hit a Lemire rejection, and every generator member,
+    is drawn one by one with the generator's ``integers``.  The normals land
+    in float64 views of the complex arrays, and the scaling and
+    r = H x* + v are done once for the whole stack.
     """
     if not (m >= n >= 1):
         raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
@@ -290,7 +242,7 @@ def sample_stack(
     for i in one_by_one:
         rng = _rekey(keys[i]) if keyed else streams[i]
         rng.standard_normal(out=H_re[i])
-        x_true[i] = draw_symbol_indices(rng, c.M, n)
+        x_true[i] = rng.integers(0, c.M, size=n)
         rng.standard_normal(out=v_re[i])
     H /= np.sqrt(2.0)
     v *= np.sqrt(sigma2 / 2.0)

@@ -410,31 +410,32 @@ def _read_curves(csv_path: str) -> tuple[dict[str, VepCurve], dict[str, float]]:
     refs: dict[str, float] = {}
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "detector" not in reader.fieldnames:
-            raise ConfigError(f"{csv_path}:1: not a sweep results CSV (missing header)")
+        read = ("m", "n", "detector", "trials", "errors", "vep", "ci_low", "ci_high", "sep", "f_ml_ref", "f_zf_ref")
+        missing = [col for col in read if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{csv_path}:1: not a sweep results CSV (missing columns: {', '.join(missing)})")
         for row in reader:
             det = row["detector"]
             curve = curves.setdefault(det, VepCurve(detector=det))
-            trials = int(row["trials"])
-            n = int(row["n"])
-            vep = float(row["vep"])
-            errors = int(row["errors"])
-            curve.points.append(
-                PointStats(
+            try:
+                point = PointStats(
                     m=int(row["m"]),
-                    n=n,
-                    trials=trials,
-                    errors=errors,
+                    n=int(row["n"]),
+                    trials=int(row["trials"]),
+                    errors=int(row["errors"]),
                     symbol_errors_total=0,
                     user1_errors=0,
-                    vep_hat=vep,
+                    vep_hat=float(row["vep"]),
                     ci_low=float(row["ci_low"]),
                     ci_high=float(row["ci_high"]),
                     sep_hat=float(row["sep"]),
                 )
-            )
-            refs.setdefault("ml", float(row["f_ml_ref"]))
-            refs.setdefault("zf", float(row["f_zf_ref"]))
+                refs.setdefault("ml", float(row["f_ml_ref"]))
+                refs.setdefault("zf", float(row["f_zf_ref"]))
+            except (TypeError, ValueError) as exc:
+                # a short row leaves None in the columns it lacks
+                raise ConfigError(f"{csv_path}:{reader.line_num}: bad value in a result row ({exc})") from exc
+            curve.points.append(point)
     return curves, refs
 
 

@@ -15,7 +15,7 @@ its one-member case and add the decision's metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +44,11 @@ RANK_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    """A detector decision, optionally scored against the transmitted vector."""
+    """A detector's index decision on one system and its metric ||H x_hat - r||^2."""
 
     x_hat: np.ndarray
     detector: str
     metric: float
-    symbol_errors: np.ndarray | None = None
-    vector_error: bool | None = None
-
-    def scored(self, x_true: np.ndarray) -> "DetectionOutcome":
-        """Copy with per-entry and any-entry error flags filled in."""
-        errs = np.asarray(self.x_hat) != np.asarray(x_true)
-        return replace(self, symbol_errors=errs, vector_error=bool(errs.any()))
 
 
 @dataclass(frozen=True)

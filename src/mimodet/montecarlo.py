@@ -1,12 +1,12 @@
 """Monte Carlo VEP/SEP estimation, antenna sweeps, and slope extraction.
 
 Every trial owns a private counter-based random stream keyed by
-(master_seed, grid-point index, trial index), and per-point results are sums
-of integer counts over fixed-size trial blocks.  Sweep output is therefore a
-pure function of the config, independent of worker count and scheduling.
-Inside a block, the trials' stream keys are derived at once, and trials are
-sampled and detected as stacked arrays of ``TRIAL_CHUNK`` trials;
-:func:`run_trial` is the per-instance reference.
+(master_seed, grid-point index, trial index), and per-point results are
+integer counts summed in chunk order over chunks of ``TRIAL_CHUNK`` trials,
+with the adaptive stop checked only at ``TRIAL_BLOCK`` boundaries.  Sweep
+output is therefore a pure function of the config, independent of worker
+count and scheduling.  A chunk's stream keys are derived at once, and its
+trials are sampled and detected as stacked arrays.
 """
 
 from __future__ import annotations
@@ -19,18 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_instance, sample_stack, sigma2_from_snr, substream, trial_keys
+from .channel import sample_stack, sigma2_from_snr, trial_keys
 from .constellation import Constellation, ConstellationKind
-from .detect import (
-    DEFAULT_ML_BUDGET,
-    DetectionOutcome,
-    detect_ml_exhaustive,
-    detect_ml_exhaustive_stack,
-    detect_ml_sphere,
-    detect_ml_sphere_stack,
-    detect_zf,
-    detect_zf_stack,
-)
+from .detect import DEFAULT_ML_BUDGET, detect_ml_exhaustive_stack, detect_ml_sphere_stack, detect_zf_stack
 from . import theory
 
 DETECTOR_NAMES = ("ml-exhaustive", "ml-sphere", "zf")
@@ -224,29 +215,6 @@ def estimate_vep(errors: int, trials: int) -> tuple[float, float, float]:
     return p, lo, hi
 
 
-def run_trial(m: int, n: int, config: ExperimentConfig, trial_index: int) -> dict[str, DetectionOutcome]:
-    """Run one trial: sample an instance, run every detector on it, score.
-
-    All detectors see the identical (H, x*, v).  The random stream is keyed
-    by (master_seed, grid-point index, trial index).
-    """
-    point_index = config.m_grid.index(m)
-    rng = substream(config.master_seed, point_index, trial_index)
-    inst = sample_instance(m, n, config.constellation, config.sigma2, rng)
-    out: dict[str, DetectionOutcome] = {}
-    for det in config.detectors:
-        if det == "zf":
-            res = detect_zf(inst.H, inst.r, config.constellation)
-        elif det == "ml-exhaustive":
-            res = detect_ml_exhaustive(
-                inst.H, inst.r, config.constellation, budget=config.ml_budget
-            )
-        else:
-            res = detect_ml_sphere(inst.H, inst.r, config.constellation)
-        out[det] = res.scored(inst.x_true)
-    return out
-
-
 def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Index decisions (B, n) of one detector on a stack of instances."""
     c = config.constellation
@@ -257,26 +225,23 @@ def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig)
     return detect_ml_sphere_stack(H, r, c)
 
 
-def _block_counts(config: ExperimentConfig, point_index: int, start: int, stop: int) -> dict[str, tuple[int, int, int]]:
+def _chunk_counts(config: ExperimentConfig, point_index: int, start: int, stop: int) -> np.ndarray:
     """Integer error counts for trials [start, stop) at one grid point.
 
-    The trials' Philox keys are derived once; trials run in stacked chunks
-    of TRIAL_CHUNK, each drawing from its own stream, so the counts equal
-    the sum of :func:`run_trial` over the same trials.
+    Row k belongs to ``config.detectors[k]`` and holds its vector errors,
+    symbol errors and user-1 errors.  The trials' Philox keys are derived
+    at once and the trials are sampled and detected as one stack, each
+    drawing from its own stream.
     """
     m = config.m_grid[point_index]
     n = config.users_for(m)
     keys = trial_keys(config.master_seed, point_index, np.arange(start, stop))
-    counts = {det: [0, 0, 0] for det in config.detectors}
-    for lo in range(0, stop - start, TRIAL_CHUNK):
-        H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys[lo : lo + TRIAL_CHUNK])
-        for det in config.detectors:
-            errs = _decisions(det, H, r, config) != x_true
-            c = counts[det]
-            c[0] += int(errs.any(axis=1).sum())
-            c[1] += int(errs.sum())
-            c[2] += int(errs[:, 0].sum())
-    return {det: tuple(c) for det, c in counts.items()}
+    H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys)
+    counts = np.empty((len(config.detectors), 3), dtype=np.int64)
+    for k, det in enumerate(config.detectors):
+        errs = _decisions(det, H, r, config) != x_true
+        counts[k] = errs.any(axis=1).sum(), errs.sum(), errs[:, 0].sum()
+    return counts
 
 
 #: The sweep's config in a pool worker, set once by :func:`_init_worker`.
@@ -288,65 +253,52 @@ def _init_worker(config: ExperimentConfig) -> None:
     _WORKER_CONFIG = config
 
 
-def _chunk_counts(task: tuple[int, int, int]) -> dict[str, tuple[int, int, int]]:
-    """``_block_counts`` of a pool task (point_index, start, stop) under the worker's config."""
-    return _block_counts(_WORKER_CONFIG, *task)
+def _worker_counts(task: tuple[int, int, int]) -> np.ndarray:
+    """``_chunk_counts`` of a pool task (point_index, start, stop) under the worker's config."""
+    return _chunk_counts(_WORKER_CONFIG, *task)
 
 
-def _block_results(config: ExperimentConfig, point_index: int, pool, workers: int):
-    """Yield (stop, ``_block_counts``) of each TRIAL_BLOCK block of a point, strictly in block order.
+def _pooled(pool, tasks: list[tuple[int, int, int]], in_flight: int):
+    """Yield ``_worker_counts`` of each task in task order, with at most ``in_flight`` tasks pending.
 
-    Serially each block is computed when it is asked for.  With a pool
-    (whose workers hold the config), each block is split into
-    (point_index, start, stop) tasks of TRIAL_CHUNK trials, at most
-    POOL_CHUNKS_PER_WORKER per worker in flight, topped up before each wait;
-    a block's chunk counts are summed in chunk order.  Closing the generator
-    waits for what is in flight.
+    Each wait starts with ``in_flight`` tasks pending, or with every task
+    submitted.  Closing the generator waits for what is in flight.
     """
-    blocks = [(start, min(start + TRIAL_BLOCK, config.trials)) for start in range(0, config.trials, TRIAL_BLOCK)]
-    if pool is None:
-        for start, stop in blocks:
-            yield stop, _block_counts(config, point_index, start, stop)
-        return
-    chunks = [
-        (point_index, lo, min(lo + TRIAL_CHUNK, stop))
-        for start, stop in blocks
-        for lo in range(start, stop, TRIAL_CHUNK)
-    ]
-    in_flight = POOL_CHUNKS_PER_WORKER * workers
     pending: deque = deque()
-    submitted = 0
     try:
-        for start, stop in blocks:
-            totals = {det: [0, 0, 0] for det in config.detectors}
-            for _ in range(start, stop, TRIAL_CHUNK):
-                while submitted < len(chunks) and len(pending) < in_flight:
-                    pending.append(pool.apply_async(_chunk_counts, (chunks[submitted],)))
-                    submitted += 1
-                for det, counts in pending.popleft().get().items():
-                    totals[det] = [s + v for s, v in zip(totals[det], counts)]
-            yield stop, {det: tuple(c) for det, c in totals.items()}
+        for task in tasks:
+            if len(pending) == in_flight:
+                yield pending.popleft().get()
+            pending.append(pool.apply_async(_worker_counts, (task,)))
+        while pending:
+            yield pending.popleft().get()
     finally:
         for res in pending:
             res.wait()
 
 
-def _run_point(config: ExperimentConfig, point_index: int, pool, workers: int):
-    """Accumulate block counts in block order; stop early when allowed.
+def _run_point(config: ExperimentConfig, point_index: int, pool, workers: int) -> tuple[int, np.ndarray]:
+    """Trials used and summed ``_chunk_counts`` of one grid point; stop early when allowed.
 
-    Blocks are consumed strictly in index order, so the adaptive-stop
-    boundary is the same for every worker count.
+    Chunk results are consumed strictly in chunk order, computed as they are
+    asked for when serial and POOL_CHUNKS_PER_WORKER per worker in flight
+    with a pool (whose workers hold the config).  The stop rule is applied
+    only where a chunk ends a TRIAL_BLOCK block, so the stop is the same
+    for every worker count.
     """
-    totals = {det: [0, 0, 0] for det in config.detectors}
-    trials_done = 0
-    results = _block_results(config, point_index, pool, workers)
+    chunks = [(lo, min(lo + TRIAL_CHUNK, config.trials)) for lo in range(0, config.trials, TRIAL_CHUNK)]
+    if pool is None:
+        results = (_chunk_counts(config, point_index, lo, hi) for lo, hi in chunks)
+    else:
+        results = _pooled(pool, [(point_index, lo, hi) for lo, hi in chunks], POOL_CHUNKS_PER_WORKER * workers)
+    totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
     try:
-        for trials_done, res in results:
-            for det, counts in res.items():
-                for k, v in enumerate(counts):
-                    totals[det][k] += v
-            if config.target_errors is not None and all(
-                totals[det][0] >= config.target_errors for det in config.detectors
+        for (_, trials_done), counts in zip(chunks, results):
+            totals += counts
+            if (
+                trials_done % TRIAL_BLOCK == 0
+                and config.target_errors is not None
+                and (totals[:, 0] >= config.target_errors).all()
             ):
                 break
     finally:
@@ -394,8 +346,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
             trials_done, totals = _run_point(config, point_index, pool, workers)
             per_point_s.append(time.perf_counter() - tp)
             overlays.append(_overlay(config, m, n))
-            for det in config.detectors:
-                errors, sym_total, user1 = totals[det]
+            for det, (errors, sym_total, user1) in zip(config.detectors, totals.tolist()):
                 vep_hat, ci_low, ci_high = estimate_vep(errors, trials_done)
                 if det == "zf":
                     sep_hat = sym_total / (trials_done * n)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mimodet.channel import sample_channel, sample_instance, substream
+from mimodet.channel import sample_instance, sample_stack, substream
 from mimodet.cli import main
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf, zf_decorrelate
@@ -197,7 +197,8 @@ def _sample_gamma1(m: int, n: int, samples: int, seed: int) -> np.ndarray:
     # sample i is still drawn from substream(seed, i); groups bound the memory
     out = np.empty(samples)
     for lo in range(0, samples, GAMMA_GROUP):
-        H = np.stack([sample_channel(m, n, substream(seed, i)) for i in range(lo, min(lo + GAMMA_GROUP, samples))])
+        streams = [substream(seed, i) for i in range(lo, min(lo + GAMMA_GROUP, samples))]
+        H = sample_stack(m, n, QPSK, 1.0, streams)[0]  # H is the first draw of each stream
         out[lo : lo + len(H)] = zf_decorrelate(H, np.zeros(H.shape[:-1], dtype=complex)).gamma[:, 0]
     return out
 
@@ -207,7 +208,8 @@ def _sample_column_norms(m: int, samples: int, seed: int) -> np.ndarray:
     chunks = []
     remaining = samples
     while remaining > 0:
-        H = sample_channel(m, m, rng)
+        z = rng.standard_normal((m, m, 2))
+        H = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
         take = min(m, remaining)
         chunks.append(2.0 * np.sum(np.abs(H[:, :take]) ** 2, axis=0))
         remaining -= take

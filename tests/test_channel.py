@@ -6,8 +6,6 @@ from scipy import stats
 
 from mimodet import channel
 from mimodet.channel import (
-    draw_symbol_indices,
-    sample_channel,
     sample_instance,
     sample_stack,
     sigma2_from_snr,
@@ -15,6 +13,8 @@ from mimodet.channel import (
     trial_keys,
 )
 from mimodet.constellation import custom_constellation, make_constellation
+
+QPSK = make_constellation("psk", 4)
 
 
 def test_sigma2_from_snr_unit_energy():
@@ -31,8 +31,8 @@ def test_sigma2_from_snr_scales_with_energy():
 
 
 def test_entry_second_moment():
-    rng = substream(11, 0)
-    H = sample_channel(1000, 1000, rng)
+    # H is the first draw of a stream
+    H = sample_instance(1000, 1000, QPSK, 1.0, substream(11, 0)).H
     assert np.mean(np.abs(H) ** 2) == pytest.approx(1.0, abs=0.01)
     # real/imag parts each carry half the variance
     assert np.var(H.real) == pytest.approx(0.5, abs=0.01)
@@ -42,32 +42,34 @@ def test_entry_second_moment():
 def test_column_norm_mean_is_m():
     rng = substream(12, 0)
     m = 16
-    norms = [np.sum(np.abs(sample_channel(m, 2, rng)[:, 0]) ** 2) for _ in range(4000)]
+    norms = []
+    for _ in range(4000):
+        z = rng.standard_normal((m, 2, 2))
+        H = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        norms.append(np.sum(np.abs(H[:, 0]) ** 2))
     assert np.mean(norms) == pytest.approx(m, rel=0.02)
 
 
 def test_column_norm_chi_square_ks():
     m = 8
-    samples = np.empty(20000)
-    for i in range(samples.size):
-        h = sample_channel(m, 1, substream(13, i))[:, 0]
-        samples[i] = 2.0 * np.sum(np.abs(h) ** 2)
+    H = sample_stack(m, 1, QPSK, 1.0, [substream(13, i) for i in range(20000)])[0]
+    samples = 2.0 * np.sum(np.abs(H[:, :, 0]) ** 2, axis=1)
     res = stats.kstest(samples, "chi2", args=(2 * m,))
     assert res.pvalue > 0.01
 
 
 def test_determinism_same_key():
-    a = sample_channel(6, 3, substream(99, 4, 2))
-    b = sample_channel(6, 3, substream(99, 4, 2))
+    a = sample_instance(6, 3, QPSK, 1.0, substream(99, 4, 2)).H
+    b = sample_instance(6, 3, QPSK, 1.0, substream(99, 4, 2)).H
     np.testing.assert_array_equal(a, b)
-    c = sample_channel(6, 3, substream(99, 4, 3))
+    c = sample_instance(6, 3, QPSK, 1.0, substream(99, 4, 3)).H
     assert not np.array_equal(a, c)
 
 
 def test_dimension_checks():
     rng = substream(1)
     with pytest.raises(ValueError):
-        sample_channel(2, 3, rng)
+        sample_instance(2, 3, QPSK, 1.0, rng)
 
 
 def test_instance_recomputes_exactly():
@@ -108,8 +110,6 @@ def test_stack_members_equal_instances_bit_for_bit():
                 np.testing.assert_array_equal(x_true[t], inst.x_true)
                 np.testing.assert_array_equal(v[t], inst.v)
                 np.testing.assert_array_equal(r[t], inst.r)
-                # H draws match sample_channel on the same stream
-                np.testing.assert_array_equal(H[t], sample_channel(9, 3, substream(22, 1, t)))
                 # and every draw matches numpy's integers() on the same stream
                 H_ref, x_ref, v_ref = numpy_instance(9, 3, c, 0.7, substream(22, 1, t))
                 np.testing.assert_array_equal(H[t], H_ref)
@@ -190,11 +190,8 @@ def test_symbol_indices_equal_numpy_integers(M):
     rejected_rows = 0
     for n in range(1, 17):
         for seed in range(60):
-            ours = np.random.Generator(np.random.Philox(seed))
             ref = np.random.Generator(np.random.Philox(seed))
-            x = draw_symbol_indices(ours, M, n)
-            np.testing.assert_array_equal(x, ref.integers(0, M, size=n))
-            np.testing.assert_array_equal(ours.standard_normal(5), ref.standard_normal(5))
+            x = ref.integers(0, M, size=n)
             # the stacked rule agrees on the first ceil(n/2) words unless it flags the row
             words = np.random.Philox(seed).random_raw((n + 1) // 2)[None]
             x_rows, rejected = channel._indices_from_words(words, M, n)
@@ -205,16 +202,10 @@ def test_symbol_indices_equal_numpy_integers(M):
     assert (rejected_rows > 0) == (M == 3 * 2**30)
 
 
-@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.SFC64])
-def test_symbol_indices_need_philox(bitgen):
-    with pytest.raises(TypeError):
-        draw_symbol_indices(np.random.Generator(bitgen(1)), 4, 3)
-
-
 @pytest.mark.parametrize("M", [1, 2**32 + 1])
 def test_symbol_indices_range_of_M(M):
     with pytest.raises(ValueError):
-        draw_symbol_indices(substream(1), M, 3)
+        channel._indices_from_words(np.zeros((1, 2), dtype=np.uint64), M, 3)
 
 
 def test_noiseless_instance():

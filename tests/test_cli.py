@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mimodet
 from mimodet.cli import CSV_COLUMNS, ConfigError, load_config, main
 
 INI_CONFIG = """\
@@ -253,6 +258,39 @@ def test_fit_not_a_results_csv(tmp_path, capsys):
     assert "not a sweep results CSV" in capsys.readouterr().err
 
 
+def test_fit_csv_missing_column_is_config_error_at_header(tmp_path, capsys):
+    # a header with `detector` but without `vep` and `sep`
+    keep = [i for i, col in enumerate(CSV_COLUMNS) if col not in ("vep", "sep")]
+    p = tmp_path / "short.csv"
+    with open(p, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([CSV_COLUMNS[i] for i in keep])
+        for m in (10, 20):
+            row = make_row(m, "zf", 1000, 100, 0.1)
+            writer.writerow([row[i] for i in keep])
+    assert main(["fit", "--csv", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}:1: " in err and "missing columns: vep, sep" in err
+
+
+@pytest.mark.parametrize("bad", ["", "many"])
+def test_fit_csv_bad_value_is_config_error_at_its_line(tmp_path, capsys, bad):
+    rows = [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20, 30)]
+    rows[1][CSV_COLUMNS.index("vep")] = bad
+    p = synthetic_csv(tmp_path, rows)
+    assert main(["fit", "--csv", str(p)]) == 2
+    assert f"{p}:3: bad value" in capsys.readouterr().err
+
+
+def test_fit_csv_short_row_is_config_error_at_its_line(tmp_path, capsys):
+    rows = [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20)]
+    p = synthetic_csv(tmp_path, rows)
+    with open(p, "a") as fh:
+        fh.write("30,2,zf,1000\n")
+    assert main(["fit", "--csv", str(p)]) == 2
+    assert f"{p}:4: bad value" in capsys.readouterr().err
+
+
 def test_fit_missing_file_is_runtime_error(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "missing.csv")]) == 3
 
@@ -371,3 +409,18 @@ def test_seed_override_beats_variant_master_seed(tmp_path):
     p.write_text(INI_CONFIG + "\n[variant:v]\nmaster_seed = 9\n")
     assert [c.config.master_seed for c in load_config(str(p))] == [42, 9]
     assert [c.config.master_seed for c in load_config(str(p), seed_override=1)] == [1, 1]
+
+
+def test_reference_sweeps_script_rejects_threads_below_one():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(mimodet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_reference_sweeps.py"), "--threads", "0"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert "--threads" in done.stderr and "Traceback" not in done.stderr

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import mimodet
 from mimodet.channel import sample_instance, substream
 from mimodet.constellation import make_constellation
-from mimodet.detect import detect_ml_exhaustive, detect_zf
+from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
     POOL_CHUNKS_PER_WORKER,
     TRIAL_BLOCK,
@@ -26,10 +26,10 @@ from mimodet.montecarlo import (
     PointStats,
     VepCurve,
     estimate_vep,
+    _chunk_counts,
     _init_worker,
     _run_point,
     fit_slope,
-    run_trial,
     sweep,
 )
 
@@ -149,37 +149,45 @@ def test_config_delta_rounding_half_away_from_zero():
 
 
 # ---------------------------------------------------------------------------
-# run_trial
+# per-trial reference: one instance from its own substream, every detector on it
+
+DETECTORS = {"zf": detect_zf, "ml-exhaustive": detect_ml_exhaustive, "ml-sphere": detect_ml_sphere}
+
+
+def run_trial(m, n, cfg, trial_index):
+    """(x_true, {detector: x_hat}) of one trial, keyed by (master_seed, point index, trial index)."""
+    rng = substream(cfg.master_seed, cfg.m_grid.index(m), trial_index)
+    inst = sample_instance(m, n, cfg.constellation, cfg.sigma2, rng)
+    return inst.x_true, {det: DETECTORS[det](inst.H, inst.r, cfg.constellation).x_hat for det in cfg.detectors}
 
 
 def test_run_trial_deterministic():
     cfg = base_config(detectors=("zf", "ml-exhaustive"), snr_db=-3.0)
-    a = run_trial(8, 2, cfg, trial_index=5)
-    b = run_trial(8, 2, cfg, trial_index=5)
+    x_a, a = run_trial(8, 2, cfg, trial_index=5)
+    x_b, b = run_trial(8, 2, cfg, trial_index=5)
+    np.testing.assert_array_equal(x_a, x_b)
     for det in cfg.detectors:
-        np.testing.assert_array_equal(a[det].x_hat, b[det].x_hat)
-        assert a[det].vector_error == b[det].vector_error
+        np.testing.assert_array_equal(a[det], b[det])
 
 
 def test_run_trial_all_detectors_see_same_instance():
     cfg = base_config(detectors=("zf", "ml-exhaustive"), snr_db=-3.0, m_grid=(8, 12))
-    out = run_trial(12, 2, cfg, trial_index=9)
-    # reconstruct the instance from the keyed stream (point index 1) and
-    # verify each decision equals the detector run directly on it
+    # the sweep's one-trial chunk at point index 1, trial 9, against each
+    # detector run directly on the instance of that keyed stream
+    counts = _chunk_counts(cfg, 1, 9, 10)
     inst = sample_instance(12, 2, QAM16, cfg.sigma2, substream(7, 1, 9))
-    np.testing.assert_array_equal(out["zf"].x_hat, detect_zf(inst.H, inst.r, QAM16).x_hat)
-    np.testing.assert_array_equal(
-        out["ml-exhaustive"].x_hat, detect_ml_exhaustive(inst.H, inst.r, QAM16).x_hat
-    )
-    np.testing.assert_array_equal(out["zf"].symbol_errors, out["zf"].x_hat != inst.x_true)
+    for k, x_hat in enumerate(
+        (detect_zf(inst.H, inst.r, QAM16).x_hat, detect_ml_exhaustive(inst.H, inst.r, QAM16).x_hat)
+    ):
+        errs = x_hat != inst.x_true
+        np.testing.assert_array_equal(counts[k], [errs.any(), errs.sum(), errs[0]])
 
 
 def test_run_trial_near_noiseless():
     # at 60 dB the failure probability is negligible: no errors in 1e3 trials
-    cfg = base_config(snr_db=60.0, m_grid=(8,), trials=1)
-    for t in range(1000):
-        out = run_trial(8, 2, cfg, t)
-        assert not out["zf"].vector_error
+    res = sweep(base_config(snr_db=60.0, m_grid=(8,), trials=1000))
+    pt = res.curves["zf"].points[0]
+    assert (pt.trials, pt.errors, pt.symbol_errors_total) == (1000, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +197,10 @@ def test_run_trial_near_noiseless():
 def test_sweep_single_point_matches_run_trial_aggregation():
     cfg = base_config(m_grid=(8,), trials=100, snr_db=-5.0)
     res = sweep(cfg)
-    errors = sum(int(run_trial(8, 2, cfg, t)["zf"].vector_error) for t in range(100))
+    errors = 0
+    for t in range(100):
+        x_true, x_hat = run_trial(8, 2, cfg, t)
+        errors += int(np.any(x_hat["zf"] != x_true))
     pt = res.curves["zf"].points[0]
     assert pt.errors == errors
     assert pt.trials == 100
@@ -221,13 +232,15 @@ KERNEL_CFG = dict(detectors=("zf", "ml-exhaustive", "ml-sphere"), m_grid=(6, 9),
 
 
 @functools.lru_cache(maxsize=None)
-def per_trial_counts(m, n):
+def reference_counts(cfg_items, m, n):
     """Per-trial (vector error, symbol errors, user-1 error) from run_trial, per detector."""
-    cfg = base_config(**KERNEL_CFG)
+    cfg = base_config(**dict(cfg_items))
     rows = {det: [] for det in cfg.detectors}
     for t in range(cfg.trials):
-        for det, res in run_trial(m, n, cfg, t).items():
-            rows[det].append((int(res.vector_error), int(res.symbol_errors.sum()), int(res.symbol_errors[0])))
+        x_true, x_hat = run_trial(m, n, cfg, t)
+        for det in cfg.detectors:
+            errs = x_hat[det] != x_true
+            rows[det].append((int(errs.any()), int(errs.sum()), int(errs[0])))
     return {det: np.array(v) for det, v in rows.items()}
 
 
@@ -237,7 +250,7 @@ def test_block_kernel_counts_equal_run_trial_sums(workers):
     cfg = base_config(**KERNEL_CFG)
     res = sweep(cfg, workers=workers)
     for i, (m, n) in enumerate(cfg.grid_points()):
-        ref = per_trial_counts(m, n)
+        ref = reference_counts(tuple(KERNEL_CFG.items()), m, n)
         for det in cfg.detectors:
             pt = res.curves[det].points[i]
             assert pt.trials == 300
@@ -247,7 +260,7 @@ def test_block_kernel_counts_equal_run_trial_sums(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_block_kernel_adaptive_stop_lands_on_run_trial_block(workers):
     probe = base_config(**KERNEL_CFG)
-    refs = [per_trial_counts(m, n) for m, n in probe.grid_points()]
+    refs = [reference_counts(tuple(KERNEL_CFG.items()), m, n) for m, n in probe.grid_points()]
     # reachable within the first block at the first point for every detector
     target = min(int(refs[0][det][:TRIAL_BLOCK, 0].sum()) for det in probe.detectors)
     cfg = base_config(**KERNEL_CFG, target_errors=target)
@@ -267,23 +280,12 @@ def test_block_kernel_adaptive_stop_lands_on_run_trial_block(workers):
 POOL_CFG = dict(detectors=("zf", "ml-sphere"), m_grid=(6, 8), n=3, trials=700, snr_db=-2.0, master_seed=11)
 
 
-@functools.lru_cache(maxsize=None)
-def pool_cfg_trial_counts(m, n):
-    """Per-trial (vector error, symbol errors, user-1 error) under POOL_CFG, per detector."""
-    cfg = base_config(**POOL_CFG)
-    rows = {det: [] for det in cfg.detectors}
-    for t in range(cfg.trials):
-        for det, res in run_trial(m, n, cfg, t).items():
-            rows[det].append((int(res.vector_error), int(res.symbol_errors.sum()), int(res.symbol_errors[0])))
-    return {det: np.array(v) for det, v in rows.items()}
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
     # three blocks per point, the last partial; the target is reached in the
     # second block of the first point, so chunks of later blocks are in flight
     probe = base_config(**POOL_CFG)
-    refs = [pool_cfg_trial_counts(m, n) for m, n in probe.grid_points()]
+    refs = [reference_counts(tuple(POOL_CFG.items()), m, n) for m, n in probe.grid_points()]
     target = min(int(refs[0][det][: 2 * TRIAL_BLOCK, 0].sum()) for det in probe.detectors)
     cfg = base_config(**POOL_CFG, target_errors=target)
     res = sweep(cfg, workers=workers)
@@ -316,16 +318,18 @@ class RecordingPool:
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunk_dispatch_bounds_work_past_the_stop(workers):
     cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, target_errors=1, snr_db=-6.0)
-    serial = _run_point(cfg, 0, None, 1)
-    assert serial[0] == TRIAL_BLOCK  # stops after the first of eight blocks
+    serial_trials, serial_totals = _run_point(cfg, 0, None, 1)
+    assert serial_trials == TRIAL_BLOCK  # stops after the first of eight blocks
     pool = RecordingPool(_init_worker, (cfg,))
-    assert _run_point(cfg, 0, pool, workers) == serial
+    trials, totals = _run_point(cfg, 0, pool, workers)
+    assert trials == serial_trials
+    np.testing.assert_array_equal(totals, serial_totals)
     # a task is (point_index, start, stop); the config reaches workers once, at start-up
     assert all(point == 0 for point, _, _ in pool.submitted)
     starts = [start for _, start, _ in pool.submitted]
     assert starts == list(range(0, len(starts) * TRIAL_CHUNK, TRIAL_CHUNK))
     assert all(stop - start == TRIAL_CHUNK for _, start, stop in pool.submitted)
-    past_stop = sum(start >= serial[0] for start in starts)
+    past_stop = sum(start >= serial_trials for start in starts)
     assert 0 < past_stop <= POOL_CHUNKS_PER_WORKER * workers
 
 

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mimodet.channel import sample_channel, substream
+from mimodet.channel import substream
 from mimodet.constellation import make_constellation
 from mimodet import theory
 from mimodet.theory import (
