@@ -90,7 +90,21 @@ def _parse_symbols(raw) -> list[complex]:
     pairs = [chunk.split(",") for chunk in raw.split(";") if chunk.strip()] if isinstance(raw, str) else raw
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"symbols must be re,im pairs, got {raw!r}")
-    return [complex(float(re), float(im)) for re, im in pairs]
+    return [complex(_real(re), _real(im)) for re, im in pairs]
+
+
+def _integer(raw) -> int:
+    """An integer from an INI string or a JSON integer; a JSON float or bool is refused, never truncated."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ValueError("not an integer")
+    return int(raw)
+
+
+def _real(raw) -> float:
+    """A float from an INI string or a JSON number; a JSON bool is refused."""
+    if isinstance(raw, bool):
+        raise ValueError("not a number")
+    return float(raw)
 
 
 #: The config schema: each key's section and the parser of its raw value (an
@@ -99,17 +113,17 @@ def _parse_symbols(raw) -> list[complex]:
 #: their order here is the order of the manifest echo.
 KEYS = {
     "kind": ("constellation", lambda raw: ConstellationKind(str(raw).lower())),
-    "M": ("constellation", int),
+    "M": ("constellation", _integer),
     "symbols": ("constellation", _parse_symbols),
     "detectors": ("experiment", lambda raw: tuple(str(d) for d in _words(raw))),
-    "snr_db": ("experiment", float),
-    "m_grid": ("experiment", lambda raw: tuple(int(m) for m in _words(raw))),
-    "trials": ("experiment", int),
-    "master_seed": ("experiment", int),
-    "target_errors": ("experiment", int),
-    "ml_budget": ("experiment", int),
-    "n": ("experiment", int),
-    "delta": ("experiment", float),
+    "snr_db": ("experiment", _real),
+    "m_grid": ("experiment", lambda raw: tuple(_integer(m) for m in _words(raw))),
+    "trials": ("experiment", _integer),
+    "master_seed": ("experiment", _integer),
+    "target_errors": ("experiment", _integer),
+    "ml_budget": ("experiment", _integer),
+    "n": ("experiment", _integer),
+    "delta": ("experiment", _real),
 }
 BASE_SECTIONS = ("constellation", "experiment")
 
@@ -219,7 +233,13 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}:1: a JSON config is an object of sections")
-        doc.update({f"variant:{name}": items for name, items in doc.pop("variants", {}).items()})
+        named = doc.pop("variants", {})
+        if not isinstance(named, dict):
+            raise ConfigError(f'{path}:1: "variants" must be an object of variants')
+        doc.update({f"variant:{name}": items for name, items in named.items()})
+        for section, items in doc.items():
+            if not isinstance(items, dict):
+                raise ConfigError(f"{path}:1: [{section}] must be an object of keys")
         lines: dict = {}
     else:
         doc, lines = _read_ini(path, text)
@@ -376,22 +396,20 @@ def cmd_theory(
     if m is not None:
         rows.append(("m", str(m)))
         rows.append(("n", str(n)))
-        rows.append(("ml_lower_bound", _prob(theory.ml_lower_bound(params))))
-        rows.append(("ml_lower_bound_log", _fmt(theory.ml_lower_bound_log(params))))
-        rows.append(("ml_union_bound", _prob(theory.ml_union_bound(params))))
-        rows.append(("ml_union_bound_log", _fmt(theory.ml_union_bound_log(params))))
-        big_n = theory.large_n_union_bound(params)
+        ml_lower, ml_union = theory.ml_lower_bound_log(params), theory.ml_union_bound_log(params)
+        for name, log_p in (("ml_lower_bound", ml_lower), ("ml_union_bound", ml_union)):
+            rows.append((name, _prob(theory.prob_from_log(log_p))))
+            rows.append((f"{name}_log", _fmt(log_p)))
+        big_n = theory.large_n_union_bound_log(params)
         if big_n is None:
             rows.append(("large_n_union_bound", "not-applicable (n below threshold)"))
         else:
-            rows.append(("large_n_union_bound", _prob(big_n)))
-            rows.append(("large_n_union_bound_log", _fmt(theory.large_n_union_bound_log(params))))
-        sep_lo, sep_hi = theory.zf_sep_bounds(params)
-        rows.append(("zf_sep_lower", _prob(sep_lo)))
-        rows.append(("zf_sep_upper", _prob(sep_hi)))
-        vep_lo, vep_hi = theory.zf_vep_bounds(params)
-        rows.append(("zf_vep_lower", _prob(vep_lo)))
-        rows.append(("zf_vep_upper", _prob(vep_hi)))
+            rows.append(("large_n_union_bound", _prob(theory.prob_from_log(big_n))))
+            rows.append(("large_n_union_bound_log", _fmt(big_n)))
+        zf_bounds = {"sep": theory.zf_sep_bounds_log(params), "vep": theory.zf_vep_bounds_log(params)}
+        for name, (log_lo, log_hi) in zf_bounds.items():
+            rows.append((f"zf_{name}_lower", _prob(theory.prob_from_log(log_lo))))
+            rows.append((f"zf_{name}_upper", _prob(theory.prob_from_log(log_hi))))
     else:
         rows.append(("bounds", "give --m (with --n or --delta) for bound values"))
 

@@ -1,12 +1,14 @@
 """Monte Carlo VEP/SEP estimation, antenna sweeps, and slope extraction.
 
 Every trial owns a private counter-based random stream keyed by
-(master_seed, grid-point index, trial index), and per-point results are
-integer counts summed in chunk order over chunks of ``TRIAL_CHUNK`` trials,
-with the adaptive stop checked only at ``TRIAL_BLOCK`` boundaries.  Sweep
+(master_seed, grid-point index, trial index).  A grid point runs one
+``TRIAL_BLOCK`` block at a time: the block's chunks of ``TRIAL_CHUNK`` trials
+are computed (serially or by one pool ``map``), their integer counts summed
+in chunk order, and the adaptive stop checked at the block's end.  Sweep
 output is therefore a pure function of the config, independent of worker
-count and scheduling.  A chunk's stream keys are derived at once, and its
-trials are sampled and detected as stacked arrays.
+count and scheduling, and no chunk is computed past a stop.  A chunk's
+stream keys are derived at once, and its trials are sampled and detected as
+stacked arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import multiprocessing.pool  # loaded here so no sweep and no forked worker pays for it
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,6 @@ TRIAL_BLOCK = 256
 #: Stacking a whole block instead raised the peak RSS of a (48, 16) ZF sweep
 #: from 85 to 95 MiB.
 TRIAL_CHUNK = 32
-
-#: Chunk tasks kept in flight per pool worker.  After an adaptive stop at
-#: most this many per worker are computed for nothing.
-POOL_CHUNKS_PER_WORKER = 2
 
 #: Wilson score interval critical value for 95% coverage.
 WILSON_Z = 1.96
@@ -258,52 +255,28 @@ def _worker_counts(task: tuple[int, int, int]) -> np.ndarray:
     return _chunk_counts(_WORKER_CONFIG, *task)
 
 
-def _pooled(pool, tasks: list[tuple[int, int, int]], in_flight: int):
-    """Yield ``_worker_counts`` of each task in task order, with at most ``in_flight`` tasks pending.
-
-    Each wait starts with ``in_flight`` tasks pending, or with every task
-    submitted.  Closing the generator waits for what is in flight.
-    """
-    pending: deque = deque()
-    try:
-        for task in tasks:
-            if len(pending) == in_flight:
-                yield pending.popleft().get()
-            pending.append(pool.apply_async(_worker_counts, (task,)))
-        while pending:
-            yield pending.popleft().get()
-    finally:
-        for res in pending:
-            res.wait()
-
-
-def _run_point(config: ExperimentConfig, point_index: int, pool, workers: int) -> tuple[int, np.ndarray]:
+def _run_point(config: ExperimentConfig, point_index: int, pool) -> tuple[int, np.ndarray]:
     """Trials used and summed ``_chunk_counts`` of one grid point; stop early when allowed.
 
-    Chunk results are consumed strictly in chunk order, computed as they are
-    asked for when serial and POOL_CHUNKS_PER_WORKER per worker in flight
-    with a pool (whose workers hold the config).  The stop rule is applied
-    only where a chunk ends a TRIAL_BLOCK block, so the stop is the same
-    for every worker count.
+    The point runs one TRIAL_BLOCK block at a time.  A block's chunk tasks
+    are computed in a list when serial, or by one ``pool.map`` whose workers
+    hold the config, and summed in chunk order.  The stop rule is applied
+    at each block's end, so the stop is the same for every worker count and
+    no chunk past it is ever computed.
     """
-    chunks = [(lo, min(lo + TRIAL_CHUNK, config.trials)) for lo in range(0, config.trials, TRIAL_CHUNK)]
-    if pool is None:
-        results = (_chunk_counts(config, point_index, lo, hi) for lo, hi in chunks)
-    else:
-        results = _pooled(pool, [(point_index, lo, hi) for lo, hi in chunks], POOL_CHUNKS_PER_WORKER * workers)
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
-    try:
-        for (_, trials_done), counts in zip(chunks, results):
+    for block in range(0, config.trials, TRIAL_BLOCK):
+        end = min(block + TRIAL_BLOCK, config.trials)
+        tasks = [(point_index, lo, min(lo + TRIAL_CHUNK, end)) for lo in range(block, end, TRIAL_CHUNK)]
+        if pool is None:
+            results = [_chunk_counts(config, *task) for task in tasks]
+        else:
+            results = pool.map(_worker_counts, tasks)
+        for counts in results:
             totals += counts
-            if (
-                trials_done % TRIAL_BLOCK == 0
-                and config.target_errors is not None
-                and (totals[:, 0] >= config.target_errors).all()
-            ):
-                break
-    finally:
-        results.close()
-    return trials_done, totals
+        if config.target_errors is not None and (totals[:, 0] >= config.target_errors).all():
+            break
+    return end, totals
 
 
 def _overlay(config: ExperimentConfig, m: int, n: int) -> TheoryOverlay:
@@ -340,10 +313,12 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     pool = None
     try:
         if workers > 1:
-            pool = multiprocessing.get_context("fork").Pool(workers, initializer=_init_worker, initargs=(config,))
+            # a block holds at most TRIAL_BLOCK // TRIAL_CHUNK tasks, so more workers would idle
+            processes = min(workers, TRIAL_BLOCK // TRIAL_CHUNK)
+            pool = multiprocessing.get_context("fork").Pool(processes, initializer=_init_worker, initargs=(config,))
         for point_index, (m, n) in enumerate(config.grid_points()):
             tp = time.perf_counter()
-            trials_done, totals = _run_point(config, point_index, pool, workers)
+            trials_done, totals = _run_point(config, point_index, pool)
             per_point_s.append(time.perf_counter() - tp)
             overlays.append(_overlay(config, m, n))
             for det, (errors, sym_total, user1) in zip(config.detectors, totals.tolist()):

@@ -1,8 +1,9 @@
 """Closed-form error-probability bounds and antenna-efficiency formulas.
 
 Every probability here is computed in natural-log space first (the bounds
-decay like (1+rho)^-m and underflow quickly) and clamped to [0, 1] only by
-the linear-scale accessors.  The effective detection SNR is
+decay like (1+rho)^-m and underflow quickly); callers that want a linear
+probability apply :func:`prob_from_log`, the one clamp.  The effective
+detection SNR is
 
     rho = d_min^2 / (4 sigma^2)
 
@@ -124,10 +125,6 @@ def ml_lower_bound_log(p: SystemParams) -> float:
     return -0.5 * math.log(math.pi * (m + 0.5)) - math.log(p.M) - m * math.log1p(p.rho)
 
 
-def ml_lower_bound(p: SystemParams) -> float:
-    return math.exp(ml_lower_bound_log(p))
-
-
 def ml_union_bound_log(p: SystemParams) -> float:
     """log of the union upper bound on ML VEP, grouped by error weight:
 
@@ -153,11 +150,6 @@ def ml_union_bound_log(p: SystemParams) -> float:
     return float(log_terms[top] + math.log1p(shifted.sum())) - math.log(2.0)
 
 
-def ml_union_bound(p: SystemParams) -> float:
-    """Linear-scale union bound, clamped to 1 for reporting."""
-    return prob_from_log(ml_union_bound_log(p))
-
-
 def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
     """log of the averaged pairwise error bound between two symbol vectors:
 
@@ -169,10 +161,6 @@ def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: fl
     if dist2 == 0.0:
         raise ValueError("pairwise error bound needs distinct symbol vectors")
     return -math.log(2.0) - m * math.log1p(dist2 / (4.0 * sigma2))
-
-
-def pairwise_error_bound(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
-    return prob_from_log(pairwise_error_bound_log(x_star, x_prime, sigma2, m))
 
 
 def large_n_threshold(rho: float, M: int) -> float:
@@ -210,13 +198,6 @@ def large_n_union_bound_log(p: SystemParams) -> float | None:
     return math.log(prefactor) + math.log(n) - m * math.log1p(rho)
 
 
-def large_n_union_bound(p: SystemParams) -> float | None:
-    lg = large_n_union_bound_log(p)
-    if lg is None:
-        return None
-    return prob_from_log(lg)
-
-
 def zf_sep_bounds_log(p: SystemParams) -> tuple[float, float]:
     """logs of the per-user ZF symbol-error-probability sandwich:
 
@@ -234,12 +215,6 @@ def zf_sep_bounds_log(p: SystemParams) -> tuple[float, float]:
     return lower, upper
 
 
-def zf_sep_bounds(p: SystemParams) -> tuple[float, float]:
-    """Linear per-user SEP sandwich, upper clamped to 1."""
-    lo, hi = zf_sep_bounds_log(p)
-    return prob_from_log(lo), prob_from_log(hi)
-
-
 def zf_vep_bounds_log(p: SystemParams) -> tuple[float, float]:
     """logs of the ZF VEP sandwich obtained from the SEP bounds:
     SEP_1 <= VEP <= n * SEP_1, users being statistically equivalent.
@@ -247,8 +222,3 @@ def zf_vep_bounds_log(p: SystemParams) -> tuple[float, float]:
     _, n = _require_mn(p, "zf_vep_bounds")
     lo, hi = zf_sep_bounds_log(p)
     return lo, hi + math.log(n)
-
-
-def zf_vep_bounds(p: SystemParams) -> tuple[float, float]:
-    lo, hi = zf_vep_bounds_log(p)
-    return prob_from_log(lo), prob_from_log(hi)

@@ -41,7 +41,7 @@ def ml_lower_bound_integral(p: SystemParams) -> float:
 
         (2 / (pi M)) * int_0^{pi/2} (1 + rho / sin^2 t)^-m dt,
 
-    of which ``theory.ml_lower_bound`` is the closed-form relaxation.
+    of which ``theory.ml_lower_bound_log`` is the log of the closed-form relaxation.
     Underflows for very large m.
     """
     if p.m is None:

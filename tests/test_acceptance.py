@@ -135,8 +135,8 @@ def test_c3_bound_sandwich(ml_campaign_quarter, ml_campaign_eighth):
                 continue
             checked += 1
             p = theory.SystemParams.from_system(QPSK, res.config.sigma2, m=pt.m, n=pt.n)
-            lower = theory.ml_lower_bound(p)
-            upper = theory.ml_union_bound(p)
+            lower = theory.prob_from_log(theory.ml_lower_bound_log(p))
+            upper = theory.prob_from_log(theory.ml_union_bound_log(p))
             if not (pt.ci_high >= lower and pt.ci_low <= upper):
                 bad += 1
         failures[name] = bad

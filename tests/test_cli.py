@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,65 @@ def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, messag
     err = capsys.readouterr().err
     assert f"{p}:{line}: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value,reason",
+    [
+        ("experiment", "trials", 300.7, "not an integer"),
+        ("experiment", "master_seed", True, "not an integer"),
+        ("constellation", "M", 16.9, "not an integer"),
+        ("experiment", "m_grid", [8.6, 12], "not an integer"),
+        ("experiment", "snr_db", False, "not a number"),
+    ],
+    ids=["float-trials", "bool-seed", "float-M", "float-grid-point", "bool-snr"],
+)
+def test_json_number_of_wrong_type_exits_2(tmp_path, capsys, section, key, value, reason):
+    # a JSON float or bool where an integer belongs, or a bool where a float belongs, is refused
+    doc = json.loads(json.dumps(JSON_CONFIG))
+    doc[section][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{p}:1: bad value {value!r} for {key}: {reason}" in capsys.readouterr().err
+
+
+def test_json_bool_symbol_coordinate_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**JSON_CONFIG, "constellation": {"kind": "custom", "symbols": [[True, 0], [-1, 0]]}}))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{p}:1: bad value [[True, 0], [-1, 0]] for symbols: not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"experiment": 5}, "[experiment] must be an object of keys"),
+        ({"variants": [1]}, '"variants" must be an object of variants'),
+        ({"variants": {"v": 5}}, "[variant:v] must be an object of keys"),
+    ],
+    ids=["experiment-number", "variants-list", "variant-number"],
+)
+def test_json_non_object_section_exits_2(tmp_path, capsys, extra, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**JSON_CONFIG, **extra}))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{p}:1: {message}" in capsys.readouterr().err
+
+
+def test_readme_config_block_names_every_key():
+    """The README's config example names each key of the schema, in its own base section."""
+    from mimodet.cli import KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configs", 1)[1].split("```", 2)[1]
+    named: dict[str, set] = {}
+    for part in re.split(r"^\[", block, flags=re.M)[1:]:
+        section, body = part.split("]", 1)
+        named[section] = set(re.findall(r"\b(\w+) =", body))
+    assert set().union(*named.values()) == set(KEYS)
+    for section in ("constellation", "experiment"):
+        assert named[section] == {key for key, (home, _) in KEYS.items() if home == section}
 
 
 def test_theory_bad_flags_are_config_errors(capsys):

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from mimodet.channel import sample_instance, substream
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
-    POOL_CHUNKS_PER_WORKER,
     TRIAL_BLOCK,
     TRIAL_CHUNK,
     ExperimentConfig,
@@ -212,9 +210,10 @@ def test_sweep_worker_count_invariance():
     res1 = sweep(cfg, workers=1)
     res2 = sweep(cfg, workers=2)
     res3 = sweep(cfg, workers=3)
+    res9 = sweep(cfg, workers=9)  # the pool is capped at 8 processes, one per chunk of a block
     for det in cfg.detectors:
-        for a, b, c in zip(res1.curves[det].points, res2.curves[det].points, res3.curves[det].points):
-            assert a == b == c
+        for a, b, c, d in zip(*(res.curves[det].points for res in (res1, res2, res3, res9))):
+            assert a == b == c == d
 
 
 def test_sweep_adaptive_stop_deterministic_and_block_aligned():
@@ -303,34 +302,37 @@ def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
 
 
 class RecordingPool:
-    """Stands in for a process pool: runs each task at once and records its arguments."""
+    """Stands in for a process pool: runs each ``map`` at once and records its task list."""
 
     def __init__(self, initializer, initargs):
         initializer(*initargs)
-        self.submitted = []
+        self.calls = []
 
-    def apply_async(self, func, args):
-        self.submitted.append(args[0])
-        value = func(*args)
-        return types.SimpleNamespace(get=lambda: value, wait=lambda: None)
+    def map(self, func, tasks):
+        self.calls.append(list(tasks))
+        return [func(task) for task in tasks]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunk_dispatch_bounds_work_past_the_stop(workers):
-    cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, target_errors=1, snr_db=-6.0)
-    serial_trials, serial_totals = _run_point(cfg, 0, None, 1)
-    assert serial_trials == TRIAL_BLOCK  # stops after the first of eight blocks
+@pytest.mark.parametrize("stop_block", [1, 2, 3])
+def test_chunk_dispatch_bounds_work_past_the_stop(stop_block):
+    probe = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0)
+    # the point's errors after stop_block blocks, as the stop target
+    target = int(_chunk_counts(probe, 0, 0, stop_block * TRIAL_BLOCK)[0, 0])
+    cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0, target_errors=target)
+    serial_trials, serial_totals = _run_point(cfg, 0, None)
+    assert serial_trials == stop_block * TRIAL_BLOCK  # stops after stop_block of eight blocks
     pool = RecordingPool(_init_worker, (cfg,))
-    trials, totals = _run_point(cfg, 0, pool, workers)
+    trials, totals = _run_point(cfg, 0, pool)
     assert trials == serial_trials
     np.testing.assert_array_equal(totals, serial_totals)
-    # a task is (point_index, start, stop); the config reaches workers once, at start-up
-    assert all(point == 0 for point, _, _ in pool.submitted)
-    starts = [start for _, start, _ in pool.submitted]
-    assert starts == list(range(0, len(starts) * TRIAL_CHUNK, TRIAL_CHUNK))
-    assert all(stop - start == TRIAL_CHUNK for _, start, stop in pool.submitted)
-    past_stop = sum(start >= serial_trials for start in starts)
-    assert 0 < past_stop <= POOL_CHUNKS_PER_WORKER * workers
+    # one map per block, holding that block's (point_index, start, stop) chunk tasks in order;
+    # the config reaches workers once, at start-up
+    assert pool.calls == [
+        [(0, lo, lo + TRIAL_CHUNK) for lo in range(block, block + TRIAL_BLOCK, TRIAL_CHUNK)]
+        for block in range(0, serial_trials, TRIAL_BLOCK)
+    ]
+    past_stop = sum(start >= serial_trials for call in pool.calls for _, start, _ in call)
+    assert past_stop == 0
 
 
 def test_sweep_counting_identity_zf():

@@ -20,18 +20,14 @@ from mimodet.theory import (
     antenna_efficiency_zf,
     efficiency_db_per_antenna,
     large_n_threshold,
-    large_n_union_bound,
     large_n_union_bound_log,
-    ml_lower_bound,
     ml_lower_bound_log,
-    ml_union_bound,
     ml_union_bound_log,
-    pairwise_error_bound,
     pairwise_error_bound_log,
+    prob_from_log,
     q_function,
-    zf_sep_bounds,
     zf_sep_bounds_log,
-    zf_vep_bounds,
+    zf_vep_bounds_log,
 )
 from mimodet.cli import _prob, load_config
 
@@ -122,7 +118,7 @@ def test_tiny_rho_limits():
     p = SystemParams(M=4, d_min=2e-8, sigma2=1.0, m=5, n=2)
     assert antenna_efficiency_ml(p) == pytest.approx(0.0, abs=1e-15)
     # no exponential decay: the bound reduces to its prefactor
-    assert ml_lower_bound(p) == pytest.approx(1.0 / (math.sqrt(math.pi * 5.5) * 4), rel=1e-12)
+    assert prob_from_log(ml_lower_bound_log(p)) == pytest.approx(1.0 / (math.sqrt(math.pi * 5.5) * 4), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def test_ml_lower_bound_value():
     p = params(M=2, rho=1.0, m=1, n=1)
     oracle = 1 / (mpmath.sqrt(1.5 * mpmath.pi) * 2) * mpmath.mpf(0.5)
     assert float(oracle) == pytest.approx(0.115164, abs=1e-6)
-    assert ml_lower_bound(p) == pytest.approx(float(oracle), rel=1e-12)
+    assert prob_from_log(ml_lower_bound_log(p)) == pytest.approx(float(oracle), rel=1e-12)
 
 
 def test_ml_lower_bound_log_space_large_m():
@@ -142,13 +138,13 @@ def test_ml_lower_bound_log_space_large_m():
     assert ml_lower_bound_log(p) == pytest.approx(expected, rel=1e-12)
     huge = params(M=16, rho=0.1, m=10**6, n=10**6)
     assert math.isfinite(ml_lower_bound_log(huge))
-    assert ml_lower_bound(huge) == 0.0  # underflow only at the linear boundary
+    assert prob_from_log(ml_lower_bound_log(huge)) == 0.0  # underflow only at the linear boundary
 
 
 def test_ml_lower_bound_below_integral_form():
     for m, rho in [(2, 0.1), (5, 0.5), (10, 1.0), (40, 0.1)]:
         p = params(M=4, rho=rho, m=m, n=min(m, 2))
-        assert ml_lower_bound(p) <= ml_lower_bound_integral(p) * (1 + 1e-12)
+        assert prob_from_log(ml_lower_bound_log(p)) <= ml_lower_bound_integral(p) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +153,13 @@ def test_ml_lower_bound_below_integral_form():
 
 def test_union_bound_single_user():
     p = params(M=2, rho=1.0, m=2, n=1)
-    assert ml_union_bound(p) == pytest.approx(0.125, rel=1e-12)
+    assert prob_from_log(ml_union_bound_log(p)) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_union_bound_against_mpmath():
     p = params(M=4, rho=1.0, m=30, n=30)
     oracle = mp_union_bound(30, 30, 4, 1.0)
-    assert ml_union_bound(p) == pytest.approx(float(oracle), rel=1e-10)
+    assert prob_from_log(ml_union_bound_log(p)) == pytest.approx(float(oracle), rel=1e-10)
     # the k=1 term alone is 45 * 2^-30
     assert float(oracle) == pytest.approx(4.19e-8, rel=0.01)
 
@@ -182,7 +178,7 @@ def test_union_bound_csv_strings_match_scipy_reference():
 
 def test_union_bound_vanishes_at_high_rho():
     p = params(M=4, rho=1e8, m=20, n=4)
-    assert ml_union_bound(p) < 1e-100
+    assert prob_from_log(ml_union_bound_log(p)) < 1e-100
 
 
 def test_union_bound_log_space_large_system():
@@ -193,7 +189,7 @@ def test_union_bound_log_space_large_system():
 
 def test_union_bound_clamped_to_one():
     p = params(M=16, rho=0.01, m=4, n=4)
-    assert ml_union_bound(p) == 1.0
+    assert prob_from_log(ml_union_bound_log(p)) == 1.0
     assert ml_union_bound_log(p) > 0.0
 
 
@@ -206,7 +202,7 @@ def test_pairwise_bound_single_entry():
     x_star = np.array([1.0 + 0j, 1.0])
     x_prime = np.array([1.0 + 0j, -1.0])
     # distance d_min = 2 and sigma2 = 1 give rho = 1
-    assert pairwise_error_bound(x_star, x_prime, 1.0, m=3) == pytest.approx(0.5 * 2.0**-3, rel=1e-12)
+    assert prob_from_log(pairwise_error_bound_log(x_star, x_prime, 1.0, m=3)) == pytest.approx(0.5 * 2.0**-3, rel=1e-12)
     assert c.d_min == 2.0
 
 
@@ -214,7 +210,7 @@ def test_pairwise_bound_two_entries():
     x_star = np.array([1.0 + 0j, 1.0, 1.0])
     x_prime = np.array([-1.0 + 0j, -1.0, 1.0])
     # ||diff||^2 = 8 = 2 d_min^2 -> (1/2)(1 + 2 rho)^-m with rho = 1
-    assert pairwise_error_bound(x_star, x_prime, 1.0, m=4) == pytest.approx(0.5 * 3.0**-4, rel=1e-12)
+    assert prob_from_log(pairwise_error_bound_log(x_star, x_prime, 1.0, m=4)) == pytest.approx(0.5 * 3.0**-4, rel=1e-12)
 
 
 def test_pairwise_bound_rejects_identical():
@@ -238,7 +234,7 @@ def test_pairwise_bound_dominates_monte_carlo():
         d_other = np.sum(np.abs(H @ (x_star - x_prime) + v) ** 2, axis=1)
         hits += int(np.sum(d_true >= d_other))
     rate = hits / trials
-    assert rate <= pairwise_error_bound(x_star, x_prime, sigma2, m)
+    assert rate <= prob_from_log(pairwise_error_bound_log(x_star, x_prime, sigma2, m))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +257,9 @@ def test_large_n_bound_value_and_gate():
     log_ratio = mpmath.log(mpmath.mpf(3) / 2)
     oracle = mpmath.mpf(0.5) * (4 + 9 / (2 * log_ratio**2)) * 30 * mpmath.mpf(2) ** -30
     assert float(oracle) == pytest.approx(4.3824e-7, rel=1e-3)
-    assert large_n_union_bound(p) == pytest.approx(float(oracle), rel=1e-10)
+    assert prob_from_log(large_n_union_bound_log(p)) == pytest.approx(float(oracle), rel=1e-10)
 
     below = params(M=4, rho=1.0, m=30, n=20)
-    assert large_n_union_bound(below) is None
     assert large_n_union_bound_log(below) is None
 
 
@@ -288,7 +283,7 @@ def test_large_n_bound_log_space():
 def test_zf_bounds_equal_dims():
     # at m = n the decay exponent is -(m - n + 1) = -1, a single chi-square pair
     p = params(M=16, rho=0.3, m=12, n=12)
-    lo, hi = zf_sep_bounds(p)
+    lo, hi = map(prob_from_log, zf_sep_bounds_log(p))
     assert lo == pytest.approx(1.0 / (math.sqrt(1.5 * math.pi) * 16) / 1.3, rel=1e-12)
     assert hi == pytest.approx(1.0)  # (M-1)/2 / 1.3 = 5.77 clamps to 1
     _, hi_log = zf_sep_bounds_log(p)
@@ -305,7 +300,7 @@ def test_zf_bounds_single_user_matches_ml_shape():
 
 def test_zf_bounds_moderate_system_values():
     p = params(M=16, rho=0.1, m=12, n=4)
-    lo, hi = zf_sep_bounds(p)
+    lo, hi = map(prob_from_log, zf_sep_bounds_log(p))
     oracle_lo = 1 / (16 * mpmath.sqrt(9.5 * mpmath.pi)) * mpmath.mpf(1.1) ** -9
     oracle_hi = mpmath.mpf(7.5) * mpmath.mpf(1.1) ** -9
     assert float(oracle_lo) == pytest.approx(4.85e-3, rel=2e-3)
@@ -318,8 +313,8 @@ def test_zf_bounds_moderate_system_values():
 
 def test_zf_vep_bounds_sandwich_factors():
     p = params(M=16, rho=0.1, m=24, n=8)
-    sep_lo, sep_hi = zf_sep_bounds(p)
-    vep_lo, vep_hi = zf_vep_bounds(p)
+    sep_lo, sep_hi = map(prob_from_log, zf_sep_bounds_log(p))
+    vep_lo, vep_hi = map(prob_from_log, zf_vep_bounds_log(p))
     assert vep_lo == pytest.approx(sep_lo, rel=1e-12)
     assert vep_hi == pytest.approx(min(1.0, 8 * sep_hi), rel=1e-12)
 
@@ -339,8 +334,8 @@ def test_lower_below_union_where_union_nontrivial():
         for n in (1, 2, min(m, 6)):
             for rho in (0.1, 0.5, 1.0, 3.0):
                 p = params(M=4, rho=rho, m=m, n=n)
-                if ml_union_bound(p) < 1.0:
-                    assert ml_lower_bound(p) <= ml_union_bound(p)
+                if prob_from_log(ml_union_bound_log(p)) < 1.0:
+                    assert prob_from_log(ml_lower_bound_log(p)) <= prob_from_log(ml_union_bound_log(p))
 
 
 def test_bounds_monotone_in_m_and_rho():
