@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -369,6 +370,8 @@ def cmd_theory(
     except ConfigValueError as exc:
         raise ConfigError(f"--{exc.key}: {exc}") from exc
     sigma2 = sigma2_from_snr(snr_db, c)
+    if n is not None and delta is not None:
+        raise ConfigError("give exactly one of --n or --delta")
     if m is not None and n is None:
         if delta is None:
             raise ConfigError("--m needs --n or --delta to fix the user count")
@@ -423,6 +426,14 @@ def cmd_theory(
 # fit
 
 
+def _finite(text: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A CSV cell as a finite float in [lo, hi]."""
+    value = float(text)
+    if not (math.isfinite(value) and lo <= value <= hi):
+        raise ValueError(f"{text!r} is not a finite number in [{lo}, {hi}]")
+    return value
+
+
 def _read_curves(csv_path: str) -> tuple[dict[str, VepCurve], dict[str, float]]:
     curves: dict[str, VepCurve] = {}
     refs: dict[str, float] = {}
@@ -443,13 +454,13 @@ def _read_curves(csv_path: str) -> tuple[dict[str, VepCurve], dict[str, float]]:
                     errors=int(row["errors"]),
                     symbol_errors_total=0,
                     user1_errors=0,
-                    vep_hat=float(row["vep"]),
-                    ci_low=float(row["ci_low"]),
-                    ci_high=float(row["ci_high"]),
-                    sep_hat=float(row["sep"]),
+                    vep_hat=_finite(row["vep"], 0.0, 1.0),
+                    ci_low=_finite(row["ci_low"], 0.0, 1.0),
+                    ci_high=_finite(row["ci_high"], 0.0, 1.0),
+                    sep_hat=_finite(row["sep"], 0.0, 1.0),
                 )
-                refs.setdefault("ml", float(row["f_ml_ref"]))
-                refs.setdefault("zf", float(row["f_zf_ref"]))
+                refs.setdefault("ml", _finite(row["f_ml_ref"]))
+                refs.setdefault("zf", _finite(row["f_zf_ref"]))
             except (TypeError, ValueError) as exc:
                 # a short row leaves None in the columns it lacks
                 raise ConfigError(f"{csv_path}:{reader.line_num}: bad value in a result row ({exc})") from exc

@@ -2,8 +2,9 @@
 
 The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
 S^n and is the ground-truth oracle for everything else.  The sphere decoder
-returns the identical decision for square-QAM constellations by exact
-Schnorr-Euchner enumeration of the equivalent real-valued lattice problem.
+returns the identical decision for square-QAM constellations by an exact
+radius-pruned search of the equivalent real-valued lattice problem, run
+layer by layer over a whole stack of systems at once.
 ZF solves the unconstrained least-squares problem by QR and quantizes each
 entry to the nearest symbol.
 
@@ -14,7 +15,6 @@ its one-member case and add the decision's metric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +37,15 @@ ML_PASS_CANDIDATES = 1 << 16
 #: threading), and left both threads spinning into the numpy work around it.
 #: Half that threshold keeps every product on the calling thread.
 ML_PASS_MACS = 1 << 17
+
+#: Partial vectors the sphere search expands per step, over all members of
+#: a stack.  A larger frontier is split into slices searched depth first, so
+#: memory stays bounded when m = n or the SNR is low, and the radius shrinks
+#: sooner: at (m, n) = (4, 4), 16-QAM, 0 dB a 32-member stack took about
+#: 6 ms at 1 << 10 against 9 ms at 1 << 12 and 11 ms at 1 << 14 (2-core VM).
+#: At n = 4, m = 12 a 32-member stack keeps about 620 nodes over all eight
+#: layers, so sweeps there rarely split.
+SPHERE_FRONTIER = 1 << 10
 
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
@@ -221,92 +230,94 @@ def _qam_lattice(c: Constellation) -> tuple[float, np.ndarray, np.ndarray]:
     return scale, levels, table
 
 
-def _sphere_search(R, y, levels):
-    """Exact Schnorr-Euchner search of argmin ||y - R u||^2, u in levels^d.
+def _sphere_stack_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact argmin ||y[k] - R[k] u||^2 over u in levels^d for every member k.
 
-    R is upper triangular with nonzero diagonal.  Levels at each layer are
-    visited in order of distance from the unconstrained (Babai) center, so
-    the first leaf reached is the Babai point and sets the initial radius;
-    the radius then shrinks with every improving leaf.  Returns the best
-    level vector, its squared distance, and the number of leaves visited.
-    R, y and levels are read entry by entry, so nested lists of Python
-    floats (``R.tolist()``) search fastest; arrays give the same result.
+    R (B, d, d) is upper triangular with a nonzero diagonal, y is (B, d) and
+    levels is sorted.  Each member's Babai point (nearest level layer by
+    layer from the last) sets its starting radius.  The search then runs
+    layer by layer from the last over all members at once: every surviving
+    partial vector is expanded by every level, and a child is kept when its
+    partial distance is at most its member's radius.  Partial distances only
+    grow, so every leaf within the radius is reached and the search is
+    exact.  A frontier larger than SPHERE_FRONTIER is sorted by partial
+    distance and searched slice by slice, depth first; a leaf below its
+    member's radius lowers it, so later slices are pruned harder.  A member
+    keeps its Babai point unless a leaf is strictly closer.  Returns the
+    level vectors (B, d) and the number of nodes kept over all layers and
+    members.
     """
-    d = len(R)
-    nlev = len(levels)
-    best_u = None
-    best_dist = math.inf
-    u = [0.0] * d
-    order = [None] * d
-    t = [0] * d
-    acc = [0.0] * d
-    srow = [0.0] * d
-    leaves = 0
-
-    def enter(k: int, dist_above: float) -> None:
-        Rk = R[k]
-        s = 0.0
-        for j in range(k + 1, d):
-            s += Rk[j] * u[j]
-        srow[k] = s
-        center = (y[k] - s) / Rk[k]
-        # sorted is stable: two levels equally far from the center keep their order
-        order[k] = sorted(range(nlev), key=lambda i: abs(levels[i] - center))
-        t[k] = 0
-        acc[k] = dist_above
-
-    k = d - 1
-    enter(k, 0.0)
-    while True:
-        if t[k] >= nlev:
-            k += 1
-            if k >= d:
-                break
-            t[k] += 1
-            continue
-        lev = levels[order[k][t[k]]]
-        e = y[k] - srow[k] - R[k][k] * lev
-        cand = acc[k] + e * e
-        if cand >= best_dist:
-            # remaining levels at this layer are at least as far from the center
-            t[k] = nlev
-            continue
-        u[k] = lev
+    B, d = y.shape
+    diag = [R[:, k, k] for k in range(d)]
+    cols = [R[:, :k, k] for k in range(d)]
+    # a partial vector at layer k is one row: the residual y - R u in columns
+    # 0..k and the levels already chosen in columns k+1..d-1; the Babai
+    # descent does the search's own arithmetic, so its leaf survives the
+    # search with a partial distance equal to the radius
+    radius = np.zeros(B)
+    best = y.copy()
+    for k in range(d - 1, -1, -1):
+        lev = levels[np.abs(best[:, k, None] / diag[k][:, None] - levels).argmin(axis=1)]
+        e = best[:, k] - diag[k] * lev
+        radius = radius + e * e
+        best[:, k] = lev
+        best[:, :k] -= cols[k] * lev[:, None]
+    nodes = 0
+    stack = [(d - 1, np.arange(B), np.zeros(B), y)]
+    while stack:
+        k, member, dist, state = stack.pop()
+        e = state[:, k, None] - diag[k][member, None] * levels
+        cand = dist[:, None] + e * e
+        parent, at = np.nonzero(cand <= radius[member, None])
+        nodes += parent.size
+        member, dist, lev = member[parent], cand[parent, at], levels[at]
+        state = state[parent]
+        state[:, k] = lev
         if k == 0:
-            best_dist = cand
-            best_u = u[:]
-            leaves += 1
-            t[k] += 1
+            # per member, the closest leaf (the first of equals) against the radius
+            order = np.lexsort((dist, member))
+            first = order[np.diff(member[order], prepend=-1) != 0]
+            won = first[dist[first] < radius[member[first]]]
+            radius[member[won]] = dist[won]
+            best[member[won]] = state[won]
             continue
-        k -= 1
-        enter(k, cand)
-    return best_u, best_dist, leaves
+        state[:, :k] -= cols[k][member] * lev[:, None]
+        if member.size > SPHERE_FRONTIER:
+            near = np.argsort(dist, kind="stable")
+            member, dist, state = member[near], dist[near], state[near]
+        for lo in range((member.size - 1) // SPHERE_FRONTIER * SPHERE_FRONTIER, -1, -SPHERE_FRONTIER):
+            hi = lo + SPHERE_FRONTIER
+            stack.append((k - 1, member[lo:hi], dist[lo:hi], state[lo:hi]))
+    return best, nodes
 
 
 def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Square-QAM constellations only.  Each complex system is rewritten as a
-    2m x 2n real lattice problem (stacked real/imaginary parts); one stacked
-    QR gives every member's R and Q^T y, and each member is then searched
-    exactly, so every decision equals :func:`detect_ml_exhaustive_stack`'s.
-    Raises ValueError on non-finite input and LinAlgError when any member is
-    numerically rank deficient.
+    Square-QAM constellations only.  One stacked complex QR gives every
+    member's R and Q^H y.  LAPACK's R has a real diagonal, so in the
+    interleaved real order (Re x_1, Im x_1, Re x_2, ...) the 2n x 2n real
+    matrix of blocks [[Re R_ij, -Im R_ij], [Im R_ij, Re R_ij]] is upper
+    triangular.  The stacked radius-pruned search of that lattice is exact,
+    so every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
+    ties.  Raises ValueError on non-finite input and LinAlgError when any
+    member is numerically rank deficient.
     """
     if c.kind is not ConstellationKind.QAM:
         raise ValueError(f"sphere decoder supports QAM constellations only, got {c.kind.value}")
     H, r = _check_stack(H, r)
     n = H.shape[-1]
     scale, levels, table = _qam_lattice(c)
-    B = np.concatenate(
-        [np.concatenate([H.real, -H.imag], axis=-1), np.concatenate([H.imag, H.real], axis=-1)], axis=-2
-    )
-    R, y = _qr_augmented(B, np.concatenate([r.real, r.imag], axis=-1))
+    R, y = _qr_augmented(H, r)
     # fold the lattice scale into R so the search runs over integer levels
-    lev = levels.tolist()
-    u = [_sphere_search(Rk, yk, lev)[0] for Rk, yk in zip((R * scale).tolist(), y.tolist())]
-    at = np.searchsorted(levels, np.array(u))
-    return table[at[:, :n], at[:, n:]]
+    R = R * scale
+    L = np.empty((len(R), 2 * n, 2 * n))
+    L[:, 0::2, 0::2] = L[:, 1::2, 1::2] = R.real
+    L[:, 1::2, 0::2] = R.imag
+    L[:, 0::2, 1::2] = -R.imag
+    u, _ = _sphere_stack_search(L, np.ascontiguousarray(y).view(np.float64), levels)
+    at = np.searchsorted(levels, u)
+    return table[at[:, 0::2], at[:, 1::2]]
 
 
 def detect_ml_sphere(

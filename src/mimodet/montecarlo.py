@@ -366,9 +366,9 @@ def fit_slope(curve: VepCurve, min_errors: int = 50) -> SlopeFit:
     """
     floor = max(min_errors, 1)
     pts = [p for p in curve.points if p.errors >= floor]
-    if len(pts) < 2:
+    if len({p.m for p in pts}) < 2:
         raise ValueError(
-            f"slope fit needs >= 2 grid points with >= {floor} errors; "
+            f"slope fit needs >= 2 grid points of distinct m with >= {floor} errors; "
             f"got {len(pts)} qualifying point(s) for detector {curve.detector!r}"
         )
     x = np.array([p.m for p in pts], dtype=np.float64)

@@ -274,13 +274,34 @@ def test_fit_csv_missing_column_is_config_error_at_header(tmp_path, capsys):
     assert f"{p}:1: " in err and "missing columns: vep, sep" in err
 
 
-@pytest.mark.parametrize("bad", ["", "many"])
+@pytest.mark.parametrize("bad", ["", "many", "nan", "inf", "1.5", "-0.1"])
 def test_fit_csv_bad_value_is_config_error_at_its_line(tmp_path, capsys, bad):
     rows = [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20, 30)]
     rows[1][CSV_COLUMNS.index("vep")] = bad
     p = synthetic_csv(tmp_path, rows)
     assert main(["fit", "--csv", str(p)]) == 2
     assert f"{p}:3: bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, bad",
+    [("ci_low", "nan"), ("ci_high", "2"), ("sep", "-inf"), ("f_ml_ref", "nan"), ("f_zf_ref", "inf")],
+)
+def test_fit_csv_non_finite_or_out_of_range_float_exits_2(tmp_path, capsys, column, bad):
+    rows = [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20, 30)]
+    rows[2][CSV_COLUMNS.index(column)] = bad
+    p = synthetic_csv(tmp_path, rows)
+    assert main(["fit", "--csv", str(p)]) == 2
+    assert f"{p}:4: bad value" in capsys.readouterr().err
+
+
+def test_fit_points_of_one_m_are_insufficient(tmp_path, capsys):
+    # the same m twice: no slope to fit, so no f_hat=nan line
+    p = synthetic_csv(tmp_path, [make_row(12, "zf", 1000, 100, 0.1)] * 2)
+    assert main(["fit", "--csv", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert "zf: insufficient data" in captured.out and "f_hat" not in captured.out
+    assert "insufficient" in captured.err
 
 
 def test_fit_csv_short_row_is_config_error_at_its_line(tmp_path, capsys):
@@ -409,6 +430,9 @@ def test_theory_bad_flags_are_config_errors(capsys):
     assert "--M: QAM needs M" in capsys.readouterr().err
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", "--m", "4", "--n", "8"]) == 2
     assert "need m >= n >= 1" in capsys.readouterr().err
+    both = ["--m", "48", "--n", "16", "--delta", "0.9"]
+    assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", *both]) == 2
+    assert "exactly one of --n or --delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

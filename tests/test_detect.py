@@ -9,7 +9,7 @@ from mimodet import detect
 from mimodet.channel import sample_instance, sample_stack, substream
 from mimodet.constellation import custom_constellation, make_constellation, nearest_symbols
 from mimodet.detect import (
-    _sphere_search,
+    _sphere_stack_search,
     detect_ml_exhaustive,
     detect_ml_sphere,
     detect_zf,
@@ -148,18 +148,18 @@ def test_sphere_equals_exhaustive_qam64():
 
 
 def test_sphere_noiseless_single_leaf():
-    # exact lattice point: the first (Babai) leaf has distance 0 and nothing
-    # else can open, so exactly one leaf is visited
+    # exact lattice point: the Babai leaf has distance 0 and sets a radius no
+    # other child fits in, so exactly one node per layer is expanded
     rng = substream(108)
     n = 6
     R = np.triu(rng.standard_normal((n, n))) + 3 * np.eye(n)
     levels = np.array([-3.0, -1.0, 1.0, 3.0])
     u_true = levels[rng.integers(0, 4, n)]
     y = R @ u_true
-    u, dist, leaves = _sphere_search(R, y, levels)
-    np.testing.assert_array_equal(u, u_true)
-    assert dist == pytest.approx(0.0, abs=1e-20)
-    assert leaves == 1
+    u, nodes = _sphere_stack_search(R[None], y[None], levels)
+    np.testing.assert_array_equal(u[0], u_true)
+    assert np.sum((y - R @ u[0]) ** 2) == pytest.approx(0.0, abs=1e-20)
+    assert nodes == n
 
 
 def test_sphere_noiseless_instance():
@@ -381,6 +381,23 @@ def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
     one_pass = detect.detect_ml_exhaustive_stack(H, r, QPSK)
     monkeypatch.setattr(detect, "ML_PASS_MACS", macs)
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
+
+
+@pytest.mark.parametrize("m, snr_db", [(4, 0.0), (4, -5.0), (6, -5.0)])
+def test_sphere_stack_equals_exhaustive_large_frontier(m, snr_db):
+    # m = n or low SNR: the Babai radius is loose and the frontier is large
+    H, r = zf_stack_of(64, m, 4, QAM16, 10 ** (-snr_db / 10.0), 153 + m)
+    sphere = detect.detect_ml_sphere_stack(H, r, QAM16)
+    np.testing.assert_array_equal(sphere, detect.detect_ml_exhaustive_stack(H, r, QAM16))
+
+
+@pytest.mark.parametrize("frontier", [1, 3])
+def test_sphere_stack_frontier_slices_match_one_pass(monkeypatch, frontier):
+    H, r = zf_stack_of(32, 4, 4, QAM16, 1.0, 154)
+    monkeypatch.setattr(detect, "SPHERE_FRONTIER", 1 << 30)
+    one_pass = detect.detect_ml_sphere_stack(H, r, QAM16)
+    monkeypatch.setattr(detect, "SPHERE_FRONTIER", frontier)
+    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), one_pass)
 
 
 def test_sphere_stack_rejects_rank_deficient_member():
