@@ -4,12 +4,13 @@ Every trial draws from its own counter-based Philox stream keyed by
 (master_seed, grid-point index, trial index), so any trial's stream can be
 reconstructed independently of worker count or scheduling order.
 :func:`substream` builds one such stream through ``numpy.random.SeedSequence``.
-A sweep instead derives the keys of a whole chunk of trials at once with
-:func:`trial_keys`, which re-implements SeedSequence's hash on vectors, and
-:func:`sample_stack` re-keys one module-level generator per trial.  Symbol
-indices come from raw Philox words by numpy's own rule for ``integers``, and
-a row that rule rejects is drawn again with ``integers`` itself, so both
-routes give the same draws bit for bit.
+A sweep derives a chunk's keys at once with :func:`trial_keys`, which takes
+the (seed, point) pool from numpy's SeedSequence and hashes only the trial
+word and ``generate_state`` on vectors; :func:`sample_stack` re-keys one
+module-level generator per trial.  Symbol indices come from raw Philox words
+by numpy's own rule for ``integers``, and a row that rule rejects is drawn
+again with ``integers`` itself, so both routes give the same draws bit for
+bit.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_consts(first: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and the multiplier of each of four successive hashes from a running constant."""
-    consts = [first]
-    for _ in range(_POOL_SIZE):
-        consts.append(consts[-1] * mult & _MASK32)
+def _hash_consts(first: int, mult: int, done: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiplier of each of four successive hashes, ``done`` hashes after ``first``."""
+    consts = [first * pow(mult, done + k, 1 << 32) & _MASK32 for k in range(_POOL_SIZE + 1)]
     return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
 
 
@@ -53,49 +52,20 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _uint32_words(x: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative integer, as SeedSequence splits it."""
-    if x < 0:
-        raise ValueError(f"seed words must be non-negative, got {x}")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
 @functools.lru_cache(maxsize=64)
 def _point_mixer(master_seed: int, point_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SeedSequence's entropy mixing for (master_seed, point_index), up to the trial word.
 
-    Returns the pool words pre-multiplied by MIX_MULT_L and the xor and
-    multiplier constants the trial word is hashed with into each pool word.
+    SeedSequence mixes entropy words in order and pads the seed to the pool
+    size when a spawn key exists, so numpy's pool for (master_seed,
+    point_index) is each trial's pool before its trial word; each word mixed
+    so far stepped the hash constant four times.  Returns the pool times
+    MIX_MULT_L and the xor and multiplier constants of the trial word's hashes.
     """
-    seed = _uint32_words(master_seed)
-    entropy = seed + [0] * (_POOL_SIZE - len(seed)) + _uint32_words(point_index)
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    left = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)
-    return (left, *_hash_consts(hash_const, _MULT_A))
+    pool = np.random.SeedSequence(master_seed, spawn_key=(point_index,)).pool
+    seed_words, point_words = (max(1, (x.bit_length() + 31) // 32) for x in (master_seed, point_index))
+    words = max(_POOL_SIZE, seed_words) + point_words
+    return (pool * np.uint32(_MIX_MULT_L), *_hash_consts(_INIT_A, _MULT_A, 4 * words))
 
 
 def trial_keys(master_seed: int, point_index: int, trials) -> np.ndarray:
@@ -103,9 +73,9 @@ def trial_keys(master_seed: int, point_index: int, trials) -> np.ndarray:
 
     Row i equals ``SeedSequence(master_seed, spawn_key=(point_index,
     trials[i])).generate_state(2, np.uint64)``, the key of
-    ``substream(master_seed, point_index, trials[i])``.  Only the last
-    entropy word, the trial index, is hashed per trial, so each trial index
-    must fit one uint32 word.
+    ``substream(master_seed, point_index, trials[i])``.  The pool comes from
+    numpy once per point; only the trial word and ``generate_state`` are
+    hashed per trial, so each trial index must fit one uint32 word.
     """
     try:
         t = np.asarray(trials, dtype=np.int64).reshape(-1)
@@ -166,11 +136,16 @@ def sigma2_from_snr(snr_db: float, c: Constellation) -> float:
 
     SNR is defined per user as E[||Hx*||^2] / (n E[||v||^2]), which reduces to
     avg_energy / sigma^2 for i.i.d. uniform symbols; the user count cancels.
-    With unit-energy constellations, SNR = 1/sigma^2.
+    With unit-energy constellations, SNR = 1/sigma^2.  Raises ValueError when
+    sigma^2 overflows, underflows or is otherwise not in (0, inf).
     """
-    if not np.isfinite(c.avg_energy):
-        raise ValueError("constellation average energy must be finite")
-    return float(c.avg_energy / 10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = float(c.avg_energy / 10.0 ** (snr_db / 10.0))
+        if 0.0 < sigma2 < np.inf:
+            return sigma2
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"snr_db = {snr_db} puts the noise variance sigma2 outside (0, inf)")
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,16 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
     return Campaign(name=name, config=config, echo=echo)
 
 
+def _json_object(path: str, pairs: list) -> dict:
+    """One object of a JSON config; a key, section or variant name given twice is a ConfigError."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{path}:1: {key!r} is given twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
     """Parse an INI (key = value with sections) or JSON experiment file.
 
@@ -229,7 +239,7 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
     text = p.read_text()
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=lambda pairs: _json_object(path, pairs))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
         if not isinstance(doc, dict):
@@ -237,7 +247,10 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
         named = doc.pop("variants", {})
         if not isinstance(named, dict):
             raise ConfigError(f'{path}:1: "variants" must be an object of variants')
-        doc.update({f"variant:{name}": items for name, items in named.items()})
+        for name, items in named.items():
+            if f"variant:{name}" in doc:
+                raise ConfigError(f"{path}:1: variant {name!r} is given twice")
+            doc[f"variant:{name}"] = items
         for section, items in doc.items():
             if not isinstance(items, dict):
                 raise ConfigError(f"{path}:1: [{section}] must be an object of keys")
@@ -369,7 +382,10 @@ def cmd_theory(
         c = _build_constellation(kind, M, symbols)
     except ConfigValueError as exc:
         raise ConfigError(f"--{exc.key}: {exc}") from exc
-    sigma2 = sigma2_from_snr(snr_db, c)
+    try:
+        sigma2 = sigma2_from_snr(snr_db, c)
+    except ValueError as exc:
+        raise ConfigError(f"--snr-db: {exc}") from exc
     if n is not None and delta is not None:
         raise ConfigError("give exactly one of --n or --delta")
     if m is not None and n is None:

@@ -47,11 +47,15 @@ class Constellation:
         d = float(dist.min())
         if d == 0.0:
             raise ValueError("constellation symbols must be pairwise distinct")
+        with np.errstate(over="ignore"):  # an energy that overflows is refused below
+            energy = float(np.mean(np.abs(sym) ** 2))
+        if not 0.0 < energy < np.inf:
+            raise ValueError(f"constellation average energy must be finite and positive, got {energy}")
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
         object.__setattr__(self, "M", int(sym.size))
         object.__setattr__(self, "d_min", d)
-        object.__setattr__(self, "avg_energy", float(np.mean(np.abs(sym) ** 2)))
+        object.__setattr__(self, "avg_energy", energy)
 
     def cache_token(self) -> tuple:
         """Hashable identity behind equality and hashing."""

@@ -21,8 +21,7 @@ import numpy as np
 
 from .constellation import Constellation, ConstellationKind, nearest_symbols
 
-#: Refuse exhaustive enumeration beyond this many candidates (M^n).  The
-#: split enumeration also scores at most this many candidates per pass.
+#: Refuse exhaustive enumeration beyond this many candidates (M^n).
 DEFAULT_ML_BUDGET = 1 << 20
 
 #: Candidates the split enumeration scores per pass, over all members of the
@@ -172,11 +171,11 @@ def detect_ml_exhaustive_stack(
     group of members, so every candidate is still scored.  Row-major order
     over (a, b) is the lexicographic order of x, and argmin keeps the first
     minimizer, so ties break to the lexicographically smallest index vector.
-    A pass scores at most ML_PASS_CANDIDATES (and DEFAULT_ML_BUDGET)
-    candidates, which bounds the temporaries whatever budget the caller
-    allows, and its product costs at most ML_PASS_MACS multiply-adds per
-    member, which keeps BLAS on one thread.  Refuses to run when M^n
-    exceeds ``budget`` rather than approximating.
+    A pass scores at most ML_PASS_CANDIDATES candidates, which bounds the
+    temporaries whatever budget the caller allows, and its product costs at
+    most ML_PASS_MACS multiply-adds per member, which keeps BLAS on one
+    thread.  Refuses to run when M^n exceeds ``budget`` rather than
+    approximating.
     """
     H, r = _check_stack(H, r)
     n = H.shape[-1]
@@ -190,9 +189,8 @@ def detect_ml_exhaustive_stack(
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
     A, Bs = c.symbols[ia], c.symbols[ib]
     right = np.concatenate([Bs.real, Bs.imag], axis=1).T
-    per_pass = min(ML_PASS_CANDIDATES, DEFAULT_ML_BUDGET)
-    rows = max(1, min(per_pass // len(ib), ML_PASS_MACS // right.size))
-    group = max(1, per_pass // total)
+    rows = max(1, min(ML_PASS_CANDIDATES // len(ib), ML_PASS_MACS // right.size))
+    group = max(1, ML_PASS_CANDIDATES // total)
     ranks = np.concatenate(
         [_split_ranks(H[lo : lo + group], r[lo : lo + group], A, Bs, right, rows) for lo in range(0, len(H), group)]
     )

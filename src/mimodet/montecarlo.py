@@ -85,8 +85,10 @@ class ExperimentConfig:
                 raise ConfigValueError("detectors", f"unknown detector {d!r}; choose from {DETECTOR_NAMES}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigValueError("detectors", "duplicate detectors in config")
-        if not math.isfinite(self.snr_db):
-            raise ConfigValueError("snr_db", "snr_db must be finite (noiseless sweeps are not meaningful)")
+        try:
+            sigma2_from_snr(self.snr_db, self.constellation)
+        except ValueError as exc:
+            raise ConfigValueError("snr_db", str(exc)) from exc
         if not self.m_grid:
             raise ConfigValueError("m_grid", "m_grid must not be empty")
         if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
@@ -283,8 +285,7 @@ def _overlay(config: ExperimentConfig, m: int, n: int) -> TheoryOverlay:
     c = config.constellation
     p = theory.SystemParams.from_system(c, config.sigma2, m=m, n=n)
     lo_zf, hi_zf = theory.zf_vep_bounds_log(p)
-    delta_family = config.delta if config.delta is not None else 0.0
-    f_ml = theory.antenna_efficiency_ml(p)
+    family = theory.SystemParams.from_system(c, config.sigma2, delta=config.delta or 0.0)  # fixed n: delta 0
     return TheoryOverlay(
         m=m,
         n=n,
@@ -292,8 +293,8 @@ def _overlay(config: ExperimentConfig, m: int, n: int) -> TheoryOverlay:
         log_ml_union=theory.ml_union_bound_log(p),
         log_zf_vep_lower=lo_zf,
         log_zf_vep_upper=hi_zf,
-        f_ml_ref=f_ml,
-        f_zf_ref=(1.0 - delta_family) * f_ml,
+        f_ml_ref=theory.antenna_efficiency_ml(p),
+        f_zf_ref=theory.antenna_efficiency_zf(family),
     )
 
 

@@ -30,6 +30,13 @@ def test_sigma2_from_snr_scales_with_energy():
     assert sigma2_from_snr(0.0, c) == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("inf"), float("nan")])
+def test_sigma2_outside_open_range_rejected(snr_db):
+    # 10**400 overflows and 10**-400 underflows to a zero divisor
+    with pytest.raises(ValueError, match=r"outside \(0, inf\)"):
+        sigma2_from_snr(snr_db, make_constellation("qam", 16))
+
+
 def test_entry_second_moment():
     # H is the first draw of a stream
     H = sample_instance(1000, 1000, QPSK, 1.0, substream(11, 0)).H
@@ -135,7 +142,8 @@ def test_rejected_rows_are_redrawn_to_the_same_draws(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
-KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20260809)
+# 2**200 + 7 has seven words, more than the pool of four
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20260809, 2**200 + 7)
 KEY_POINTS = (0, 1, 2, 3, 4, 5, 2**32 + 1)
 
 
@@ -174,6 +182,12 @@ def test_rekeyed_generator_state_equals_substream():
             assert plain_state(rng) == plain_state(ref)
             np.testing.assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
             assert plain_state(rng) == plain_state(ref)
+
+
+@pytest.mark.parametrize("seed, point", [(-1, 0), (-(2**70), 3), (3, -1)])
+def test_negative_seed_or_point_rejected(seed, point):
+    with pytest.raises(ValueError):
+        trial_keys(seed, point, [0])
 
 
 @pytest.mark.parametrize("trial", [2**32, -1, 2**64])

@@ -350,10 +350,15 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         ("master_seed = 42", "master_seed = -3", 11, "master_seed must be >= 0"),
         ("M = 16", "M = 15", 3, "QAM needs M an even power of two"),
         ("kind = qam\nM = 16", "kind = custom\nsymbols = 1,0; -1", 3, "symbols must be re,im pairs"),
+        ("snr_db = 0", "snr_db = 4000", 7, "noise variance sigma2 outside (0, inf)"),
+        ("snr_db = 0", "snr_db = -4000", 7, "noise variance sigma2 outside (0, inf)"),
+        ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e200,0; -1e200,0", 3, "energy must be finite and positive"),
+        ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e-170,0; -1e-170,0", 3, "energy must be finite and positive"),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
-        "qam-M", "symbols",
+        "qam-M", "symbols", "snr-sigma2-underflow", "snr-sigma2-overflow", "symbols-infinite-energy",
+        "symbols-zero-energy",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):
@@ -410,6 +415,28 @@ def test_json_non_object_section_exits_2(tmp_path, capsys, extra, message):
     assert f"{p}:1: {message}" in capsys.readouterr().err
 
 
+JSON_TEXT = json.dumps(JSON_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (JSON_TEXT.replace('"trials": 300', '"trials": 64, "trials": 300'), "'trials' is given twice"),
+        (JSON_TEXT[:-1] + ', "constellation": {"kind": "psk", "M": 8}}', "'constellation' is given twice"),
+        (JSON_TEXT[:-1] + ', "variants": {"v": {"trials": 8}, "v": {"trials": 16}}}', "'v' is given twice"),
+        (JSON_TEXT[:-1] + ', "variant:v": {"trials": 8}, "variants": {"v": {}}}', "variant 'v' is given twice"),
+    ],
+    ids=["key", "section", "variant", "variant-section"],
+)
+def test_json_duplicate_name_exits_2(tmp_path, capsys, text, message):
+    p = tmp_path / "dup.json"
+    p.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert f"{p}:1: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_config_block_names_every_key():
     """The README's config example names each key of the schema, in its own base section."""
     from mimodet.cli import KEYS
@@ -433,6 +460,12 @@ def test_theory_bad_flags_are_config_errors(capsys):
     both = ["--m", "48", "--n", "16", "--delta", "0.9"]
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", *both]) == 2
     assert "exactly one of --n or --delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_theory_snr_out_of_range_is_config_error(capsys, snr_db):
+    assert main(["theory", "--kind", "qam", "--M", "16", f"--snr-db={snr_db}", "--delta", "0.25"]) == 2
+    assert "--snr-db: snr_db = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

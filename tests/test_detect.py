@@ -111,13 +111,13 @@ def test_split_ml_exact_tie_breaks_to_first_candidate(monkeypatch):
     out = detect_ml_exhaustive(H, r, QPSK)
     np.testing.assert_array_equal(out.x_hat, np.zeros(5, dtype=np.int64))
     # the same when the cross term is scored in many row blocks
-    monkeypatch.setattr(detect, "DEFAULT_ML_BUDGET", 16)
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 16)
     np.testing.assert_array_equal(detect_ml_exhaustive(H, r, QPSK).x_hat, np.zeros(5, dtype=np.int64))
 
 
 def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
     # one row of the first half per pass: 16 passes over 4^3 second halves
-    monkeypatch.setattr(detect, "DEFAULT_ML_BUDGET", 16)
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 16)
     for trial in range(20):
         inst = sample_instance(7, 5, QPSK, 1.5, substream(127, trial))
         out = detect_ml_exhaustive(inst.H, inst.r, QPSK)
