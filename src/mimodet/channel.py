@@ -4,7 +4,7 @@ Every trial draws from its own counter-based Philox stream keyed by
 (master_seed, grid-point index, trial index), so any trial's stream can be
 reconstructed independently of worker count or scheduling order.
 :func:`substream` builds one such stream through ``numpy.random.SeedSequence``.
-A sweep derives a chunk's keys at once with :func:`trial_keys`, which takes
+A sweep derives a block's keys at once with :func:`trial_keys`, which takes
 the (seed, point) pool from numpy's SeedSequence and hashes only the trial
 word and ``generate_state`` on vectors; :func:`sample_stack` re-keys one
 module-level generator per trial.  Symbol indices come from raw Philox words

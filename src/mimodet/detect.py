@@ -5,8 +5,10 @@ S^n and is the ground-truth oracle for everything else.  The sphere decoder
 returns the identical decision for square-QAM constellations by an exact
 radius-pruned search of the equivalent real-valued lattice problem, run
 layer by layer over a whole stack of systems at once.
-ZF solves the unconstrained least-squares problem by QR and quantizes each
-entry to the nearest symbol.
+ZF solves the normal equations (H^H H) x = H^H r of the unconstrained
+least-squares problem, after a Cholesky check of H^H H, and quantizes each
+entry to the nearest symbol; a stack whose Gram matrix is too ill
+conditioned for that is solved by QR instead.
 
 Each detector has one implementation, for a stack of systems H (B, m, n),
 r (B, m) (``detect_*_stack``); the per-instance ``detect_*`` functions are
@@ -48,6 +50,14 @@ SPHERE_FRONTIER = 1 << 10
 
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
+
+#: ZF solves a stack by its Gram matrix G = H^H H only when every member's
+#: min/max Cholesky pivot is at least this, and by QR (and RANK_TOLERANCE)
+#: otherwise.  G's pivots are the |R_kk| of H's QR, but forming G rounds its
+#: entries by about eps * max|R_kk|^2, so pivot ratios near sqrt(eps) = 1.5e-8
+#: drown in rounding and cannot be told apart from RANK_TOLERANCE.  At 1e-5
+#: the Gram solve's error, about eps / ratio^2, is at most about 2e-6 of |x|.
+GRAM_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -332,12 +342,29 @@ def detect_ml_sphere(
 
 
 def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and R.
+    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and U.
 
-    One QR factorization per member (H[k] = Q R), then x_tilde solves
-    R x = Q^H r by back-substitution over the stack.  Raises LinAlgError if
-    any member is numerically rank deficient.
+    U[k] is upper triangular with U[k]^H U[k] = H[k]^H H[k].  The stack is
+    solved by the normal equations: G = H^H H and y = H^H r from two
+    stacked products, a stacked Cholesky factorization of G as U and its
+    rank check, then one stacked solve of G x = y.  When the factorization
+    fails, or any member's min/max pivot of U falls below GRAM_TOLERANCE,
+    the whole stack is solved by QR instead (H[k] = Q R, U = R), whose
+    RANK_TOLERANCE check raises LinAlgError for a numerically rank
+    deficient member.
     """
+    Hh = H.conj().swapaxes(-1, -2)
+    G = Hh @ H
+    y = Hh @ r[..., None]
+    try:
+        U = np.linalg.cholesky(G, upper=True)
+        pivots = np.diagonal(U, axis1=-2, axis2=-1).real
+        hi = pivots.max(axis=-1)
+        # an infinite pivot (G overflowed) also falls back
+        if np.all((pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)):
+            return np.linalg.solve(G, y)[..., 0], U
+    except np.linalg.LinAlgError:
+        pass
     R, y = _qr_augmented(H, r)
     # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
     # solve swaps no rows and leaves R as it is: what remains is LAPACK's
@@ -361,15 +388,17 @@ def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
     """Least-squares decorrelation x_tilde = argmin ||H x - r||^2 plus gamma.
 
     Takes one system (H (m, n), r (m,)) or a stack (H (..., m, n),
-    r (..., m)); x_tilde and gamma then have shape (..., n).  Solved through
-    the QR factorization of H; the explicit Gram inverse is never formed (it
-    exists only as a test oracle).  gamma[j] is obtained from the squared row
-    norms of R^-1, which a stacked solve of the triangular R forms.
+    r (..., m)); x_tilde and gamma then have shape (..., n).  Solved as
+    :func:`detect_zf_stack` solves, by the normal equations or, for an ill
+    conditioned stack, by QR; the explicit Gram inverse is never formed (it
+    exists only as a test oracle).  With U^H U = H^H H, (H^H H)^-1 =
+    U^-1 U^-H, so gamma[j] is the inverse squared norm of row j of U^-1,
+    which a stacked solve of the triangular U forms.
     """
     H, r = _check_stack(H, r, ndim=None)
-    x_tilde, R = _zf_solve(H, r)
-    Rinv = np.linalg.solve(R, np.eye(H.shape[-1], dtype=np.complex128))
-    gamma = 1.0 / np.sum(np.abs(Rinv) ** 2, axis=-1)
+    x_tilde, U = _zf_solve(H, r)
+    Uinv = np.linalg.solve(U, np.eye(H.shape[-1], dtype=np.complex128))
+    gamma = 1.0 / np.sum(np.abs(Uinv) ** 2, axis=-1)
     return ZfIntermediate(x_tilde=x_tilde, gamma=gamma)
 
 

@@ -6,9 +6,9 @@ Every trial owns a private counter-based random stream keyed by
 are computed (serially or by one pool ``map``), their integer counts summed
 in chunk order, and the adaptive stop checked at the block's end.  Sweep
 output is therefore a pure function of the config, independent of worker
-count and scheduling, and no chunk is computed past a stop.  A chunk's
-stream keys are derived at once, and its trials are sampled and detected as
-stacked arrays.
+count and scheduling, and no chunk is computed past a stop.  A block's
+stream keys are derived at once, and each chunk's trials are sampled and
+detected as stacked arrays.
 """
 
 from __future__ import annotations
@@ -224,17 +224,15 @@ def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig)
     return detect_ml_sphere_stack(H, r, c)
 
 
-def _chunk_counts(config: ExperimentConfig, point_index: int, start: int, stop: int) -> np.ndarray:
-    """Integer error counts for trials [start, stop) at one grid point.
+def _chunk_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) -> np.ndarray:
+    """Integer error counts for the trials of Philox ``keys`` at one grid point.
 
     Row k belongs to ``config.detectors[k]`` and holds its vector errors,
-    symbol errors and user-1 errors.  The trials' Philox keys are derived
-    at once and the trials are sampled and detected as one stack, each
-    drawing from its own stream.
+    symbol errors and user-1 errors.  The trials are sampled and detected
+    as one stack, each drawing from its own stream.
     """
     m = config.m_grid[point_index]
     n = config.users_for(m)
-    keys = trial_keys(config.master_seed, point_index, np.arange(start, stop))
     H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys)
     counts = np.empty((len(config.detectors), 3), dtype=np.int64)
     for k, det in enumerate(config.detectors):
@@ -252,24 +250,26 @@ def _init_worker(config: ExperimentConfig) -> None:
     _WORKER_CONFIG = config
 
 
-def _worker_counts(task: tuple[int, int, int]) -> np.ndarray:
-    """``_chunk_counts`` of a pool task (point_index, start, stop) under the worker's config."""
+def _worker_counts(task: tuple[int, np.ndarray]) -> np.ndarray:
+    """``_chunk_counts`` of a pool task (point_index, keys) under the worker's config."""
     return _chunk_counts(_WORKER_CONFIG, *task)
 
 
 def _run_point(config: ExperimentConfig, point_index: int, pool) -> tuple[int, np.ndarray]:
     """Trials used and summed ``_chunk_counts`` of one grid point; stop early when allowed.
 
-    The point runs one TRIAL_BLOCK block at a time.  A block's chunk tasks
-    are computed in a list when serial, or by one ``pool.map`` whose workers
-    hold the config, and summed in chunk order.  The stop rule is applied
-    at each block's end, so the stop is the same for every worker count and
-    no chunk past it is ever computed.
+    The point runs one TRIAL_BLOCK block at a time.  The block's Philox
+    keys are derived at once, and each chunk task carries its slice of them.
+    The tasks are computed in a list when serial, or by one ``pool.map``
+    whose workers hold the config, and summed in chunk order.  The stop rule
+    is applied at each block's end, so the stop is the same for every worker
+    count and no chunk past it is ever computed.
     """
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
     for block in range(0, config.trials, TRIAL_BLOCK):
         end = min(block + TRIAL_BLOCK, config.trials)
-        tasks = [(point_index, lo, min(lo + TRIAL_CHUNK, end)) for lo in range(block, end, TRIAL_CHUNK)]
+        keys = trial_keys(config.master_seed, point_index, np.arange(block, end))
+        tasks = [(point_index, keys[lo : lo + TRIAL_CHUNK]) for lo in range(0, end - block, TRIAL_CHUNK)]
         if pool is None:
             results = [_chunk_counts(config, *task) for task in tasks]
         else:

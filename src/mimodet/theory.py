@@ -175,7 +175,9 @@ def large_n_threshold(rho: float, M: int) -> float:
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
     a = max(4.0 * (M - 1), 2.0 * math.sqrt(2.0 * math.e * (M - 1))) * (1.0 + 1.0 / rho)
-    b = 0.5 * (2.0 + 1.0 / rho) ** 2
+    # a float product saturates to inf at tiny rho, where ** would raise OverflowError
+    t = 2.0 + 1.0 / rho
+    b = 0.5 * t * t
     c = (2.0 * math.sqrt(2.0) + 2.0) / rho
     return max(a, b, c)
 

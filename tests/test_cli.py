@@ -212,6 +212,14 @@ def test_theory_with_dimensions_prints_bounds(capsys):
     assert float(fields["ml_union_bound"]) == 1.0  # clamped at this tiny size
 
 
+@pytest.mark.parametrize("users", [["--n", "4"], ["--delta", "0.25"]])
+def test_theory_at_vanishing_snr_prints_an_infinite_threshold(capsys, users):
+    assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "-3000", "--m", "12", *users]) == 0
+    fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert fields["large_n_threshold"] == "inf"
+    assert "not-applicable" in fields["large_n_union_bound"]
+
+
 def test_theory_missing_dimensions_is_config_error(capsys):
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0"]) == 2
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", "--m", "12"]) == 2

@@ -259,6 +259,45 @@ def test_zf_stack_rejects_bad_members():
             detect_zf_stack(H, r_bad, QAM16)
 
 
+@pytest.mark.parametrize("m, n", [(48, 16), (12, 4), (8, 8)])
+def test_zf_gram_route_matches_least_squares_oracle(monkeypatch, m, n):
+    qr_stacks = []
+    qr = detect._qr_augmented
+    monkeypatch.setattr(detect, "_qr_augmented", lambda B, y: qr_stacks.append(len(B)) or qr(B, y))
+    H, r = zf_stack_of(32, m, n, QAM16, 1.0, 160 + n)
+
+    def lstsq_decisions(H):
+        return np.stack([nearest_symbols(QAM16, np.linalg.lstsq(h, y, rcond=None)[0]) for h, y in zip(H, r)])
+
+    np.testing.assert_array_equal(detect_zf_stack(H, r, QAM16), lstsq_decisions(H))
+    assert qr_stacks == []  # the normal equations, no QR
+    z = substream(161, n).standard_normal((m, 2))
+    noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+    def near_dependent(eps):
+        ill = H.copy()
+        ill[5, :, 1] = ill[5, :, 0] + eps * noise
+        return ill
+
+    # one member's pivot ratio near 1e-6: the whole stack falls back to QR
+    ill = near_dependent(1e-6)
+    np.testing.assert_array_equal(detect_zf_stack(ill, r, QAM16), lstsq_decisions(ill))
+    assert qr_stacks == [32]
+    # near 1e-12 QR's rank check refuses it
+    with pytest.raises(np.linalg.LinAlgError):
+        detect_zf_stack(near_dependent(1e-12), r, QAM16)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+@pytest.mark.parametrize("n", [1, 3])
+def test_zf_falls_back_when_the_gram_matrix_leaves_float_range(n, scale):
+    # H^H H overflows to inf or underflows to 0; QR scales its norms and still solves
+    H = scale * substream(162, n).standard_normal((6, n))
+    x = np.arange(1, n + 1) * (1.0 - 0.5j)
+    np.testing.assert_allclose(zf_decorrelate(H, H @ x).x_tilde, x, rtol=1e-9)
+
+
 def test_zf_noiseless_detection():
     for trial in range(20):
         inst = sample_instance(6, 3, QAM16, 0.0, substream(117, trial))

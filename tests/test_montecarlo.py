@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimodet
-from mimodet.channel import sample_instance, substream
+from mimodet.channel import sample_instance, substream, trial_keys
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
@@ -172,7 +172,7 @@ def test_run_trial_all_detectors_see_same_instance():
     cfg = base_config(detectors=("zf", "ml-exhaustive"), snr_db=-3.0, m_grid=(8, 12))
     # the sweep's one-trial chunk at point index 1, trial 9, against each
     # detector run directly on the instance of that keyed stream
-    counts = _chunk_counts(cfg, 1, 9, 10)
+    counts = _chunk_counts(cfg, 1, trial_keys(cfg.master_seed, 1, [9]))
     inst = sample_instance(12, 2, QAM16, cfg.sigma2, substream(7, 1, 9))
     for k, x_hat in enumerate(
         (detect_zf(inst.H, inst.r, QAM16).x_hat, detect_ml_exhaustive(inst.H, inst.r, QAM16).x_hat)
@@ -317,7 +317,7 @@ class RecordingPool:
 def test_chunk_dispatch_bounds_work_past_the_stop(stop_block):
     probe = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0)
     # the point's errors after stop_block blocks, as the stop target
-    target = int(_chunk_counts(probe, 0, 0, stop_block * TRIAL_BLOCK)[0, 0])
+    target = int(_chunk_counts(probe, 0, trial_keys(probe.master_seed, 0, range(stop_block * TRIAL_BLOCK)))[0, 0])
     cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0, target_errors=target)
     serial_trials, serial_totals = _run_point(cfg, 0, None)
     assert serial_trials == stop_block * TRIAL_BLOCK  # stops after stop_block of eight blocks
@@ -325,14 +325,13 @@ def test_chunk_dispatch_bounds_work_past_the_stop(stop_block):
     trials, totals = _run_point(cfg, 0, pool)
     assert trials == serial_trials
     np.testing.assert_array_equal(totals, serial_totals)
-    # one map per block, holding that block's (point_index, start, stop) chunk tasks in order;
-    # the config reaches workers once, at start-up
-    assert pool.calls == [
-        [(0, lo, lo + TRIAL_CHUNK) for lo in range(block, block + TRIAL_BLOCK, TRIAL_CHUNK)]
-        for block in range(0, serial_trials, TRIAL_BLOCK)
-    ]
-    past_stop = sum(start >= serial_trials for call in pool.calls for _, start, _ in call)
-    assert past_stop == 0
+    # one map per block, holding that block's (point_index, keys) chunk tasks in order, each
+    # with its chunk's slice of the keys; the config reaches workers once, at start-up
+    assert [len(call) for call in pool.calls] == [TRIAL_BLOCK // TRIAL_CHUNK] * stop_block
+    assert all(point == 0 and len(keys) == TRIAL_CHUNK for call in pool.calls for point, keys in call)
+    # so no trial past the stop is computed
+    sent = np.concatenate([keys for call in pool.calls for _, keys in call])
+    np.testing.assert_array_equal(sent, trial_keys(cfg.master_seed, 0, range(serial_trials)))
 
 
 def test_sweep_counting_identity_zf():

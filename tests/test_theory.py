@@ -251,6 +251,12 @@ def test_large_n_threshold_values():
     assert large_n_threshold(0.1, 2) == pytest.approx(expected, rel=1e-12)
 
 
+def test_large_n_threshold_saturates_at_tiny_rho():
+    # rho = 1e-301 is 16-QAM at a valid -3000 dB; (2 + 1/rho)^2 exceeds the float range
+    assert large_n_threshold(1e-301, 16) == math.inf
+    assert large_n_union_bound_log(params(M=16, rho=1e-301, m=12, n=4)) is None
+
+
 def test_large_n_bound_value_and_gate():
     p = params(M=4, rho=1.0, m=30, n=30)
     # threshold is 24, so n = 30 qualifies
