@@ -7,7 +7,7 @@ radius-pruned search of the equivalent real-valued lattice problem, run
 layer by layer over a whole stack of systems at once.
 ZF solves the normal equations (H^H H) x = H^H r of the unconstrained
 least-squares problem, after a Cholesky check of H^H H, and quantizes each
-entry to the nearest symbol; a stack whose Gram matrix is too ill
+entry to the nearest symbol; a member whose Gram matrix is too ill
 conditioned for that is solved by QR instead.
 
 Each detector has one implementation, for a stack of systems H (B, m, n),
@@ -51,8 +51,8 @@ SPHERE_FRONTIER = 1 << 10
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
 
-#: ZF solves a stack by its Gram matrix G = H^H H only when every member's
-#: min/max Cholesky pivot is at least this, and by QR (and RANK_TOLERANCE)
+#: ZF solves a member by its Gram matrix G = H^H H only when its min/max
+#: Cholesky pivot is at least this, and by QR (and RANK_TOLERANCE)
 #: otherwise.  G's pivots are the |R_kk| of H's QR, but forming G rounds its
 #: entries by about eps * max|R_kk|^2, so pivot ratios near sqrt(eps) = 1.5e-8
 #: drown in rounding and cannot be told apart from RANK_TOLERANCE.  At 1e-5
@@ -341,36 +341,57 @@ def detect_ml_sphere(
     return _one_member("ml-sphere", detect_ml_sphere_stack, H, r, c)
 
 
-def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and U.
+def _gram_cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L (L L^H = G) of each member of G (..., n, n).
 
-    U[k] is upper triangular with U[k]^H U[k] = H[k]^H H[k].  The stack is
-    solved by the normal equations: G = H^H H and y = H^H r from two
-    stacked products, a stacked Cholesky factorization of G as U and its
-    rank check, then one stacked solve of G x = y.  When the factorization
-    fails, or any member's min/max pivot of U falls below GRAM_TOLERANCE,
-    the whole stack is solved by QR instead (H[k] = Q R, U = R), whose
-    RANK_TOLERANCE check raises LinAlgError for a numerically rank
-    deficient member.
+    A member whose factorization fails gets NaN in place of its factor, so
+    one failing member leaves the other members' factors as they are.
+    """
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.full_like(G, np.nan)
+        for k in np.ndindex(G.shape[:-2]):
+            try:
+                L[k] = np.linalg.cholesky(G[k])
+            except np.linalg.LinAlgError:
+                pass
+        return L
+
+
+def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and L.
+
+    L[k] is lower triangular with L[k] L[k]^H = H[k]^H H[k].  Each member is
+    solved by the normal equations: G = H^H H and y = H^H r from two stacked
+    products, a stacked Cholesky factorization of G as L and its rank check,
+    then one stacked solve of G x = y.  A member whose factorization fails,
+    or whose min/max pivot of L falls below GRAM_TOLERANCE, is solved by QR
+    instead (H[k] = Q R, L[k] = R^H), whose RANK_TOLERANCE check raises
+    LinAlgError for a numerically rank deficient member.  The route a member
+    takes depends on that member's H alone.
     """
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
     y = Hh @ r[..., None]
-    try:
-        U = np.linalg.cholesky(G, upper=True)
-        pivots = np.diagonal(U, axis1=-2, axis2=-1).real
-        hi = pivots.max(axis=-1)
-        # an infinite pivot (G overflowed) also falls back
-        if np.all((pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)):
-            return np.linalg.solve(G, y)[..., 0], U
-    except np.linalg.LinAlgError:
-        pass
-    R, y = _qr_augmented(H, r)
+    L = _gram_cholesky(G)
+    pivots = np.diagonal(L, axis1=-2, axis2=-1).real
+    hi = pivots.max(axis=-1)
+    # a NaN pivot (failed factorization) or an infinite one (G overflowed) fails this too
+    gram = (pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)
+    if np.all(gram):
+        return np.linalg.solve(G, y)[..., 0], L
+    x = np.empty(r.shape[:-1] + H.shape[-1:], dtype=np.complex128)
+    if np.any(gram):
+        x[gram] = np.linalg.solve(G[gram], y[gram])[..., 0]
+    qr = ~gram
+    R, z = _qr_augmented(H[qr], r[qr])
     # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
     # solve swaps no rows and leaves R as it is: what remains is LAPACK's
     # back-substitution, run per member in one call.
-    x = np.linalg.solve(R, y[..., None])[..., 0]
-    return x, R
+    x[qr] = np.linalg.solve(R, z[..., None])[..., 0]
+    L[qr] = R.conj().swapaxes(-1, -2)
+    return x, L
 
 
 def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
@@ -390,15 +411,15 @@ def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
     Takes one system (H (m, n), r (m,)) or a stack (H (..., m, n),
     r (..., m)); x_tilde and gamma then have shape (..., n).  Solved as
     :func:`detect_zf_stack` solves, by the normal equations or, for an ill
-    conditioned stack, by QR; the explicit Gram inverse is never formed (it
-    exists only as a test oracle).  With U^H U = H^H H, (H^H H)^-1 =
-    U^-1 U^-H, so gamma[j] is the inverse squared norm of row j of U^-1,
-    which a stacked solve of the triangular U forms.
+    conditioned member, by QR; the explicit Gram inverse is never formed (it
+    exists only as a test oracle).  With L L^H = H^H H, (H^H H)^-1 =
+    L^-H L^-1, so gamma[j] is the inverse squared norm of column j of L^-1,
+    which a stacked solve of the triangular L forms.
     """
     H, r = _check_stack(H, r, ndim=None)
-    x_tilde, U = _zf_solve(H, r)
-    Uinv = np.linalg.solve(U, np.eye(H.shape[-1], dtype=np.complex128))
-    gamma = 1.0 / np.sum(np.abs(Uinv) ** 2, axis=-1)
+    x_tilde, L = _zf_solve(H, r)
+    Linv = np.linalg.solve(L, np.eye(H.shape[-1], dtype=np.complex128))
+    gamma = 1.0 / np.sum(np.abs(Linv) ** 2, axis=-2)
     return ZfIntermediate(x_tilde=x_tilde, gamma=gamma)
 
 

@@ -279,10 +279,14 @@ def test_zf_gram_route_matches_least_squares_oracle(monkeypatch, m, n):
         ill[5, :, 1] = ill[5, :, 0] + eps * noise
         return ill
 
-    # one member's pivot ratio near 1e-6: the whole stack falls back to QR
-    ill = near_dependent(1e-6)
-    np.testing.assert_array_equal(detect_zf_stack(ill, r, QAM16), lstsq_decisions(ill))
-    assert qr_stacks == [32]
+    # one member's pivot ratio near 1e-6 (Cholesky succeeds) or 1e-9 (it fails): that member
+    # alone falls back to QR, and every member is solved as it is on its own
+    for eps in (1e-6, 1e-9):
+        ill = near_dependent(eps)
+        np.testing.assert_array_equal(detect_zf_stack(ill, r, QAM16), lstsq_decisions(ill))
+        stacked = zf_decorrelate(ill, r).x_tilde
+        np.testing.assert_array_equal(stacked, [zf_decorrelate(h, y).x_tilde for h, y in zip(ill, r)])
+    assert qr_stacks == [1] * 6  # member 5 only: one stacked ZF, one stacked and one single decorrelation per eps
     # near 1e-12 QR's rank check refuses it
     with pytest.raises(np.linalg.LinAlgError):
         detect_zf_stack(near_dependent(1e-12), r, QAM16)
