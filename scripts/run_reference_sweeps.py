@@ -3,13 +3,14 @@
 
 Writes one CSV per campaign under results/ plus a manifest per config, then
 prints the fitted antenna efficiency next to the closed-form reference for
-every produced CSV.  Figures can be reproduced by plotting ln(vep) against m
-from the CSVs (the log_theory_* columns carry the bound overlays).
+every CSV that manifest names.  Figures can be reproduced by plotting ln(vep)
+against m from the CSVs (the log_theory_* columns carry the bound overlays).
 
 Usage: python scripts/run_reference_sweeps.py [--threads K] [--out-dir results]
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -35,9 +36,11 @@ def main() -> int:
         status = cmd_sweep(str(config), str(out), threads=args.threads)
         if status != 0:
             return status
-        for csv_path in sorted(out_dir.glob(config.stem + "*.csv")):
-            print(f"--- fit {csv_path.name} ---")
-            cmd_fit(str(csv_path))
+        # fit the CSVs this sweep wrote, never one an earlier run left in out_dir
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        for campaign in manifest["campaigns"]:
+            print(f"--- fit {campaign['csv']} ---")
+            cmd_fit(str(out_dir / campaign["csv"]))
     return 0
 
 

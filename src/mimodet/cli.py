@@ -28,7 +28,8 @@ from . import __version__, theory
 from .channel import sigma2_from_snr
 from .constellation import Constellation, ConstellationKind, custom_constellation, make_constellation
 from .montecarlo import (
-    ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, fit_slope, sweep, users_for_ratio,
+    ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope, sweep,
+    users_for_ratio,
 )
 
 CSV_COLUMNS = [
@@ -268,6 +269,8 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
     for section in variants:
         if not section.startswith("variant:"):
             raise ConfigError(f"{at(section)}: unknown section [{section}]")
+        if section == "variant:" or "/" in section or "\\" in section:  # the name is part of a CSV file name
+            raise ConfigError(f"{at(section)}: a variant name must be non-empty, without '/' or '\\': [{section}]")
     campaigns = [_campaign("", doc, BASE_SECTIONS, at, seed_override)]
     for section in variants:
         campaigns.append(_campaign(section.split(":", 1)[1], doc, (*BASE_SECTIONS, section), at, seed_override))
@@ -278,10 +281,23 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
 # sweep
 
 
+def _theory_cells(config: ExperimentConfig, m: int, n: int) -> list[str]:
+    """The closed-form cells of one grid point, in the order of the CSV's theory_* to log_theory_* columns."""
+    c = config.constellation
+    p = theory.SystemParams.from_system(c, config.sigma2, m=m, n=n)
+    logs = (theory.ml_lower_bound_log(p), theory.ml_union_bound_log(p), *theory.zf_vep_bounds_log(p))
+    family = theory.SystemParams.from_system(c, config.sigma2, delta=config.delta or 0.0)  # fixed n: delta 0
+    return [
+        *(_prob(theory.prob_from_log(log_p)) for log_p in logs),
+        _fmt(theory.antenna_efficiency_ml(p)),
+        _fmt(theory.antenna_efficiency_zf(family)),
+        *(_prob(log_p) for log_p in logs),
+    ]
+
+
 def _csv_rows(result: SweepResult):
-    overlays = {(o.m, o.n): o for o in result.overlays}
     for point_idx, (m, n) in enumerate(result.config.grid_points()):
-        o = overlays[(m, n)]
+        cells = _theory_cells(result.config, m, n)
         for det in result.config.detectors:
             pt: PointStats = result.curves[det].points[point_idx]
             yield [
@@ -294,16 +310,7 @@ def _csv_rows(result: SweepResult):
                 _prob(pt.ci_low),
                 _prob(pt.ci_high),
                 _prob(pt.sep_hat),
-                _prob(theory.prob_from_log(o.log_ml_lower)),
-                _prob(theory.prob_from_log(o.log_ml_union)),
-                _prob(theory.prob_from_log(o.log_zf_vep_lower)),
-                _prob(theory.prob_from_log(o.log_zf_vep_upper)),
-                _fmt(o.f_ml_ref),
-                _fmt(o.f_zf_ref),
-                _prob(o.log_ml_lower),
-                _prob(o.log_ml_union),
-                _prob(o.log_zf_vep_lower),
-                _prob(o.log_zf_vep_upper),
+                *cells,
             ]
 
 
@@ -463,11 +470,13 @@ def _read_curves(csv_path: str) -> tuple[dict[str, VepCurve], dict[str, float]]:
             det = row["detector"]
             curve = curves.setdefault(det, VepCurve(detector=det))
             try:
+                trials, errors = int(row["trials"]), int(row["errors"])
+                estimate_vep(errors, trials)  # refuses trials < 1 and errors outside [0, trials]
                 point = PointStats(
                     m=int(row["m"]),
                     n=int(row["n"]),
-                    trials=int(row["trials"]),
-                    errors=int(row["errors"]),
+                    trials=trials,
+                    errors=errors,
                     symbol_errors_total=0,
                     user1_errors=0,
                     vep_hat=_finite(row["vep"], 0.0, 1.0),
@@ -542,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit antenna efficiency from a sweep CSV")
     p_fit.add_argument("--csv", required=True, help="CSV written by the sweep subcommand")
-    p_fit.add_argument("--min-errors", type=int, default=50)
+    p_fit.add_argument("--min-errors", type=positive_int, default=50)
 
     return parser
 

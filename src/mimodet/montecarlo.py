@@ -23,7 +23,6 @@ import numpy as np
 from .channel import sample_stack, sigma2_from_snr, trial_keys
 from .constellation import Constellation, ConstellationKind
 from .detect import DEFAULT_ML_BUDGET, detect_ml_exhaustive_stack, detect_ml_sphere_stack, detect_zf_stack
-from . import theory
 
 DETECTOR_NAMES = ("ml-exhaustive", "ml-sphere", "zf")
 
@@ -158,25 +157,10 @@ class VepCurve:
     points: list[PointStats] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class TheoryOverlay:
-    """Closed-form references attached to one grid point (log domain)."""
-
-    m: int
-    n: int
-    log_ml_lower: float
-    log_ml_union: float
-    log_zf_vep_lower: float
-    log_zf_vep_upper: float
-    f_ml_ref: float
-    f_zf_ref: float
-
-
 @dataclass
 class SweepResult:
     config: ExperimentConfig
     curves: dict[str, VepCurve]
-    overlays: list[TheoryOverlay]
     duration_s: float = 0.0
     per_point_s: list[float] = field(default_factory=list)
 
@@ -281,33 +265,16 @@ def _run_point(config: ExperimentConfig, point_index: int, pool) -> tuple[int, n
     return end, totals
 
 
-def _overlay(config: ExperimentConfig, m: int, n: int) -> TheoryOverlay:
-    c = config.constellation
-    p = theory.SystemParams.from_system(c, config.sigma2, m=m, n=n)
-    lo_zf, hi_zf = theory.zf_vep_bounds_log(p)
-    family = theory.SystemParams.from_system(c, config.sigma2, delta=config.delta or 0.0)  # fixed n: delta 0
-    return TheoryOverlay(
-        m=m,
-        n=n,
-        log_ml_lower=theory.ml_lower_bound_log(p),
-        log_ml_union=theory.ml_union_bound_log(p),
-        log_zf_vep_lower=lo_zf,
-        log_zf_vep_upper=hi_zf,
-        f_ml_ref=theory.antenna_efficiency_ml(p),
-        f_zf_ref=theory.antenna_efficiency_zf(family),
-    )
-
-
 def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Run the full antenna sweep and attach closed-form overlays.
+    """Run the Monte Carlo antenna sweep: per-detector counts and estimates at every grid point.
 
     Output is bit-identical for any ``workers`` value; parallelism only
-    changes wall-clock time.
+    changes wall-clock time.  The CSV's closed-form columns are not part of
+    the result: the CSV writer computes them from :mod:`mimodet.theory`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     curves = {det: VepCurve(detector=det) for det in config.detectors}
-    overlays: list[TheoryOverlay] = []
     per_point_s: list[float] = []
     t0 = time.perf_counter()
 
@@ -321,7 +288,6 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
             tp = time.perf_counter()
             trials_done, totals = _run_point(config, point_index, pool)
             per_point_s.append(time.perf_counter() - tp)
-            overlays.append(_overlay(config, m, n))
             for det, (errors, sym_total, user1) in zip(config.detectors, totals.tolist()):
                 vep_hat, ci_low, ci_high = estimate_vep(errors, trials_done)
                 if det == "zf":
@@ -351,7 +317,6 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     return SweepResult(
         config=config,
         curves=curves,
-        overlays=overlays,
         duration_s=time.perf_counter() - t0,
         per_point_s=per_point_s,
     )

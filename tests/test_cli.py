@@ -109,6 +109,34 @@ def test_sweep_csv_contract(tmp_path, ini_path):
         )
 
 
+def sweep_rows(tmp_path, text):
+    """The rows of the CSV that `sweep` writes for INI ``text``, as dicts."""
+    p = tmp_path / "swept.cfg"
+    p.write_text(text)
+    out = tmp_path / "swept.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_csv_closed_form_columns_fixed_n(tmp_path):
+    rows = sweep_rows(tmp_path, INI_CONFIG.replace("6, 8, 10", "8, 12").replace("trials = 300", "trials = 32"))
+    assert len(rows) == 2
+    r = rows[0]
+    assert (r["m"], r["n"]) == ("8", "2")
+    assert math.isfinite(float(r["log_theory_ml_lower"])) and math.isfinite(float(r["log_theory_ml_union"]))
+    # log1p(rho), with rho = 0.1 for 16-QAM at 0 dB
+    assert float(r["f_ml_ref"]) == pytest.approx(math.log(1.1), abs=1e-12)
+    # fixed-n campaign: family delta is 0, ZF reference equals ML
+    assert float(r["f_zf_ref"]) == float(r["f_ml_ref"])
+
+
+def test_csv_f_zf_ref_on_delta_campaign(tmp_path):
+    text = INI_CONFIG.replace("n = 2", "delta = 0.3333333333333333").replace("6, 8, 10", "9, 12")
+    rows = sweep_rows(tmp_path, text.replace("trials = 300", "trials = 32"))
+    assert float(rows[0]["f_zf_ref"]) == pytest.approx((2.0 / 3.0) * math.log(1.1), abs=1e-12)
+
+
 def test_sweep_rerun_byte_identical(tmp_path, ini_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert main(["sweep", "--config", str(ini_path), "--out", str(out1)]) == 0
@@ -293,7 +321,10 @@ def test_fit_csv_bad_value_is_config_error_at_its_line(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize(
     "column, bad",
-    [("ci_low", "nan"), ("ci_high", "2"), ("sep", "-inf"), ("f_ml_ref", "nan"), ("f_zf_ref", "inf")],
+    [
+        ("ci_low", "nan"), ("ci_high", "2"), ("sep", "-inf"), ("f_ml_ref", "nan"), ("f_zf_ref", "inf"),
+        ("errors", "-1"), ("errors", "1001"), ("trials", "0"),
+    ],
 )
 def test_fit_csv_non_finite_or_out_of_range_float_exits_2(tmp_path, capsys, column, bad):
     rows = [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20, 30)]
@@ -445,6 +476,27 @@ def test_json_duplicate_name_exits_2(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["", "a/b", "a\\b"], ids=["empty", "slash", "backslash"])
+def test_ini_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys, name):
+    p = tmp_path / "named.cfg"
+    p.write_text(INI_CONFIG + f"\n[variant:{name}]\ntrials = 100\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}:13: " in err and "variant name must be non-empty" in err
+    assert not out.exists() and not (tmp_path / "x.manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", ["", "a/b"], ids=["empty", "slash"])
+def test_json_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys, name):
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({**JSON_CONFIG, "variants": {name: {"trials": 100}}}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert f"{p}:1: a variant name must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_config_block_names_every_key():
     """The README's config example names each key of the schema, in its own base section."""
     from mimodet.cli import KEYS
@@ -480,6 +532,14 @@ def test_theory_snr_out_of_range_is_config_error(capsys, snr_db):
 def test_threads_below_one_is_usage_error(tmp_path, ini_path, threads):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "x.csv"), "--threads", threads])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("min_errors", ["0", "-3"])
+def test_fit_min_errors_below_one_is_usage_error(tmp_path, min_errors):
+    p = synthetic_csv(tmp_path, [make_row(m, "zf", 1000, 100, 0.1) for m in (10, 20)])
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--csv", str(p), "--min-errors", min_errors])
     assert exc.value.code == 2
 
 
@@ -549,3 +609,26 @@ def test_reference_sweeps_script_rejects_threads_below_one():
     )
     assert done.returncode == 2
     assert "--threads" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_reference_sweeps_script_fits_only_the_csvs_of_its_manifest(tmp_path, monkeypatch):
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_reference_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_reference_sweeps", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fake_sweep(config_path, out_path, threads=1):
+        out = Path(out_path)
+        out.write_text("")
+        out.with_suffix(".manifest.json").write_text(json.dumps({"campaigns": [{"csv": out.name}]}))
+        return 0
+
+    fitted = []
+    monkeypatch.setattr(script, "cmd_sweep", fake_sweep)
+    monkeypatch.setattr(script, "cmd_fit", lambda csv_path: fitted.append(Path(csv_path).name))
+    (tmp_path / "fig1.old.csv").write_text("left by an earlier run\n")
+    monkeypatch.setattr(sys, "argv", ["run_reference_sweeps.py", "--out-dir", str(tmp_path)])
+    assert script.main() == 0
+    assert fitted == ["fig1.csv", "fig2.csv", "fig3.csv"]

@@ -351,24 +351,6 @@ def test_sweep_ml_dominates_zf():
         assert ml_pt.vep_hat <= zf_pt.vep_hat + 2 * slack
 
 
-def test_sweep_overlays_attached():
-    cfg = base_config(m_grid=(8, 12), trials=32)
-    res = sweep(cfg)
-    assert len(res.overlays) == 2
-    o = res.overlays[0]
-    assert o.m == 8 and o.n == 2
-    assert math.isfinite(o.log_ml_lower) and math.isfinite(o.log_ml_union)
-    assert o.f_ml_ref == pytest.approx(math.log(1.1), abs=1e-12)
-    # fixed-n campaign: family delta is 0, ZF reference equals ML
-    assert o.f_zf_ref == o.f_ml_ref
-
-
-def test_sweep_delta_campaign_reference_slope():
-    cfg = base_config(n=None, delta=1.0 / 3.0, m_grid=(9, 12), trials=32)
-    res = sweep(cfg)
-    assert res.overlays[0].f_zf_ref == pytest.approx((2.0 / 3.0) * math.log(1.1), abs=1e-12)
-
-
 def test_sweep_zf_curve_monotone_modulo_ci():
     cfg = base_config(n=None, delta=1.0 / 3.0, m_grid=(12, 24, 36), trials=2000, snr_db=0.0)
     res = sweep(cfg)
