@@ -159,8 +159,9 @@ def _read_ini(path: str, text: str) -> tuple[dict, dict]:
     A section's own line is mapped from (section, None).  Indented lines
     continue a value, so only unindented key lines are mapped.
     """
-    # only "#" starts an inline comment: ";" separates the points of `symbols`
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # only "#" starts an inline comment: ";" separates the points of `symbols`;
+    # no header names the default section "", so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.optionxform = str  # keep key case: "M" must stay "M"
     try:
         parser.read_string(text, source=path)

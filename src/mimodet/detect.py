@@ -2,9 +2,9 @@
 
 The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
 S^n and is the ground-truth oracle for everything else.  The sphere decoder
-returns the identical decision for square-QAM constellations by an exact
-radius-pruned search of the equivalent real-valued lattice problem, run
-layer by layer over a whole stack of systems at once.
+returns the identical decision for any constellation by an exact
+radius-pruned search over the constellation's own symbols after a complex
+QR, run layer by layer over a whole stack of systems at once.
 ZF solves the normal equations (H^H H) x = H^H r of the unconstrained
 least-squares problem, after a Cholesky check of H^H H, and quantizes each
 entry to the nearest symbol; a member whose Gram matrix is too ill
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, ConstellationKind, nearest_symbols
+from .constellation import Constellation, nearest_symbols
 
 #: Refuse exhaustive enumeration beyond this many candidates (M^n).
 DEFAULT_ML_BUDGET = 1 << 20
@@ -42,9 +42,11 @@ ML_PASS_MACS = 1 << 17
 #: Partial vectors the sphere search expands per step, over all members of
 #: a stack.  A larger frontier is split into slices searched depth first, so
 #: memory stays bounded when m = n or the SNR is low, and the radius shrinks
-#: sooner: at (m, n) = (4, 4), 16-QAM, 0 dB a 32-member stack took about
-#: 6 ms at 1 << 10 against 9 ms at 1 << 12 and 11 ms at 1 << 14 (2-core VM).
-#: At n = 4, m = 12 a 32-member stack keeps about 620 nodes over all eight
+#: sooner: at (m, n) = (4, 4), 16-QAM, 0 dB a 32-member stack took a median
+#: 4.0-4.7 ms at 1 << 10 against 6.4-7.4 ms at 1 << 12 and 5.4-6.3 ms at
+#: 1 << 14 (2-core VM, one BLAS thread).  1 << 8 took 2.9-3.3 ms there, but
+#: at (12, 4) all four took 0.78-0.82 ms: at n = 4 and m = 12, 24 and 48 a
+#: 32-member stack keeps a median 306, 166 and 131 nodes over all four
 #: layers, so sweeps there rarely split.
 SPHERE_FRONTIER = 1 << 10
 
@@ -195,6 +197,8 @@ def detect_ml_exhaustive_stack(
             f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
             f"the budget of {budget}; raise the budget explicitly to override"
         )
+    if len(H) == 0:
+        return np.zeros((0, n), dtype=np.int64)
     na = n // 2
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
     A, Bs = c.symbols[ia], c.symbols[ib]
@@ -222,65 +226,50 @@ def detect_ml_exhaustive(
     return _one_member("ml-exhaustive", detect_ml_exhaustive_stack, H, r, c, budget)
 
 
-def _qam_lattice(c: Constellation) -> tuple[float, np.ndarray, np.ndarray]:
-    """Decompose a square-QAM set into scale * (a + i b), a,b odd integers.
-
-    Returns (scale, sorted integer levels, table) where table[i, j] is the
-    index of the symbol scale * (levels[i] + i levels[j]).
-    """
-    scale = c.d_min / 2.0
-    a = np.rint(c.symbols.real / scale)
-    b = np.rint(c.symbols.imag / scale)
-    # sorted set, not np.unique: that one imports numpy.ma on first use
-    levels = np.array(sorted(set(a.tolist())))
-    table = np.empty((levels.size, levels.size), dtype=np.int64)
-    table[np.searchsorted(levels, a), np.searchsorted(levels, b)] = np.arange(c.M)
-    return scale, levels, table
-
-
-def _sphere_stack_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact argmin ||y[k] - R[k] u||^2 over u in levels^d for every member k.
+def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact argmin ||y[k] - R[k] x||^2 over x in symbols^d for every member k.
 
     R (B, d, d) is upper triangular with a nonzero diagonal, y is (B, d) and
-    levels is sorted.  Each member's Babai point (nearest level layer by
-    layer from the last) sets its starting radius.  The search then runs
-    layer by layer from the last over all members at once: every surviving
-    partial vector is expanded by every level, and a child is kept when its
-    partial distance is at most its member's radius.  Partial distances only
-    grow, so every leaf within the radius is reached and the search is
-    exact.  A frontier larger than SPHERE_FRONTIER is sorted by partial
-    distance and searched slice by slice, depth first; a leaf below its
-    member's radius lowers it, so later slices are pruned harder.  A member
-    keeps its Babai point unless a leaf is strictly closer.  Returns the
-    level vectors (B, d) and the number of nodes kept over all layers and
-    members.
+    symbols holds the alphabet of every layer, in any order.  Each member's
+    Babai point (nearest symbol layer by layer from the last) sets its
+    starting radius.  The search then runs layer by layer from the last over
+    all members at once: every surviving partial vector is expanded by every
+    symbol, and a child is kept when its partial distance, a sum of |e|^2
+    over the layers chosen, is at most its member's radius.  Partial
+    distances only grow, so every leaf within the radius is reached and the
+    search is exact.  A frontier larger than SPHERE_FRONTIER is sorted by
+    partial distance and searched slice by slice, depth first; a leaf below
+    its member's radius lowers it, so later slices are pruned harder.  A
+    member keeps its Babai point unless a leaf is strictly closer.  Returns
+    the symbol vectors (B, d) and the number of nodes kept over all layers
+    and members.
     """
     B, d = y.shape
     diag = [R[:, k, k] for k in range(d)]
     cols = [R[:, :k, k] for k in range(d)]
-    # a partial vector at layer k is one row: the residual y - R u in columns
-    # 0..k and the levels already chosen in columns k+1..d-1; the Babai
+    # a partial vector at layer k is one row: the residual y - R x in columns
+    # 0..k and the symbols already chosen in columns k+1..d-1; the Babai
     # descent does the search's own arithmetic, so its leaf survives the
     # search with a partial distance equal to the radius
     radius = np.zeros(B)
     best = y.copy()
     for k in range(d - 1, -1, -1):
-        lev = levels[np.abs(best[:, k, None] / diag[k][:, None] - levels).argmin(axis=1)]
-        e = best[:, k] - diag[k] * lev
-        radius = radius + e * e
-        best[:, k] = lev
-        best[:, :k] -= cols[k] * lev[:, None]
+        sym = symbols[np.abs(best[:, k, None] / diag[k][:, None] - symbols).argmin(axis=1)]
+        e = best[:, k] - diag[k] * sym
+        radius = radius + e.real * e.real + e.imag * e.imag
+        best[:, k] = sym
+        best[:, :k] -= cols[k] * sym[:, None]
     nodes = 0
     stack = [(d - 1, np.arange(B), np.zeros(B), y)]
     while stack:
         k, member, dist, state = stack.pop()
-        e = state[:, k, None] - diag[k][member, None] * levels
-        cand = dist[:, None] + e * e
+        e = state[:, k, None] - diag[k][member, None] * symbols
+        cand = dist[:, None] + e.real * e.real + e.imag * e.imag
         parent, at = np.nonzero(cand <= radius[member, None])
         nodes += parent.size
-        member, dist, lev = member[parent], cand[parent, at], levels[at]
+        member, dist, sym = member[parent], cand[parent, at], symbols[at]
         state = state[parent]
-        state[:, k] = lev
+        state[:, k] = sym
         if k == 0:
             # per member, the closest leaf (the first of equals) against the radius
             order = np.lexsort((dist, member))
@@ -289,7 +278,7 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray) -> tu
             radius[member[won]] = dist[won]
             best[member[won]] = state[won]
             continue
-        state[:, :k] -= cols[k][member] * lev[:, None]
+        state[:, :k] -= cols[k][member] * sym[:, None]
         if member.size > SPHERE_FRONTIER:
             near = np.argsort(dist, kind="stable")
             member, dist, state = member[near], dist[near], state[near]
@@ -302,30 +291,17 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, levels: np.ndarray) -> tu
 def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Square-QAM constellations only.  One stacked complex QR gives every
-    member's R and Q^H y.  LAPACK's R has a real diagonal, so in the
-    interleaved real order (Re x_1, Im x_1, Re x_2, ...) the 2n x 2n real
-    matrix of blocks [[Re R_ij, -Im R_ij], [Im R_ij, Re R_ij]] is upper
-    triangular.  The stacked radius-pruned search of that lattice is exact,
-    so every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
+    Any constellation.  One stacked complex QR gives every member's R and
+    Q^H y, and the stacked radius-pruned search of R x = Q^H y runs over the
+    constellation's own symbols at each layer.  The search is exact, so
+    every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
     ties.  Raises ValueError on non-finite input and LinAlgError when any
     member is numerically rank deficient.
     """
-    if c.kind is not ConstellationKind.QAM:
-        raise ValueError(f"sphere decoder supports QAM constellations only, got {c.kind.value}")
     H, r = _check_stack(H, r)
-    n = H.shape[-1]
-    scale, levels, table = _qam_lattice(c)
     R, y = _qr_augmented(H, r)
-    # fold the lattice scale into R so the search runs over integer levels
-    R = R * scale
-    L = np.empty((len(R), 2 * n, 2 * n))
-    L[:, 0::2, 0::2] = L[:, 1::2, 1::2] = R.real
-    L[:, 1::2, 0::2] = R.imag
-    L[:, 0::2, 1::2] = -R.imag
-    u, _ = _sphere_stack_search(L, np.ascontiguousarray(y).view(np.float64), levels)
-    at = np.searchsorted(levels, u)
-    return table[at[:, 0::2], at[:, 1::2]]
+    x, _ = _sphere_stack_search(R, y, c.symbols)
+    return nearest_symbols(c, x)
 
 
 def detect_ml_sphere(
@@ -333,7 +309,7 @@ def detect_ml_sphere(
     r: np.ndarray,
     c: Constellation,
 ) -> DetectionOutcome:
-    """Exact ML detection for square-QAM constellations via sphere decoding.
+    """Exact ML detection via sphere decoding, for any constellation.
 
     The one-member case of :func:`detect_ml_sphere_stack`; the decision
     always equals :func:`detect_ml_exhaustive`.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import sample_stack, sigma2_from_snr, trial_keys
-from .constellation import Constellation, ConstellationKind
+from .constellation import Constellation
 from .detect import DEFAULT_ML_BUDGET, detect_ml_exhaustive_stack, detect_ml_sphere_stack, detect_zf_stack
 
 DETECTOR_NAMES = ("ml-exhaustive", "ml-sphere", "zf")
@@ -117,8 +117,6 @@ class ExperimentConfig:
                     f"ml-exhaustive infeasible at m={m}: {M}^{n} = {M**n} candidates "
                     f"exceeds the enumeration budget {self.ml_budget}",
                 )
-        if "ml-sphere" in self.detectors and self.constellation.kind is not ConstellationKind.QAM:
-            raise ConfigValueError("detectors", "ml-sphere requires a QAM constellation")
 
     def users_for(self, m: int) -> int:
         if self.n is not None:

@@ -393,11 +393,13 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         ("snr_db = 0", "snr_db = -4000", 7, "noise variance sigma2 outside (0, inf)"),
         ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e200,0; -1e200,0", 3, "energy must be finite and positive"),
         ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e-170,0; -1e-170,0", 3, "energy must be finite and positive"),
+        ("[constellation]", "[DEFAULT]\ntrials = 5\n\n[constellation]", 1, "unknown section [DEFAULT]"),
+        ("[constellation]", "[DEFAULT]\n\n[constellation]", 1, "unknown section [DEFAULT]"),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
         "qam-M", "symbols", "snr-sigma2-underflow", "snr-sigma2-overflow", "symbols-infinite-energy",
-        "symbols-zero-energy",
+        "symbols-zero-energy", "default-section", "empty-default-section",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):

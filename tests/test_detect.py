@@ -19,6 +19,10 @@ from mimodet.detect import (
 
 QPSK = make_constellation("psk", 4)
 QAM16 = make_constellation("qam", 16)
+BPSK = make_constellation("psk", 2)
+PSK8 = make_constellation("psk", 8)
+#: Five points, no square QAM and no PSK, of average energy 0.9 (not unit).
+CUSTOM5 = custom_constellation([0.0, 1.0, 1j, -1.0 - 0.5j, 0.5 - 1.0j])
 
 
 def brute_force_ml(H, r, c):
@@ -148,17 +152,16 @@ def test_sphere_equals_exhaustive_qam64():
 
 
 def test_sphere_noiseless_single_leaf():
-    # exact lattice point: the Babai leaf has distance 0 and sets a radius no
+    # exact symbol vector: the Babai leaf has distance 0 and sets a radius no
     # other child fits in, so exactly one node per layer is expanded
     rng = substream(108)
     n = 6
-    R = np.triu(rng.standard_normal((n, n))) + 3 * np.eye(n)
-    levels = np.array([-3.0, -1.0, 1.0, 3.0])
-    u_true = levels[rng.integers(0, 4, n)]
-    y = R @ u_true
-    u, nodes = _sphere_stack_search(R[None], y[None], levels)
-    np.testing.assert_array_equal(u[0], u_true)
-    assert np.sum((y - R @ u[0]) ** 2) == pytest.approx(0.0, abs=1e-20)
+    R = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) + 3 * np.eye(n)
+    x_true = QAM16.symbols[rng.integers(0, 16, n)]
+    y = R @ x_true
+    x, nodes = _sphere_stack_search(R[None], y[None], QAM16.symbols)
+    np.testing.assert_array_equal(x[0], x_true)
+    assert np.sum(np.abs(y - R @ x[0]) ** 2) == pytest.approx(0.0, abs=1e-20)
     assert nodes == n
 
 
@@ -179,10 +182,14 @@ def test_sphere_n1_is_nearest_symbol_on_matched_filter():
         assert out.x_hat[0] == nearest_symbols(QAM16, z)
 
 
-def test_sphere_rejects_non_qam():
-    inst = sample_instance(4, 2, QPSK, 1.0, substream(111))
-    with pytest.raises(ValueError, match="QAM"):
-        detect_ml_sphere(inst.H, inst.r, QPSK)
+@pytest.mark.parametrize("c", [QPSK, CUSTOM5], ids=["psk4", "custom5"])
+def test_sphere_equals_exhaustive_non_qam(c):
+    for trial in range(20):
+        inst = sample_instance(4, 2, c, 1.0, substream(111, trial))
+        ex = detect_ml_exhaustive(inst.H, inst.r, c)
+        sp = detect_ml_sphere(inst.H, inst.r, c)
+        np.testing.assert_array_equal(sp.x_hat, ex.x_hat)
+        assert sp.metric == ex.metric
 
 
 def test_sphere_rejects_rank_deficient():
@@ -426,12 +433,27 @@ def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
 
 
-@pytest.mark.parametrize("m, snr_db", [(4, 0.0), (4, -5.0), (6, -5.0)])
-def test_sphere_stack_equals_exhaustive_large_frontier(m, snr_db):
+@pytest.mark.parametrize(
+    "c, m, n, snr_db",
+    [
+        pytest.param(QAM16, 4, 4, 0.0, id="4-0.0"),
+        pytest.param(QAM16, 4, 4, -5.0, id="4--5.0"),
+        pytest.param(QAM16, 6, 4, -5.0, id="6--5.0"),
+        pytest.param(QPSK, 8, 8, -5.0, id="psk4-8x8--5.0"),
+        pytest.param(QPSK, 12, 8, -5.0, id="psk4-12x8--5.0"),
+        pytest.param(QPSK, 8, 8, 0.0, id="psk4-8x8-0.0"),
+        pytest.param(BPSK, 10, 10, 0.0, id="bpsk-10x10-0.0"),
+        pytest.param(PSK8, 6, 5, 0.0, id="psk8-6x5-0.0"),
+        pytest.param(PSK8, 16, 4, -5.0, id="psk8-16x4--5.0"),
+        pytest.param(CUSTOM5, 6, 4, 0.0, id="custom5-6x4-0.0"),
+        pytest.param(CUSTOM5, 5, 5, -5.0, id="custom5-5x5--5.0"),
+    ],
+)
+def test_sphere_stack_equals_exhaustive_large_frontier(c, m, n, snr_db):
     # m = n or low SNR: the Babai radius is loose and the frontier is large
-    H, r = zf_stack_of(64, m, 4, QAM16, 10 ** (-snr_db / 10.0), 153 + m)
-    sphere = detect.detect_ml_sphere_stack(H, r, QAM16)
-    np.testing.assert_array_equal(sphere, detect.detect_ml_exhaustive_stack(H, r, QAM16))
+    H, r = zf_stack_of(64, m, n, c, 10 ** (-snr_db / 10.0), 153 + m)
+    sphere = detect.detect_ml_sphere_stack(H, r, c)
+    np.testing.assert_array_equal(sphere, detect.detect_ml_exhaustive_stack(H, r, c))
 
 
 @pytest.mark.parametrize("frontier", [1, 3])
@@ -441,6 +463,16 @@ def test_sphere_stack_frontier_slices_match_one_pass(monkeypatch, frontier):
     one_pass = detect.detect_ml_sphere_stack(H, r, QAM16)
     monkeypatch.setattr(detect, "SPHERE_FRONTIER", frontier)
     np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), one_pass)
+
+
+@pytest.mark.parametrize(
+    "stack_detector",
+    [detect.detect_zf_stack, detect.detect_ml_sphere_stack, detect.detect_ml_exhaustive_stack],
+    ids=["zf", "sphere", "exhaustive"],
+)
+def test_stack_detectors_accept_empty_stack(stack_detector):
+    x_hat = stack_detector(np.empty((0, 4, 2)), np.empty((0, 4)), QAM16)
+    assert x_hat.shape == (0, 2) and x_hat.dtype == np.int64
 
 
 def test_sphere_stack_rejects_rank_deficient_member():

@@ -124,9 +124,12 @@ def test_config_rejects_infeasible_ml():
         base_config(detectors=("ml-exhaustive",), n=8, m_grid=(8, 16), ml_budget=1000)
 
 
-def test_config_rejects_sphere_on_psk():
-    with pytest.raises(ValueError, match="QAM"):
-        base_config(constellation=QPSK, detectors=("ml-sphere",))
+def test_sweep_sphere_on_psk_equals_exhaustive():
+    cfg = base_config(constellation=QPSK, detectors=("ml-exhaustive", "ml-sphere"), n=4, m_grid=(4, 6), snr_db=-2.0)
+    for workers in (1, 2):
+        res = sweep(cfg, workers=workers)
+        assert all(pt.errors > 0 for pt in res.curves["ml-exhaustive"].points)
+        assert res.curves["ml-sphere"].points == res.curves["ml-exhaustive"].points
 
 
 def test_config_rejects_trials_beyond_one_key_word():
