@@ -1,7 +1,8 @@
 """MIMO detectors: exhaustive ML, sphere-decoder ML, and zero-forcing.
 
 The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
-S^n and is the ground-truth oracle for everything else.  The sphere decoder
+S^n, every candidate scored by one real matrix product per pass, and is the
+ground-truth oracle for everything else.  The sphere decoder
 returns the identical decision for any constellation by an exact
 radius-pruned search over the constellation's own symbols after a complex
 QR, run layer by layer over a whole stack of systems at once.
@@ -26,17 +27,25 @@ from .constellation import Constellation, nearest_symbols
 #: Refuse exhaustive enumeration beyond this many candidates (M^n).
 DEFAULT_ML_BUDGET = 1 << 20
 
-#: Candidates the split enumeration scores per pass, over all members of the
-#: pass: one QPSK instance at n = 8.  Small instances are grouped up to it,
-#: large ones split into blocks of rows, so no temporary outgrows it.
+#: Candidates one pass of the exhaustive kernel scores, over all members of
+#: its group: one QPSK instance at n = 8.  Members are grouped up to it and
+#: large instances split into blocks of rows, so the pass's score buffer
+#: (512 KiB at this value) never outgrows it.  Over one ml-enum sweep's stacks
+#: (QPSK, n = 6, 7, 8; 2-core VM) 1 << 14 made groups of one member at
+#: n = 8 and took 71-83 ms there against 49-57 ms at 1 << 15 to 1 << 16;
+#: larger values gained nothing beyond the VM's run-to-run drift.
 ML_PASS_CANDIDATES = 1 << 16
 
-#: Multiply-adds of one member's cross-term product per pass.  OpenBLAS
-#: spreads a dgemm of more than 4 * 65536 multiply-adds over all its threads;
-#: at n = 8 QPSK the whole 256 x 8 x 256 product took 200-400 us that way
-#: against about 30 us per 128 rows on one thread (2-core VM, inherited
-#: threading), and left both threads spinning into the numpy work around it.
-#: Half that threshold keeps every product on the calling thread.
+#: Multiply-adds of any one BLAS product of the exhaustive kernel (a complex
+#: one counted as 4): a member's pass product, and a group's own-term and
+#: cross-term products.  OpenBLAS spreads a gemm above its threshold over
+#: all its threads, which on a 2-core AVX-512 VM (OpenBLAS 0.3.31, inherited
+#: threading) was slower as well as twice the CPU: 256 x 10 x 400 took
+#: 140-150 us at 2.0 CPU seconds per wall second, 256 x 10 x 384 took 59 us
+#: at 1.0.  That build's threshold was about 1e6 multiply-adds (its
+#: single-threaded small-matrix kernel takes products up to there); the
+#: generic one is 4 * 65536, and half of that keeps every product on the
+#: calling thread with either.
 ML_PASS_MACS = 1 << 17
 
 #: Partial vectors the sphere search expands per step, over all members of
@@ -131,41 +140,69 @@ def _index_vectors(M: int, k: int) -> np.ndarray:
     return (ranks[:, None] // powers) % M
 
 
-def _own_terms(X: np.ndarray, G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H G[k] x - 2 Re(x^H y[k]) for every row x of X and member k: (g, rows)."""
+def _spans(count: int, cost: int) -> list[slice]:
+    """Consecutive slices of range(count), each costing at most ML_PASS_MACS at ``cost`` per item."""
+    step = max(1, ML_PASS_MACS // max(1, cost))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _own_features(X: np.ndarray) -> np.ndarray:
+    """Real features (rows, 2 d (d + 1)) of the rows x of X (rows, d).
+
+    The real and imaginary parts of [conj(x_i) x_j | conj(x)]; their product
+    with :func:`_own_weights` is x^H G x - 2 Re(x^H y).
+    """
     Xc = X.conj()
-    return ((Xc @ G) * X).sum(axis=-1).real - 2.0 * (Xc @ y[..., None])[..., 0].real
+    f = np.concatenate([(Xc[:, :, None] * X[:, None, :]).reshape(len(X), -1), Xc], axis=1)
+    return np.concatenate([f.real, f.imag], axis=1)
 
 
-def _split_ranks(H, r, A: np.ndarray, Bs: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
+def _own_weights(G: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real weights (g, 2 d (d + 1)) of each member's G (g, d, d) and y (g, d) for :func:`_own_features`."""
+    w = np.concatenate([G.reshape(len(G), -1), -2.0 * y], axis=1)
+    return np.concatenate([w.real, -w.imag], axis=1)
+
+
+def _split_ranks(Wa, Wb, Gab, Ac, FA, FB, right_fixed: np.ndarray, rows: int) -> np.ndarray:
     """Flattened (a, b) rank of each member's minimizer; see detect_ml_exhaustive_stack.
 
-    A and Bs hold the candidate first and second halves as rows, ``right``
-    the real and imaginary parts of Bs as columns; each pass scores ``rows``
-    rows of A against every row of Bs for every member.
+    Wa and Wb (g, .) hold each member's own-term weights of the first and
+    second halves, and Gab (g, na, nb) its 2 G_ab.  Ac holds the conjugated
+    first halves a as rows, FA and FB the own-term features of the first
+    and second halves, and ``right_fixed`` the rows of ``right`` shared by
+    all members.  Each pass scores ``rows`` rows of a against every b for
+    every member, by one batched real product.
     """
-    na = A.shape[1]
-    Hh = H.conj().swapaxes(-1, -2)
-    G = Hh @ H
-    y = (Hh @ r[..., None])[..., 0]
-    qa = _own_terms(A, G[:, :na, :na], y[:, :na])
-    qb = _own_terms(Bs, G[:, na:, na:], y[:, na:])
-    # Re(P b) with P = a^H G_ab, as one real product over stacked parts
-    P = A.conj() @ G[:, :na, na:]
-    left = 2.0 * np.concatenate([P.real, -P.imag], axis=-1)
-    members = np.arange(len(H))
-    best_val = np.full(len(H), np.inf)
-    best_rank = np.zeros(len(H), dtype=np.int64)
-    for lo in range(0, len(A), rows):
-        q = left[:, lo : lo + rows] @ right
-        q += qa[:, lo : lo + rows, None]
-        q += qb[:, None, :]
-        q = q.reshape(len(H), -1)
+    g, na, nb = Gab.shape
+    k, nA, nB = len(right_fixed) + 1, len(FA), len(FB)
+    left = np.empty((g, nA, k))
+    right = np.empty((g, k, nB))
+    right[:, :-1] = right_fixed
+    left[:, :, -1] = 1.0
+    for s in _spans(nA, Wa.size):
+        left[:, s, -2] = Wa @ FA[s].T
+    for s in _spans(nB, Wb.size):
+        right[:, -1, s] = Wb @ FB[s].T
+    # a^H (2 G_ab) with its real and imaginary parts interleaved, against
+    # the rows Re b_j, -Im b_j of right
+    Gab = Gab.transpose(1, 0, 2).reshape(na, g * nb)
+    for s in _spans(nA, 4 * Gab.size):
+        left[:, s, :-2] = (Ac[s] @ Gab).view(np.float64).reshape(-1, g, 2 * nb).swapaxes(0, 1)
+    members = np.arange(g)
+    best_val = np.full(g, np.inf)
+    best_rank = np.zeros(g, dtype=np.int64)
+    # one output buffer serves every pass, a short one included: no pass
+    # allocates, and argmin never copies its scores
+    buf = np.empty(g * rows * nB)
+    for lo in range(0, nA, rows):
+        h = min(rows, nA - lo)
+        q = buf[: g * h * nB].reshape(g, h * nB)
+        np.matmul(left[:, lo : lo + h], right, out=q.reshape(g, h, nB))
         j = np.argmin(q, axis=1)
         val = q[members, j]
         better = val < best_val
         best_val[better] = val[better]
-        best_rank[better] = lo * len(Bs) + j[better]
+        best_rank[better] = lo * nB + j[better]
     return best_rank
 
 
@@ -178,16 +215,23 @@ def detect_ml_exhaustive_stack(
     """Exhaustive ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
     With x = (a, b), a the first n // 2 entries and G = H^H H, y = H^H r,
-    the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b).  The
-    cross term of a block of a-rows against every b is one real matmul per
-    group of members, so every candidate is still scored.  Row-major order
-    over (a, b) is the lexicographic order of x, and argmin keeps the first
-    minimizer, so ties break to the lexicographically smallest index vector.
-    A pass scores at most ML_PASS_CANDIDATES candidates, which bounds the
-    temporaries whatever budget the caller allows, and its product costs at
-    most ML_PASS_MACS multiply-adds per member, which keeps BLAS on one
-    thread.  Refuses to run when M^n exceeds ``budget`` rather than
-    approximating.
+    the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b), with
+    qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  For a group of members,
+    qa and qb each come from one real 2-D product of the candidates'
+    features [conj(x_i) x_j | conj(x)] with the members' [G | -2 y], and
+    P = a^H (2 G_ab) from one complex 2-D product.  Each member then has
+    left = [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b
+    (interleaved); 1; qb], so one batched real product left @ right scores
+    a block of a-rows against every b, all terms included, and an argmin
+    picks the block's minimizer: every candidate is scored.  Row-major order
+    over (a, b) is the lexicographic order of x; argmin keeps the first
+    minimizer of a pass and a strict < the earlier pass, so ties break to
+    the lexicographically smallest index vector.  A pass scores at most
+    ML_PASS_CANDIDATES candidates over its group, which bounds the
+    temporaries whatever budget the caller allows, and no product costs
+    more than ML_PASS_MACS multiply-adds (a complex one counted as 4),
+    which keeps BLAS on one thread.  Refuses to run when M^n exceeds
+    ``budget`` rather than approximating.
     """
     H, r = _check_stack(H, r)
     n = H.shape[-1]
@@ -202,11 +246,22 @@ def detect_ml_exhaustive_stack(
     na = n // 2
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
     A, Bs = c.symbols[ia], c.symbols[ib]
-    right = np.concatenate([Bs.real, Bs.imag], axis=1).T
-    rows = max(1, min(ML_PASS_CANDIDATES // len(ib), ML_PASS_MACS // right.size))
-    group = max(1, ML_PASS_CANDIDATES // total)
+    right_fixed = np.concatenate([Bs.conj().view(np.float64).T, np.ones((1, len(Bs)))])
+    k = len(right_fixed) + 1
+    rows = max(1, min(len(A), ML_PASS_CANDIDATES // len(Bs), ML_PASS_MACS // (k * len(Bs))))
+    rows = -(-len(A) // -(-len(A) // rows))  # the same passes, rows spread evenly over them
+    group = max(1, ML_PASS_CANDIDATES // (rows * len(Bs)))
+    Hh = H.conj().swapaxes(-1, -2)
+    G = Hh @ H
+    y = (Hh @ r[..., None])[..., 0]
+    Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
+    Gab = 2.0 * G[:, :na, na:]
+    Ac, FA, FB = A.conj(), _own_features(A), _own_features(Bs)
     ranks = np.concatenate(
-        [_split_ranks(H[lo : lo + group], r[lo : lo + group], A, Bs, right, rows) for lo in range(0, len(H), group)]
+        [
+            _split_ranks(Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group], Ac, FA, FB, right_fixed, rows)
+            for lo in range(0, len(H), group)
+        ]
     )
     return np.concatenate([ia[ranks // len(ib)], ib[ranks % len(ib)]], axis=1)
 

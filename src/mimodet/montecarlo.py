@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigValueError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigValueError("target_errors", f"target_errors must be >= 1, got {self.target_errors}")
+        if self.ml_budget < 1:
+            raise ConfigValueError("ml_budget", f"ml_budget must be >= 1, got {self.ml_budget}")
         for m in self.m_grid:
             n = self.users_for(m)
             if not (m >= n >= 1):

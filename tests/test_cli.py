@@ -395,11 +395,15 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e-170,0; -1e-170,0", 3, "energy must be finite and positive"),
         ("[constellation]", "[DEFAULT]\ntrials = 5\n\n[constellation]", 1, "unknown section [DEFAULT]"),
         ("[constellation]", "[DEFAULT]\n\n[constellation]", 1, "unknown section [DEFAULT]"),
+        ("master_seed = 42", "master_seed = 42\nml_budget = 0", 12, "ml_budget must be >= 1, got 0"),
+        ("master_seed = 42", "master_seed = 42\nml_budget = -5", 12, "ml_budget must be >= 1, got -5"),
+        ("detectors = zf\n", "detectors = zf, ml-exhaustive\nml_budget = 0\n", 7, "ml_budget must be >= 1, got 0"),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
         "qam-M", "symbols", "snr-sigma2-underflow", "snr-sigma2-overflow", "symbols-infinite-energy",
-        "symbols-zero-energy", "default-section", "empty-default-section",
+        "symbols-zero-energy", "default-section", "empty-default-section", "ml-budget-zero", "ml-budget-negative",
+        "ml-budget-zero-with-ml",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):

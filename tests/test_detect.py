@@ -434,6 +434,38 @@ def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
 
 
 @pytest.mark.parametrize(
+    "c, m, n",
+    [
+        pytest.param(QAM16, 3, 1, id="qam16-n1"),
+        pytest.param(QAM16, 5, 3, id="qam16-n3"),
+        pytest.param(QAM16, 4, 4, id="qam16-n4"),
+        pytest.param(PSK8, 2, 1, id="psk8-n1"),
+        pytest.param(PSK8, 6, 4, id="psk8-n4"),
+        pytest.param(PSK8, 5, 5, id="psk8-n5"),
+        pytest.param(BPSK, 3, 1, id="bpsk-n1"),
+        pytest.param(BPSK, 9, 7, id="bpsk-n7"),
+        pytest.param(CUSTOM5, 2, 1, id="custom5-n1"),
+        pytest.param(CUSTOM5, 5, 5, id="custom5-n5"),
+    ],
+)
+@pytest.mark.parametrize("split", [False, True], ids=["default-passes", "short-passes"])
+def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, split):
+    H, r = zf_stack_of(7, m, n, c, 0.5, 155 + n)
+    H[3] = 0.0  # every candidate ties: the all-zeros index vector wins
+    if split:
+        # 3 rows of the first half per pass, where it has more than 3, and
+        # 3 members per group: 7 members end with a group of one, and a
+        # first half of M^(n // 2) rows ends with a block of 1 or 2 rows
+        n_a, n_b = c.M ** (n // 2), c.M ** (n - n // 2)
+        rows = 3 if n_a > 3 else 1
+        monkeypatch.setattr(detect, "ML_PASS_MACS", rows * (2 * (n - n // 2) + 2) * n_b)
+        monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 3 * rows * n_b)
+    stacked = detect.detect_ml_exhaustive_stack(H, r, c)
+    for k in range(len(H)):
+        np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], c))
+
+
+@pytest.mark.parametrize(
     "c, m, n, snr_db",
     [
         pytest.param(QAM16, 4, 4, 0.0, id="4-0.0"),
