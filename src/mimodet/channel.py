@@ -3,14 +3,10 @@
 Every trial draws from its own counter-based Philox stream keyed by
 (master_seed, grid-point index, trial index), so any trial's stream can be
 reconstructed independently of worker count or scheduling order.
-:func:`substream` builds one such stream through ``numpy.random.SeedSequence``.
-A sweep derives a block's keys at once with :func:`trial_keys`, which takes
-the (seed, point) pool from numpy's SeedSequence and hashes only the trial
-word and ``generate_state`` on vectors; :func:`sample_stack` re-keys one
-module-level generator per trial.  Symbol indices come from raw Philox words
-by numpy's own rule for ``integers``, and a row that rule rejects is drawn
-again with ``integers`` itself, so both routes give the same draws bit for
-bit.
+:func:`substream` builds one such stream through numpy's SeedSequence,
+:func:`trial_keys` derives many streams' Philox keys at once, and
+:func:`sample_stack` draws one instance per key, with the draws that
+:func:`sample_instance` makes by numpy's own calls on any Generator.
 """
 
 from __future__ import annotations
@@ -53,37 +49,36 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=64)
-def _point_mixer(master_seed: int, point_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SeedSequence's entropy mixing for (master_seed, point_index), up to the trial word.
+def _prefix_mixer(master_seed: int, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SeedSequence's entropy mixing for (master_seed, *prefix), up to the last spawn word.
 
     SeedSequence mixes entropy words in order and pads the seed to the pool
-    size when a spawn key exists, so numpy's pool for (master_seed,
-    point_index) is each trial's pool before its trial word; each word mixed
-    so far stepped the hash constant four times.  Returns the pool times
-    MIX_MULT_L and the xor and multiplier constants of the trial word's hashes.
+    size when a spawn key exists (hashing zeros alike when none does), so
+    numpy's pool for (master_seed, *prefix) is each stream's pool before its
+    last word; that mixing stepped the hash constant 4 * max(4, seed words)
+    times, and each prefix word four more.  Returns the pool times MIX_MULT_L
+    and the xor and multiplier constants of the last word's hashes.
     """
-    pool = np.random.SeedSequence(master_seed, spawn_key=(point_index,)).pool
-    seed_words, point_words = (max(1, (x.bit_length() + 31) // 32) for x in (master_seed, point_index))
-    words = max(_POOL_SIZE, seed_words) + point_words
+    pool = np.random.SeedSequence(master_seed, spawn_key=prefix).pool
+    seed_words, *prefix_words = (max(1, (x.bit_length() + 31) // 32) for x in (master_seed, *prefix))
+    words = max(_POOL_SIZE, seed_words) + sum(prefix_words)
     return (pool * np.uint32(_MIX_MULT_L), *_hash_consts(_INIT_A, _MULT_A, 4 * words))
 
 
-def trial_keys(master_seed: int, point_index: int, trials) -> np.ndarray:
-    """Philox keys (T, 2) uint64 of the streams (master_seed, point_index, t).
+def trial_keys(master_seed: int, *key) -> np.ndarray:
+    """Philox keys (T, 2) uint64 of the streams (master_seed, *prefix, t) for t in trials.
 
-    Row i equals ``SeedSequence(master_seed, spawn_key=(point_index,
-    trials[i])).generate_state(2, np.uint64)``, the key of
-    ``substream(master_seed, point_index, trials[i])``.  The pool comes from
-    numpy once per point; only the trial word and ``generate_state`` are
-    hashed per trial, so each trial index must fit one uint32 word.
+    ``key`` is ``(trials,)`` or ``(point_index, trials)``; row i is the key of
+    ``substream(master_seed, *prefix, trials[i])``, that is
+    ``SeedSequence(master_seed, spawn_key=(*prefix, trials[i])).generate_state(2, np.uint64)``.
+    The pool comes from numpy once per prefix and only the trial word and
+    ``generate_state`` are hashed per trial, so trial indices must be integers in [0, 2**32).
     """
-    try:
-        t = np.asarray(trials, dtype=np.int64).reshape(-1)
-    except OverflowError:
-        raise ValueError("trial indices must lie in [0, 2**32)") from None
-    if t.size and (t.min() < 0 or t.max() > _MASK32):
-        raise ValueError("trial indices must lie in [0, 2**32)")
-    left, xor, mul = _point_mixer(int(master_seed), int(point_index))
+    *prefix, trials = key
+    t = np.asarray(trials).reshape(-1)
+    if t.size and not (t.dtype.kind in "iu" and t.min() >= 0 and t.max() <= _MASK32):
+        raise ValueError("trial indices must be integers in [0, 2**32)")
+    left, xor, mul = _prefix_mixer(int(master_seed), tuple(int(k) for k in prefix))
     w = (t.astype(np.uint32)[:, None] ^ xor) * mul  # hashmix of the trial word, (T, 4)
     w ^= w >> 16
     w = left - w * np.uint32(_MIX_MULT_R)  # mix into each pool word
@@ -171,58 +166,59 @@ class ChannelInstance:
         return self.H.shape[1]
 
 
+def _check_model(m: int, n: int, sigma2: float) -> None:
+    if not (m >= n >= 1):
+        raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must lie in [0, inf), got {sigma2}")
+
+
+def _draw(rng: np.random.Generator, m: int, n: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's own calls, in order: H normals (m, 2n), ``integers(0, M, size=n)``, noise normals (2m,)."""
+    return rng.standard_normal((m, 2 * n)), rng.integers(0, M, size=n), rng.standard_normal(2 * m)
+
+
+def _assemble(H: np.ndarray, x_true: np.ndarray, v: np.ndarray, c: Constellation, sigma2: float):
+    """Scale a stack's unit normals in place and form r = H x* + v; returns (H, x_true, v, r)."""
+    H /= np.sqrt(2.0)
+    v *= np.sqrt(sigma2 / 2.0)
+    return H, x_true, v, np.matmul(H, c.symbols[x_true][..., None])[..., 0] + v
+
+
 def sample_stack(
     m: int,
     n: int,
     c: Constellation,
     sigma2: float,
-    streams,
+    keys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one instance per stream and return stacked (H, x_true, v, r).
+    """Draw one instance per Philox key and return stacked (H, x_true, v, r).
 
-    ``streams`` is either a (B, 2) uint64 array of Philox keys from
-    :func:`trial_keys` or a sequence of generators of any kind.  Instance i
-    is drawn from stream i in the fixed order H, then x*, then v, with the
-    same draws as :func:`sample_instance`; shapes are (B, m, n), (B, n),
-    (B, m) and (B, m).  Keyed members run through one re-keyed generator and
-    take their symbol indices from raw words for the whole stack at once; a
-    member whose words hit a Lemire rejection, and every generator member,
-    is drawn one by one with the generator's ``integers``.  The normals land
-    in float64 views of the complex arrays, and the scaling and
-    r = H x* + v are done once for the whole stack.
+    ``keys`` is a (B, 2) uint64 array from :func:`trial_keys`; instance i has
+    the draws of :func:`sample_instance` on the fresh stream of key i, and the
+    shapes are (B, m, n), (B, n), (B, m) and (B, m).  One re-keyed generator
+    draws each member's normals into float64 views of the complex arrays and
+    the raw words from which the whole stack's symbol indices are taken; a
+    member whose words hit a Lemire rejection is drawn again by numpy's own
+    calls.  Scaling and r = H x* + v run once for the whole stack.
     """
-    if not (m >= n >= 1):
-        raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    B = len(streams)
-    H = np.empty((B, m, n), dtype=np.complex128)
-    v = np.empty((B, m), dtype=np.complex128)
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.ndim == 2 and keys.shape[1] == 2):
+        raise ValueError("sample_stack takes a (B, 2) uint64 array of Philox keys from trial_keys")
+    _check_model(m, n, sigma2)
+    keys, nwords = keys.tolist(), (n + 1) // 2
+    H = np.empty((len(keys), m, n), dtype=np.complex128)
+    v = np.empty((len(keys), m), dtype=np.complex128)
     H_re, v_re = H.view(np.float64), v.view(np.float64)
-    keyed = isinstance(streams, np.ndarray)
-    if keyed:
-        keys = streams.tolist()
-        nwords = (n + 1) // 2
-        words = np.empty((B, nwords), dtype=np.uint64)
-        for i, key in enumerate(keys):
-            rng = _rekey(key)
-            rng.standard_normal(out=H_re[i])
-            words[i] = _PHILOX.random_raw(nwords)
-            rng.standard_normal(out=v_re[i])
-        x_true, rejected = _indices_from_words(words, c.M, n)
-        one_by_one = np.flatnonzero(rejected).tolist()
-    else:
-        x_true = np.empty((B, n), dtype=np.int64)
-        one_by_one = range(B)
-    for i in one_by_one:
-        rng = _rekey(keys[i]) if keyed else streams[i]
+    words = np.empty((len(keys), nwords), dtype=np.uint64)
+    for i, key in enumerate(keys):
+        rng = _rekey(key)
         rng.standard_normal(out=H_re[i])
-        x_true[i] = rng.integers(0, c.M, size=n)
+        words[i] = _PHILOX.random_raw(nwords)
         rng.standard_normal(out=v_re[i])
-    H /= np.sqrt(2.0)
-    v *= np.sqrt(sigma2 / 2.0)
-    r = np.matmul(H, c.symbols[x_true][..., None])[..., 0] + v
-    return H, x_true, v, r
+    x_true, rejected = _indices_from_words(words, c.M, n)
+    for i in np.flatnonzero(rejected).tolist():
+        H_re[i], x_true[i], v_re[i] = _draw(_rekey(keys[i]), m, n, c.M)
+    return _assemble(H, x_true, v, c, sigma2)
 
 
 def sample_instance(
@@ -232,13 +228,16 @@ def sample_instance(
     sigma2: float,
     rng: np.random.Generator,
 ) -> ChannelInstance:
-    """Draw (H, x*, v) and assemble r.
+    """Draw (H, x*, v) from any numpy Generator and assemble r.
 
     Symbols are uniform on the constellation, independently per user; noise
     entries are i.i.d. CN(0, sigma2).  sigma2 = 0 is allowed (noiseless
-    oracle paths); experiment configs reject it separately.  Draw order is
-    fixed (H, then x*, then v) so a recorded stream reproduces the instance
-    bit for bit; this is :func:`sample_stack` with a stack of one.
+    oracle paths); experiment configs reject it separately.  The draws are
+    numpy's own calls in a fixed order (H, then x*, then v), so a recorded
+    stream reproduces the instance bit for bit; on a :func:`substream` it is
+    the :func:`sample_stack` member of the same key.
     """
-    H, x_true, v, r = sample_stack(m, n, c, sigma2, [rng])
+    _check_model(m, n, sigma2)
+    H, x_true, v = (a[None] for a in _draw(rng, m, n, c.M))
+    H, x_true, v, r = _assemble(H.view(np.complex128), x_true, v.view(np.complex128), c, sigma2)
     return ChannelInstance(H=H[0], x_true=x_true[0], v=v[0], r=r[0], sigma2=float(sigma2))

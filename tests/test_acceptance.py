@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mimodet.channel import sample_instance, sample_stack, substream
+from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
 from mimodet.cli import main
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf, zf_decorrelate
@@ -194,11 +194,11 @@ GAMMA_GROUP = 4096
 
 
 def _sample_gamma1(m: int, n: int, samples: int, seed: int) -> np.ndarray:
-    # sample i is still drawn from substream(seed, i); groups bound the memory
+    # sample i is drawn from the stream of substream(seed, i); groups bound the memory
     out = np.empty(samples)
     for lo in range(0, samples, GAMMA_GROUP):
-        streams = [substream(seed, i) for i in range(lo, min(lo + GAMMA_GROUP, samples))]
-        H = sample_stack(m, n, QPSK, 1.0, streams)[0]  # H is the first draw of each stream
+        keys = trial_keys(seed, range(lo, min(lo + GAMMA_GROUP, samples)))
+        H = sample_stack(m, n, QPSK, 1.0, keys)[0]  # H is the first draw of each stream
         out[lo : lo + len(H)] = zf_decorrelate(H, np.zeros(H.shape[:-1], dtype=complex)).gamma[:, 0]
     return out
 

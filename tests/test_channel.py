@@ -59,7 +59,7 @@ def test_column_norm_mean_is_m():
 
 def test_column_norm_chi_square_ks():
     m = 8
-    H = sample_stack(m, 1, QPSK, 1.0, [substream(13, i) for i in range(20000)])[0]
+    H = sample_stack(m, 1, QPSK, 1.0, trial_keys(13, range(20000)))[0]
     samples = 2.0 * np.sum(np.abs(H[:, :, 0]) ** 2, axis=1)
     res = stats.kstest(samples, "chi2", args=(2 * m,))
     assert res.pvalue > 0.01
@@ -107,21 +107,34 @@ def numpy_instance(m, n, c, sigma2, rng):
 
 def test_stack_members_equal_instances_bit_for_bit():
     for c in (make_constellation("qam", 16), custom_constellation(np.exp(2j * np.pi * np.arange(5) / 5))):
-        generators = [substream(22, 1, t) for t in range(33)]
-        for streams in (generators, trial_keys(22, 1, range(33))):
-            H, x_true, v, r = sample_stack(9, 3, c, 0.7, streams)
-            assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
-            for t in range(33):
-                inst = sample_instance(9, 3, c, 0.7, substream(22, 1, t))
-                np.testing.assert_array_equal(H[t], inst.H)
-                np.testing.assert_array_equal(x_true[t], inst.x_true)
-                np.testing.assert_array_equal(v[t], inst.v)
-                np.testing.assert_array_equal(r[t], inst.r)
-                # and every draw matches numpy's integers() on the same stream
-                H_ref, x_ref, v_ref = numpy_instance(9, 3, c, 0.7, substream(22, 1, t))
-                np.testing.assert_array_equal(H[t], H_ref)
-                np.testing.assert_array_equal(x_true[t], x_ref)
-                np.testing.assert_array_equal(v[t], v_ref)
+        H, x_true, v, r = sample_stack(9, 3, c, 0.7, trial_keys(22, 1, range(33)))
+        assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
+        for t in range(33):
+            inst = sample_instance(9, 3, c, 0.7, substream(22, 1, t))
+            np.testing.assert_array_equal(H[t], inst.H)
+            np.testing.assert_array_equal(x_true[t], inst.x_true)
+            np.testing.assert_array_equal(v[t], inst.v)
+            np.testing.assert_array_equal(r[t], inst.r)
+            # and every draw matches numpy's integers() on the same stream
+            H_ref, x_ref, v_ref = numpy_instance(9, 3, c, 0.7, substream(22, 1, t))
+            np.testing.assert_array_equal(H[t], H_ref)
+            np.testing.assert_array_equal(x_true[t], x_ref)
+            np.testing.assert_array_equal(v[t], v_ref)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [substream(22, t) for t in range(3)],
+        trial_keys(22, range(3)).astype(np.int64),
+        trial_keys(22, range(3)).reshape(-1),
+        np.zeros((3, 4), dtype=np.uint64),
+    ],
+    ids=["generators", "int64", "flat", "four-words"],
+)
+def test_stack_refuses_anything_but_philox_keys(keys):
+    with pytest.raises(ValueError, match="trial_keys"):
+        sample_stack(9, 3, QPSK, 0.7, keys)
 
 
 def test_rejected_rows_are_redrawn_to_the_same_draws(monkeypatch):
@@ -151,14 +164,15 @@ def test_trial_keys_equal_seedsequence_state():
     draws = np.random.default_rng(7)
     checked = 0
     for seed in KEY_SEEDS:
-        for point in KEY_POINTS:
+        # the one-word spawn keys (seed, t), then (seed, point, t)
+        for prefix in ((), *((point,) for point in KEY_POINTS)):
             trials = np.concatenate(
                 [np.arange(1200), draws.integers(0, 2**32, size=1200), [2**31, 2**32 - 2, 2**32 - 1]]
             )
-            keys = trial_keys(seed, point, trials)
+            keys = trial_keys(seed, *prefix, trials)
             assert keys.dtype == np.uint64 and keys.shape == (trials.size, 2)
             for t, key in zip(trials.tolist(), keys):
-                ref = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
+                ref = np.random.SeedSequence(seed, spawn_key=(*prefix, t)).generate_state(2, np.uint64)
                 np.testing.assert_array_equal(key, ref)
             checked += trials.size
     assert checked >= 10**5
@@ -190,7 +204,7 @@ def test_negative_seed_or_point_rejected(seed, point):
         trial_keys(seed, point, [0])
 
 
-@pytest.mark.parametrize("trial", [2**32, -1, 2**64])
+@pytest.mark.parametrize("trial", [2**32, -1, 2**64, 1.5])
 def test_trial_index_outside_uint32_rejected(trial):
     with pytest.raises(ValueError):
         trial_keys(3, 0, [0, trial])
@@ -264,7 +278,10 @@ def test_noise_variance_conditional_on_H():
     assert np.mean(resid) == pytest.approx(sigma2, rel=0.05)
 
 
-def test_negative_sigma2_rejected():
+@pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
+def test_negative_sigma2_rejected(sigma2):
     c = make_constellation("psk", 2)
     with pytest.raises(ValueError):
-        sample_instance(4, 2, c, -1.0, substream(2))
+        sample_instance(4, 2, c, sigma2, substream(2))
+    with pytest.raises(ValueError):
+        sample_stack(4, 2, c, sigma2, trial_keys(2, range(3)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimodet import detect
-from mimodet.channel import sample_instance, sample_stack, substream
+from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
 from mimodet.constellation import custom_constellation, make_constellation, nearest_symbols
 from mimodet.detect import (
     _sphere_stack_search,
@@ -235,7 +235,7 @@ def test_zf_rejects_rank_deficient():
 
 
 def zf_stack_of(B, m, n, c, sigma2, key):
-    H, _, _, r = sample_stack(m, n, c, sigma2, [substream(key, t) for t in range(B)])
+    H, _, _, r = sample_stack(m, n, c, sigma2, trial_keys(key, range(B)))
     return H, r
 
 
