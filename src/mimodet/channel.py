@@ -12,6 +12,7 @@ reconstructed independently of worker count or scheduling order.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,12 @@ _STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B)
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent random stream for (master_seed, key...).
+    """Independent random stream for (master_seed, key...), all integers (else TypeError).
 
     Streams with distinct keys are statistically independent and do not
     depend on how work is sharded across processes.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(operator.index(master_seed), spawn_key=tuple(map(operator.index, key)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -78,7 +79,7 @@ def trial_keys(master_seed: int, *key) -> np.ndarray:
     t = np.asarray(trials).reshape(-1)
     if t.size and not (t.dtype.kind in "iu" and t.min() >= 0 and t.max() <= _MASK32):
         raise ValueError("trial indices must be integers in [0, 2**32)")
-    left, xor, mul = _prefix_mixer(int(master_seed), tuple(int(k) for k in prefix))
+    left, xor, mul = _prefix_mixer(operator.index(master_seed), tuple(map(operator.index, prefix)))
     w = (t.astype(np.uint32)[:, None] ^ xor) * mul  # hashmix of the trial word, (T, 4)
     w ^= w >> 16
     w = left - w * np.uint32(_MIX_MULT_R)  # mix into each pool word

@@ -123,7 +123,6 @@ KEYS = {
     "trials": ("experiment", _integer),
     "master_seed": ("experiment", _integer),
     "target_errors": ("experiment", _integer),
-    "ml_budget": ("experiment", _integer),
     "n": ("experiment", _integer),
     "delta": ("experiment", _real),
 }
@@ -186,7 +185,7 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
     setting delta unsets n, so a variant can switch the user rule.  ``seed``,
     when given, overrides master_seed after every section.  Every
     failure is a ConfigError at the line of the key at fault, or at the line
-    of its section when the key is missing.
+    of its section when the key is missing; a bad ``seed`` is one at --seed.
     """
     settings: dict = {}  # key -> (raw value, section that set it)
     for section in sections:
@@ -198,7 +197,7 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
                 settings.pop({"n": "delta", "delta": "n"}.get(key), None)
             settings[key] = (raw, section)
     if seed is not None:
-        settings["master_seed"] = (seed, "experiment")
+        settings["master_seed"] = (seed, "--seed")
     raw = {key: value for key, (value, _) in settings.items() if value not in ("", None)}
     try:
         constellation = _build_constellation(raw.get("kind", ""), raw.get("M"), raw.get("symbols"))
@@ -210,7 +209,7 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
         config = ExperimentConfig(constellation=constellation, **exp)
     except ConfigValueError as exc:
         section = settings[exc.key][1] if exc.key in settings else KEYS[exc.key][0]
-        raise ConfigError(f"{at(section, exc.key)}: {exc}") from exc
+        raise ConfigError(f"{section if section == '--seed' else at(section, exc.key)}: {exc}") from exc
 
     echo_const: dict = {"kind": constellation.kind.value, "M": constellation.M}
     if constellation.kind is ConstellationKind.CUSTOM:
@@ -221,7 +220,7 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
 
 
 def _json_object(path: str, pairs: list) -> dict:
-    """One object of a JSON config; a key, section or variant name given twice is a ConfigError."""
+    """One object of a JSON config; a key or section given twice is a ConfigError."""
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
@@ -233,7 +232,7 @@ def _json_object(path: str, pairs: list) -> dict:
 def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
     """Parse an INI (key = value with sections) or JSON experiment file.
 
-    JSON has the same sections plus a "variants" object; its errors anchor at line 1.
+    JSON has the same sections, variants included; its errors anchor at line 1.
     """
     p = Path(path)
     if not p.exists():
@@ -246,13 +245,6 @@ def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}:1: a JSON config is an object of sections")
-        named = doc.pop("variants", {})
-        if not isinstance(named, dict):
-            raise ConfigError(f'{path}:1: "variants" must be an object of variants')
-        for name, items in named.items():
-            if f"variant:{name}" in doc:
-                raise ConfigError(f"{path}:1: variant {name!r} is given twice")
-            doc[f"variant:{name}"] = items
         for section, items in doc.items():
             if not isinstance(items, dict):
                 raise ConfigError(f"{path}:1: [{section}] must be an object of keys")
@@ -338,6 +330,10 @@ def _campaign_csv_path(out: Path, name: str) -> Path:
 def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads: int = 1) -> int:
     campaigns = load_config(config_path, seed_override=seed)
     out = Path(out_path)
+    manifest_path = out.with_suffix(".manifest.json")
+    for path in [*(_campaign_csv_path(out, camp.name) for camp in campaigns), manifest_path]:
+        if path.is_dir():
+            raise ConfigError(f"--out: {path} is a directory")
     manifest: dict = {
         "version": __version__,
         "config_file": str(config_path),
@@ -365,7 +361,6 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
               f"{result.duration_s:.2f}s)")
     manifest["duration_s"] = time.perf_counter() - t0
     manifest["master_seed"] = campaigns[0].config.master_seed
-    manifest_path = out.with_suffix(".manifest.json")
     with _replacing(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -1,19 +1,19 @@
 """MIMO detectors: exhaustive ML, sphere-decoder ML, and zero-forcing.
 
 The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
-S^n, every candidate scored by one real matrix product per pass, and is the
-ground-truth oracle for everything else.  The sphere decoder
-returns the identical decision for any constellation by an exact
-radius-pruned search over the constellation's own symbols after a complex
-QR, run layer by layer over a whole stack of systems at once.
+S^n, up to ML_BUDGET candidates, every candidate scored by one real matrix
+product per pass, and is the ground-truth oracle for everything else.  The
+sphere decoder returns the identical decision for any constellation and n
+by an exact radius-pruned search over the constellation's own symbols after
+a complex QR, run layer by layer over a whole stack of systems at once.
 ZF solves the normal equations (H^H H) x = H^H r of the unconstrained
 least-squares problem, after a Cholesky check of H^H H, and quantizes each
 entry to the nearest symbol; a member whose Gram matrix is too ill
 conditioned for that is solved by QR instead.
 
-Each detector has one implementation, for a stack of systems H (B, m, n),
-r (B, m) (``detect_*_stack``); the per-instance ``detect_*`` functions are
-its one-member case and add the decision's metric.
+Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
+r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
+``detect_*`` functions are its one-member case and add the decision's metric.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .constellation import Constellation, nearest_symbols
 
 #: Refuse exhaustive enumeration beyond this many candidates (M^n).
-DEFAULT_ML_BUDGET = 1 << 20
+ML_BUDGET = 1 << 20
 
 #: Candidates one pass of the exhaustive kernel scores, over all members of
 #: its group: one QPSK instance at n = 8.  Members are grouped up to it and
@@ -76,7 +76,6 @@ class DetectionOutcome:
     """A detector's index decision on one system and its metric ||H x_hat - r||^2."""
 
     x_hat: np.ndarray
-    detector: str
     metric: float
 
 
@@ -106,15 +105,15 @@ def _check_stack(H: np.ndarray, r: np.ndarray, ndim: int | None = 3) -> tuple[np
     return H, r
 
 
-def _one_member(detector: str, stack_detector, H, r, c: Constellation, *args) -> DetectionOutcome:
+def _one_member(stack_detector, H, r, c: Constellation) -> DetectionOutcome:
     """``stack_detector``'s decision on one system H (m, n), r (m,), with its metric."""
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2:
         raise ValueError(f"H must be a matrix, got shape {H.shape}")
     r = np.asarray(r, dtype=np.complex128).ravel()
-    x_hat = stack_detector(H[None], r[None], c, *args)[0]
+    x_hat = stack_detector(H[None], r[None], c)[0]
     metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
-    return DetectionOutcome(x_hat=x_hat, detector=detector, metric=metric)
+    return DetectionOutcome(x_hat=x_hat, metric=metric)
 
 
 def _qr_augmented(B: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +209,6 @@ def detect_ml_exhaustive_stack(
     H: np.ndarray,
     r: np.ndarray,
     c: Constellation,
-    budget: int = DEFAULT_ML_BUDGET,
 ) -> np.ndarray:
     """Exhaustive ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
@@ -228,18 +226,18 @@ def detect_ml_exhaustive_stack(
     minimizer of a pass and a strict < the earlier pass, so ties break to
     the lexicographically smallest index vector.  A pass scores at most
     ML_PASS_CANDIDATES candidates over its group, which bounds the
-    temporaries whatever budget the caller allows, and no product costs
-    more than ML_PASS_MACS multiply-adds (a complex one counted as 4),
-    which keeps BLAS on one thread.  Refuses to run when M^n exceeds
-    ``budget`` rather than approximating.
+    temporaries whatever n is, and no product costs more than ML_PASS_MACS
+    multiply-adds (a complex one counted as 4), which keeps BLAS on one
+    thread.  Refuses to run when M^n exceeds ML_BUDGET rather than
+    approximating: :func:`detect_ml_sphere_stack` is exact beyond it.
     """
     H, r = _check_stack(H, r)
     n = H.shape[-1]
     total = c.M**n
-    if total > budget:
+    if total > ML_BUDGET:
         raise ValueError(
             f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
-            f"the budget of {budget}; raise the budget explicitly to override"
+            f"ML_BUDGET = {ML_BUDGET}; ml-sphere gives the exact ML decision beyond it"
         )
     if len(H) == 0:
         return np.zeros((0, n), dtype=np.int64)
@@ -270,15 +268,14 @@ def detect_ml_exhaustive(
     H: np.ndarray,
     r: np.ndarray,
     c: Constellation,
-    budget: int = DEFAULT_ML_BUDGET,
 ) -> DetectionOutcome:
     """Global minimizer of ||H x - r||^2 over all M^n candidate vectors.
 
     The one-member case of :func:`detect_ml_exhaustive_stack`: ties break to
-    the lexicographically smallest index vector, and M^n above ``budget`` is
+    the lexicographically smallest index vector, and M^n above ML_BUDGET is
     refused.
     """
-    return _one_member("ml-exhaustive", detect_ml_exhaustive_stack, H, r, c, budget)
+    return _one_member(detect_ml_exhaustive_stack, H, r, c)
 
 
 def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, int]:
@@ -369,7 +366,7 @@ def detect_ml_sphere(
     The one-member case of :func:`detect_ml_sphere_stack`; the decision
     always equals :func:`detect_ml_exhaustive`.
     """
-    return _one_member("ml-sphere", detect_ml_sphere_stack, H, r, c)
+    return _one_member(detect_ml_sphere_stack, H, r, c)
 
 
 def _gram_cholesky(G: np.ndarray) -> np.ndarray:
@@ -459,4 +456,8 @@ def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcom
 
     The one-member case of :func:`detect_zf_stack`.
     """
-    return _one_member("zf", detect_zf_stack, H, r, c)
+    return _one_member(detect_zf_stack, H, r, c)
+
+
+#: The stack detector of each config name, all (H, r, c) -> indices (B, n).
+DETECTORS = {"ml-exhaustive": detect_ml_exhaustive_stack, "ml-sphere": detect_ml_sphere_stack, "zf": detect_zf_stack}

@@ -8,13 +8,14 @@ in chunk order, and the adaptive stop checked at the block's end.  Sweep
 output is therefore a pure function of the config, independent of worker
 count and scheduling, and no chunk is computed past a stop.  A block's
 stream keys are derived at once, and each chunk's trials are sampled and
-detected as stacked arrays.
+detected as stacked arrays by the detectors that ``detect.DETECTORS`` names.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing.pool  # loaded here so no sweep and no forked worker pays for it
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -22,9 +23,7 @@ import numpy as np
 
 from .channel import sample_stack, sigma2_from_snr, trial_keys
 from .constellation import Constellation
-from .detect import DEFAULT_ML_BUDGET, detect_ml_exhaustive_stack, detect_ml_sphere_stack, detect_zf_stack
-
-DETECTOR_NAMES = ("ml-exhaustive", "ml-sphere", "zf")
+from .detect import DETECTORS, ML_BUDGET
 
 #: Trials per work block.  Fixed (never derived from worker count) so the
 #: adaptive-stop boundary and all counts are scheduling independent.
@@ -72,16 +71,22 @@ class ExperimentConfig:
     trials: int = 10000
     master_seed: int = 0
     target_errors: int | None = None
-    ml_budget: int = DEFAULT_ML_BUDGET
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        for key in ("n", "trials", "master_seed", "target_errors", "m_grid"):
+            value = getattr(self, key)
+            try:  # as Python ints: a float is refused, never truncated
+                if value is not None:
+                    ints = tuple(map(operator.index, value)) if key == "m_grid" else operator.index(value)
+                    object.__setattr__(self, key, ints)
+            except TypeError:
+                raise ConfigValueError(key, f"{key} takes integers only, got {value!r}") from None
         if not self.detectors:
             raise ConfigValueError("detectors", "at least one detector is required")
         for d in self.detectors:
-            if d not in DETECTOR_NAMES:
-                raise ConfigValueError("detectors", f"unknown detector {d!r}; choose from {DETECTOR_NAMES}")
+            if d not in DETECTORS:
+                raise ConfigValueError("detectors", f"unknown detector {d!r}; choose from {tuple(DETECTORS)}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigValueError("detectors", "duplicate detectors in config")
         try:
@@ -106,18 +111,16 @@ class ExperimentConfig:
             raise ConfigValueError("master_seed", f"master_seed must be >= 0, got {self.master_seed}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigValueError("target_errors", f"target_errors must be >= 1, got {self.target_errors}")
-        if self.ml_budget < 1:
-            raise ConfigValueError("ml_budget", f"ml_budget must be >= 1, got {self.ml_budget}")
         for m in self.m_grid:
             n = self.users_for(m)
             if not (m >= n >= 1):
                 raise ConfigValueError("m_grid", f"grid point m={m} gives n={n}; need m >= n >= 1")
             M = self.constellation.M
-            if "ml-exhaustive" in self.detectors and M**n > self.ml_budget:
+            if "ml-exhaustive" in self.detectors and M**n > ML_BUDGET:
                 raise ConfigValueError(
                     "detectors",
                     f"ml-exhaustive infeasible at m={m}: {M}^{n} = {M**n} candidates "
-                    f"exceeds the enumeration budget {self.ml_budget}",
+                    f"exceeds ML_BUDGET = {ML_BUDGET}; ml-sphere is exact beyond it",
                 )
 
     def users_for(self, m: int) -> int:
@@ -198,16 +201,6 @@ def estimate_vep(errors: int, trials: int) -> tuple[float, float, float]:
     return p, lo, hi
 
 
-def _decisions(det: str, H: np.ndarray, r: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Index decisions (B, n) of one detector on a stack of instances."""
-    c = config.constellation
-    if det == "zf":
-        return detect_zf_stack(H, r, c)
-    if det == "ml-exhaustive":
-        return detect_ml_exhaustive_stack(H, r, c, budget=config.ml_budget)
-    return detect_ml_sphere_stack(H, r, c)
-
-
 def _chunk_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) -> np.ndarray:
     """Integer error counts for the trials of Philox ``keys`` at one grid point.
 
@@ -220,7 +213,7 @@ def _chunk_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) 
     H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys)
     counts = np.empty((len(config.detectors), 3), dtype=np.int64)
     for k, det in enumerate(config.detectors):
-        errs = _decisions(det, H, r, config) != x_true
+        errs = DETECTORS[det](H, r, config.constellation) != x_true
         counts[k] = errs.any(axis=1).sum(), errs.sum(), errs[:, 0].sum()
     return counts
 

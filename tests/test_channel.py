@@ -204,6 +204,20 @@ def test_negative_seed_or_point_rejected(seed, point):
         trial_keys(seed, point, [0])
 
 
+@pytest.mark.parametrize("seed, point", [(1.9, 0), (1, 0.7), (1.0, 0), (np.float64(2.0), 0)])
+def test_non_integer_seed_or_prefix_refused_not_truncated(seed, point):
+    # a fractional seed or spawn-key word once drew the stream of its integer part
+    with pytest.raises(TypeError):
+        trial_keys(seed, point, [1])
+    with pytest.raises(TypeError):
+        substream(seed, point, 1)
+
+
+def test_numpy_integer_seed_and_prefix_accepted():
+    np.testing.assert_array_equal(trial_keys(np.uint64(3), np.int32(1), [0, 5]), trial_keys(3, 1, [0, 5]))
+    assert substream(np.int64(3), np.uint8(1)).integers(1 << 62) == substream(3, 1).integers(1 << 62)
+
+
 @pytest.mark.parametrize("trial", [2**32, -1, 2**64, 1.5])
 def test_trial_index_outside_uint32_rejected(trial):
     with pytest.raises(ValueError):

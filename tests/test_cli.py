@@ -84,6 +84,40 @@ def test_manifest_echo_reproduces_run(tmp_path, ini_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_manifest_echo_with_ml_budget_exits_2(tmp_path, capsys):
+    # an echo written while ml_budget was a key names it; the cap is now a constant
+    echo = json.loads(json.dumps(JSON_CONFIG))
+    echo["experiment"]["ml_budget"] = 1048576
+    p = tmp_path / "echo.json"
+    p.write_text(json.dumps(echo))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{p}:1: unknown key 'ml_budget' in [experiment]" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2_at_the_flag(tmp_path, ini_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(ini_path), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    # the config's own master_seed line is valid and is not blamed
+    assert "config error: --seed: master_seed must be >= 0, got -1" in err and str(ini_path) not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directory", ["x.csv", "x.tiny.csv", "x.manifest.json"])
+def test_out_directory_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, directory):
+    from mimodet import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran although an output path is a directory")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    p = tmp_path / "v.cfg"
+    p.write_text(INI_CONFIG + "\n[variant:tiny]\ntrials = 100\n")
+    (tmp_path / directory).mkdir()
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config error: --out: {tmp_path / directory} is a directory" in capsys.readouterr().err
+
+
 def test_sweep_csv_contract(tmp_path, ini_path):
     out = tmp_path / "res.csv"
     assert main(["sweep", "--config", str(ini_path), "--out", str(out)]) == 0
@@ -395,15 +429,17 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         ("kind = qam\nM = 16", "kind = custom\nsymbols = 1e-170,0; -1e-170,0", 3, "energy must be finite and positive"),
         ("[constellation]", "[DEFAULT]\ntrials = 5\n\n[constellation]", 1, "unknown section [DEFAULT]"),
         ("[constellation]", "[DEFAULT]\n\n[constellation]", 1, "unknown section [DEFAULT]"),
-        ("master_seed = 42", "master_seed = 42\nml_budget = 0", 12, "ml_budget must be >= 1, got 0"),
-        ("master_seed = 42", "master_seed = 42\nml_budget = -5", 12, "ml_budget must be >= 1, got -5"),
-        ("detectors = zf\n", "detectors = zf, ml-exhaustive\nml_budget = 0\n", 7, "ml_budget must be >= 1, got 0"),
+        # the exhaustive-ML candidate cap is a constant: ml_budget is an unknown key whatever its value
+        ("master_seed = 42", "master_seed = 42\nml_budget = 0", 12, "unknown key 'ml_budget' in [experiment]"),
+        ("master_seed = 42", "master_seed = 42\nml_budget = -5", 12, "unknown key 'ml_budget' in [experiment]"),
+        ("detectors = zf\n", "detectors = zf, ml-exhaustive\nml_budget = 0\n", 7, "unknown key 'ml_budget'"),
+        ("master_seed = 42", "master_seed = 42\n\n[variant:v]\nml_budget = 5", 14, "'ml_budget' in [variant:v]"),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
         "qam-M", "symbols", "snr-sigma2-underflow", "snr-sigma2-overflow", "symbols-infinite-energy",
         "symbols-zero-energy", "default-section", "empty-default-section", "ml-budget-zero", "ml-budget-negative",
-        "ml-budget-zero-with-ml",
+        "ml-budget-zero-with-ml", "ml-budget-in-variant",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):
@@ -448,8 +484,8 @@ def test_json_bool_symbol_coordinate_exits_2(tmp_path, capsys):
     "extra,message",
     [
         ({"experiment": 5}, "[experiment] must be an object of keys"),
-        ({"variants": [1]}, '"variants" must be an object of variants'),
-        ({"variants": {"v": 5}}, "[variant:v] must be an object of keys"),
+        ({"variants": [1]}, "[variants] must be an object of keys"),
+        ({"variant:v": 5}, "[variant:v] must be an object of keys"),
     ],
     ids=["experiment-number", "variants-list", "variant-number"],
 )
@@ -468,10 +504,9 @@ JSON_TEXT = json.dumps(JSON_CONFIG)
     [
         (JSON_TEXT.replace('"trials": 300', '"trials": 64, "trials": 300'), "'trials' is given twice"),
         (JSON_TEXT[:-1] + ', "constellation": {"kind": "psk", "M": 8}}', "'constellation' is given twice"),
-        (JSON_TEXT[:-1] + ', "variants": {"v": {"trials": 8}, "v": {"trials": 16}}}', "'v' is given twice"),
-        (JSON_TEXT[:-1] + ', "variant:v": {"trials": 8}, "variants": {"v": {}}}', "variant 'v' is given twice"),
+        (JSON_TEXT[:-1] + ', "variant:v": {"trials": 8}, "variant:v": {"trials": 16}}', "'variant:v' is given twice"),
     ],
-    ids=["key", "section", "variant", "variant-section"],
+    ids=["key", "section", "variant"],
 )
 def test_json_duplicate_name_exits_2(tmp_path, capsys, text, message):
     p = tmp_path / "dup.json"
@@ -493,10 +528,28 @@ def test_ini_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys,
     assert not out.exists() and not (tmp_path / "x.manifest.json").exists()
 
 
+def test_json_variants_object_is_an_unknown_section(tmp_path, capsys):
+    # a JSON variant is a "variant:<name>" section, as in INI; there is no second spelling
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({**JSON_CONFIG, "variants": {"v": {"trials": 100}}}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert f"{p}:1: unknown section [variants]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_variant_section_runs_as_a_campaign(tmp_path):
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps({**JSON_CONFIG, "variant:tiny": {"trials": 100, "m_grid": [4, 6]}}))
+    campaigns = load_config(str(p))
+    assert [c.name for c in campaigns] == ["", "tiny"]
+    assert campaigns[1].config.trials == 100 and campaigns[1].config.m_grid == (4, 6)
+
+
 @pytest.mark.parametrize("name", ["", "a/b"], ids=["empty", "slash"])
 def test_json_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys, name):
     p = tmp_path / "named.json"
-    p.write_text(json.dumps({**JSON_CONFIG, "variants": {name: {"trials": 100}}}))
+    p.write_text(json.dumps({**JSON_CONFIG, f"variant:{name}": {"trials": 100}}))
     out = tmp_path / "x.csv"
     assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
     assert f"{p}:1: a variant name must be non-empty" in capsys.readouterr().err

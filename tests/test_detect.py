@@ -74,12 +74,14 @@ def test_exhaustive_n1_bpsk_is_matched_filter():
 
 
 def test_exhaustive_budget_refusal():
-    inst = sample_instance(4, 4, QAM16, 1.0, substream(104))
-    with pytest.raises(ValueError, match="budget"):
-        detect_ml_exhaustive(inst.H, inst.r, QAM16, budget=1000)
-    # explicit override runs it
-    out = detect_ml_exhaustive(inst.H, inst.r, QAM16, budget=16**4)
-    assert out.x_hat.shape == (4,)
+    # M^n above the fixed ML_BUDGET = 2^20 is refused, naming the candidate count and the exact alternative
+    inst = sample_instance(6, 6, QAM16, 1.0, substream(104))
+    with pytest.raises(ValueError, match=r"16\^6 = 16777216 candidates exceeds ML_BUDGET = 1048576; ml-sphere"):
+        detect_ml_exhaustive(inst.H, inst.r, QAM16)
+    # M^n = ML_BUDGET itself runs
+    assert QPSK.M**10 == detect.ML_BUDGET
+    inst = sample_instance(10, 10, QPSK, 1e-6, substream(104))
+    np.testing.assert_array_equal(detect_ml_exhaustive(inst.H, inst.r, QPSK).x_hat, inst.x_true)
 
 
 def test_ml_optimality_over_all_candidates():
@@ -505,6 +507,21 @@ def test_sphere_stack_frontier_slices_match_one_pass(monkeypatch, frontier):
 def test_stack_detectors_accept_empty_stack(stack_detector):
     x_hat = stack_detector(np.empty((0, 4, 2)), np.empty((0, 4)), QAM16)
     assert x_hat.shape == (0, 2) and x_hat.dtype == np.int64
+
+
+def test_detectors_map_each_config_name_to_its_stack_detector():
+    assert detect.DETECTORS == {
+        "ml-exhaustive": detect.detect_ml_exhaustive_stack,
+        "ml-sphere": detect.detect_ml_sphere_stack,
+        "zf": detect.detect_zf_stack,
+    }
+    H, r = zf_stack_of(4, 6, 2, QAM16, 1.0, 153)
+    single = {"ml-exhaustive": detect_ml_exhaustive, "ml-sphere": detect_ml_sphere, "zf": detect_zf}
+    for name, stack_detector in detect.DETECTORS.items():
+        x_hat = stack_detector(H, r, QAM16)
+        assert x_hat.shape == (4, 2) and x_hat.dtype == np.int64
+        for k in range(4):
+            np.testing.assert_array_equal(single[name](H[k], r[k], QAM16).x_hat, x_hat[k])
 
 
 def test_sphere_stack_rejects_rank_deficient_member():

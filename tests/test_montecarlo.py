@@ -20,6 +20,7 @@ from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
     TRIAL_BLOCK,
     TRIAL_CHUNK,
+    ConfigValueError,
     ExperimentConfig,
     PointStats,
     VepCurve,
@@ -120,8 +121,30 @@ def test_config_rejects_user_rule_conflicts():
 
 
 def test_config_rejects_infeasible_ml():
-    with pytest.raises(ValueError, match="ml-exhaustive infeasible"):
-        base_config(detectors=("ml-exhaustive",), n=8, m_grid=(8, 16), ml_budget=1000)
+    # 16^5 = ML_BUDGET runs; 16^6 is refused, with the candidate count and the exact alternative
+    assert base_config(detectors=("ml-exhaustive",), n=5, m_grid=(8,)).n == 5
+    with pytest.raises(ValueError, match=r"ml-exhaustive infeasible at m=8: 16\^6 = 16777216 candidates .* ml-sphere"):
+        base_config(detectors=("ml-exhaustive",), n=6, m_grid=(8, 16))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("master_seed", 1.5), ("trials", 64.5), ("n", 2.5), ("target_errors", 10.5), ("m_grid", (12.7, 18.2)),
+     ("m_grid", np.array([8.0, 12.0])), ("trials", "64")],
+    ids=["seed", "trials", "n", "target-errors", "grid", "grid-float-array", "trials-string"],
+)
+def test_config_refuses_non_integers_at_their_key(key, value):
+    # once truncated: m_grid (12.7, 18.2) with master_seed 1.5 swept as (12, 18) with seed 1
+    with pytest.raises(ConfigValueError, match=f"{key} takes integers only") as info:
+        base_config(**{key: value})
+    assert info.value.key == key
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    cfg = base_config(master_seed=np.uint64(7), trials=np.int32(64), n=np.int64(2), target_errors=np.int16(5),
+                      m_grid=np.array([8, 12]))
+    fields = (cfg.master_seed, cfg.trials, cfg.n, cfg.target_errors, *cfg.m_grid)
+    assert fields == (7, 64, 2, 5, 8, 12) and all(type(v) is int for v in fields)
 
 
 def test_sweep_sphere_on_psk_equals_exhaustive():
