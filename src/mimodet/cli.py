@@ -334,6 +334,10 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
     for path in [*(_campaign_csv_path(out, camp.name) for camp in campaigns), manifest_path]:
         if path.is_dir():
             raise ConfigError(f"--out: {path} is a directory")
+    try:  # before any sweep, so an --out under an existing file costs no work
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out: cannot create directory {out.parent}: {exc.strerror}") from exc
     manifest: dict = {
         "version": __version__,
         "config_file": str(config_path),

@@ -2,13 +2,13 @@
 
 Every trial owns a private counter-based random stream keyed by
 (master_seed, grid-point index, trial index).  A grid point runs one
-``TRIAL_BLOCK`` block at a time: the block's chunks of ``TRIAL_CHUNK`` trials
-are computed (serially or by one pool ``map``), their integer counts summed
-in chunk order, and the adaptive stop checked at the block's end.  Sweep
-output is therefore a pure function of the config, independent of worker
-count and scheduling, and no chunk is computed past a stop.  A block's
-stream keys are derived at once, and each chunk's trials are sampled and
-detected as stacked arrays by the detectors that ``detect.DETECTORS`` names.
+``TRIAL_BLOCK`` block at a time: the block's trials are cut in order into
+stacks within ``STACK_ENTRIES`` H entries, computed (serially or by one pool
+``map``), their integer counts summed, and the adaptive stop checked at the
+block's end.  Sweep output is therefore a pure function of the config,
+independent of worker count, stack sizes and scheduling, and no stack is
+computed past a stop.  Each stack's trials are sampled and detected as
+stacked arrays by the detectors that ``detect.DETECTORS`` names.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from .detect import DETECTORS, ML_BUDGET
 #: adaptive-stop boundary and all counts are scheduling independent.
 TRIAL_BLOCK = 256
 
-#: Trials stacked into one array pass inside a block.  Divides TRIAL_BLOCK.
-#: Stacking a whole block instead raised the peak RSS of a (48, 16) ZF sweep
-#: from 85 to 95 MiB.
-TRIAL_CHUNK = 32
+#: Most H entries (trials * m * n) in a stack of more than one trial: 32 trials
+#: at (48, 16).  Whole-block stacks without a budget slowed ZF sweeps and raised peak RSS.
+STACK_ENTRIES = 24576
+
+#: Most pool processes.  A block has a stack per process, so 8 keep them >= 32 trials.
+POOL_PROCESSES = 8
 
 #: Wilson score interval critical value for 95% coverage.
 WILSON_Z = 1.96
@@ -76,10 +78,13 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         for key in ("n", "trials", "master_seed", "target_errors", "m_grid"):
             value = getattr(self, key)
-            try:  # as Python ints: a float is refused, never truncated
+            try:  # as Python ints: a float or a bool is refused, never truncated or read as 0/1
                 if value is not None:
-                    ints = tuple(map(operator.index, value)) if key == "m_grid" else operator.index(value)
-                    object.__setattr__(self, key, ints)
+                    items = tuple(value) if key == "m_grid" else (value,)
+                    if any(isinstance(v, bool) for v in items):
+                        raise TypeError
+                    ints = tuple(map(operator.index, items))
+                    object.__setattr__(self, key, ints if key == "m_grid" else ints[0])
             except TypeError:
                 raise ConfigValueError(key, f"{key} takes integers only, got {value!r}") from None
         if not self.detectors:
@@ -201,7 +206,7 @@ def estimate_vep(errors: int, trials: int) -> tuple[float, float, float]:
     return p, lo, hi
 
 
-def _chunk_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) -> np.ndarray:
+def _stack_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) -> np.ndarray:
     """Integer error counts for the trials of Philox ``keys`` at one grid point.
 
     Row k belongs to ``config.detectors[k]`` and holds its vector errors,
@@ -228,27 +233,29 @@ def _init_worker(config: ExperimentConfig) -> None:
 
 
 def _worker_counts(task: tuple[int, np.ndarray]) -> np.ndarray:
-    """``_chunk_counts`` of a pool task (point_index, keys) under the worker's config."""
-    return _chunk_counts(_WORKER_CONFIG, *task)
+    """``_stack_counts`` of a pool task (point_index, keys) under the worker's config."""
+    return _stack_counts(_WORKER_CONFIG, *task)
 
 
-def _run_point(config: ExperimentConfig, point_index: int, pool) -> tuple[int, np.ndarray]:
-    """Trials used and summed ``_chunk_counts`` of one grid point; stop early when allowed.
+def _run_point(config: ExperimentConfig, point_index: int, pool, processes: int) -> tuple[int, np.ndarray]:
+    """Trials used and summed ``_stack_counts`` of one grid point; stop early when allowed.
 
-    The point runs one TRIAL_BLOCK block at a time.  The block's Philox
-    keys are derived at once, and each chunk task carries its slice of them.
-    The tasks are computed in a list when serial, or by one ``pool.map``
-    whose workers hold the config, and summed in chunk order.  The stop rule
-    is applied at each block's end, so the stop is the same for every worker
-    count and no chunk past it is ever computed.
+    The point runs one TRIAL_BLOCK block at a time.  A block of t trials is cut in
+    trial order into min(t, max(processes, ceil(t * m * n / STACK_ENTRIES))) stacks
+    whose sizes differ by at most one, computed in a list when serial or by one
+    ``pool.map`` whose workers hold the config.  The stop rule is applied at each
+    block's end, so the stop is the same for every worker count and no stack
+    past it is computed.
     """
+    m, n = config.grid_points()[point_index]
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
     for block in range(0, config.trials, TRIAL_BLOCK):
         end = min(block + TRIAL_BLOCK, config.trials)
         keys = trial_keys(config.master_seed, point_index, np.arange(block, end))
-        tasks = [(point_index, keys[lo : lo + TRIAL_CHUNK]) for lo in range(0, end - block, TRIAL_CHUNK)]
+        stacks = min(end - block, max(processes, -(-(end - block) * m * n // STACK_ENTRIES)))
+        tasks = [(point_index, part) for part in np.array_split(keys, stacks)]
         if pool is None:
-            results = [_chunk_counts(config, *task) for task in tasks]
+            results = [_stack_counts(config, *task) for task in tasks]
         else:
             results = pool.map(_worker_counts, tasks)
         for counts in results:
@@ -271,15 +278,14 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     per_point_s: list[float] = []
     t0 = time.perf_counter()
 
+    processes = min(workers, POOL_PROCESSES)
     pool = None
     try:
-        if workers > 1:
-            # a block holds at most TRIAL_BLOCK // TRIAL_CHUNK tasks, so more workers would idle
-            processes = min(workers, TRIAL_BLOCK // TRIAL_CHUNK)
+        if processes > 1:
             pool = multiprocessing.get_context("fork").Pool(processes, initializer=_init_worker, initargs=(config,))
         for point_index, (m, n) in enumerate(config.grid_points()):
             tp = time.perf_counter()
-            trials_done, totals = _run_point(config, point_index, pool)
+            trials_done, totals = _run_point(config, point_index, pool, processes)
             per_point_s.append(time.perf_counter() - tp)
             for det, (errors, sym_total, user1) in zip(config.detectors, totals.tolist()):
                 vep_hat, ci_low, ci_high = estimate_vep(errors, trials_done)

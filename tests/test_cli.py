@@ -118,6 +118,20 @@ def test_out_directory_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, d
     assert f"config error: --out: {tmp_path / directory} is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", ["afile", "afile/sub"])
+def test_out_under_a_file_exits_2_before_any_sweep(tmp_path, ini_path, capsys, monkeypatch, under):
+    # once the first campaign was swept, then the CSV write failed with exit 3
+    from mimodet import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran although the output directory cannot be made")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    (tmp_path / "afile").write_text("")
+    assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / under / "x.csv")]) == 2
+    assert f"config error: --out: cannot create directory {tmp_path / under}: " in capsys.readouterr().err
+
+
 def test_sweep_csv_contract(tmp_path, ini_path):
     out = tmp_path / "res.csv"
     assert main(["sweep", "--config", str(ini_path), "--out", str(out)]) == 0

@@ -14,20 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimodet
+from mimodet import montecarlo
 from mimodet.channel import sample_instance, substream, trial_keys
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
+    POOL_PROCESSES,
+    STACK_ENTRIES,
     TRIAL_BLOCK,
-    TRIAL_CHUNK,
     ConfigValueError,
     ExperimentConfig,
     PointStats,
     VepCurve,
     estimate_vep,
-    _chunk_counts,
     _init_worker,
     _run_point,
+    _stack_counts,
     fit_slope,
     sweep,
 )
@@ -130,11 +132,15 @@ def test_config_rejects_infeasible_ml():
 @pytest.mark.parametrize(
     "key, value",
     [("master_seed", 1.5), ("trials", 64.5), ("n", 2.5), ("target_errors", 10.5), ("m_grid", (12.7, 18.2)),
-     ("m_grid", np.array([8.0, 12.0])), ("trials", "64")],
-    ids=["seed", "trials", "n", "target-errors", "grid", "grid-float-array", "trials-string"],
+     ("m_grid", np.array([8.0, 12.0])), ("trials", "64"),
+     ("n", True), ("trials", True), ("master_seed", False), ("target_errors", True), ("m_grid", (8, True)),
+     ("trials", np.True_)],
+    ids=["seed", "trials", "n", "target-errors", "grid", "grid-float-array", "trials-string",
+         "n-bool", "trials-bool", "seed-bool", "target-errors-bool", "grid-bool", "trials-numpy-bool"],
 )
 def test_config_refuses_non_integers_at_their_key(key, value):
-    # once truncated: m_grid (12.7, 18.2) with master_seed 1.5 swept as (12, 18) with seed 1
+    # once truncated: m_grid (12.7, 18.2) with master_seed 1.5 swept as (12, 18) with seed 1;
+    # a bool was once read as 0 or 1: trials=True swept one trial
     with pytest.raises(ConfigValueError, match=f"{key} takes integers only") as info:
         base_config(**{key: value})
     assert info.value.key == key
@@ -196,9 +202,9 @@ def test_run_trial_deterministic():
 
 def test_run_trial_all_detectors_see_same_instance():
     cfg = base_config(detectors=("zf", "ml-exhaustive"), snr_db=-3.0, m_grid=(8, 12))
-    # the sweep's one-trial chunk at point index 1, trial 9, against each
+    # the sweep's one-trial stack at point index 1, trial 9, against each
     # detector run directly on the instance of that keyed stream
-    counts = _chunk_counts(cfg, 1, trial_keys(cfg.master_seed, 1, [9]))
+    counts = _stack_counts(cfg, 1, trial_keys(cfg.master_seed, 1, [9]))
     inst = sample_instance(12, 2, QAM16, cfg.sigma2, substream(7, 1, 9))
     for k, x_hat in enumerate(
         (detect_zf(inst.H, inst.r, QAM16).x_hat, detect_ml_exhaustive(inst.H, inst.r, QAM16).x_hat)
@@ -236,7 +242,7 @@ def test_sweep_worker_count_invariance():
     res1 = sweep(cfg, workers=1)
     res2 = sweep(cfg, workers=2)
     res3 = sweep(cfg, workers=3)
-    res9 = sweep(cfg, workers=9)  # the pool is capped at 8 processes, one per chunk of a block
+    res9 = sweep(cfg, workers=POOL_PROCESSES + 1)  # the pool is capped at POOL_PROCESSES
     for det in cfg.detectors:
         for a, b, c, d in zip(*(res.curves[det].points for res in (res1, res2, res3, res9))):
             assert a == b == c == d
@@ -271,7 +277,7 @@ def reference_counts(cfg_items, m, n):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_block_kernel_counts_equal_run_trial_sums(workers):
-    # 300 trials: the last 32-trial chunk and the last 256-trial block are partial
+    # 300 trials: the last 256-trial block is partial, and so are its stacks
     cfg = base_config(**KERNEL_CFG)
     res = sweep(cfg, workers=workers)
     for i, (m, n) in enumerate(cfg.grid_points()):
@@ -308,7 +314,7 @@ POOL_CFG = dict(detectors=("zf", "ml-sphere"), m_grid=(6, 8), n=3, trials=700, s
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
     # three blocks per point, the last partial; the target is reached in the
-    # second block of the first point, so chunks of later blocks are in flight
+    # second block of the first point, so the third block must never be computed
     probe = base_config(**POOL_CFG)
     refs = [reference_counts(tuple(POOL_CFG.items()), m, n) for m, n in probe.grid_points()]
     target = min(int(refs[0][det][: 2 * TRIAL_BLOCK, 0].sum()) for det in probe.detectors)
@@ -340,24 +346,59 @@ class RecordingPool:
 
 
 @pytest.mark.parametrize("stop_block", [1, 2, 3])
-def test_chunk_dispatch_bounds_work_past_the_stop(stop_block):
-    probe = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0)
-    # the point's errors after stop_block blocks, as the stop target
-    target = int(_chunk_counts(probe, 0, trial_keys(probe.master_seed, 0, range(stop_block * TRIAL_BLOCK)))[0, 0])
-    cfg = base_config(m_grid=(8,), trials=8 * TRIAL_BLOCK, snr_db=-6.0, target_errors=target)
-    serial_trials, serial_totals = _run_point(cfg, 0, None)
-    assert serial_trials == stop_block * TRIAL_BLOCK  # stops after stop_block of eight blocks
+def test_chunk_dispatch_bounds_work_past_the_stop(monkeypatch, stop_block):
+    # (m, n, processes, budget): a stack per process at (8, 2); 8 stacks of 32 trials at
+    # (48, 16); 5 of 51-52 at (36, 12); one-trial stacks when one trial exceeds the budget
+    for m, n, processes, budget in [(8, 2, 2, STACK_ENTRIES), (8, 2, 3, STACK_ENTRIES),
+                                    (48, 16, 2, STACK_ENTRIES), (36, 12, 2, STACK_ENTRIES), (8, 2, 2, 15)]:
+        monkeypatch.setattr(montecarlo, "STACK_ENTRIES", budget)
+        kw = dict(m_grid=(m,), n=n, trials=8 * TRIAL_BLOCK, snr_db=-6.0)
+        probe = base_config(**kw)
+        # the point's errors after stop_block blocks, as the stop target
+        keys = trial_keys(probe.master_seed, 0, range(stop_block * TRIAL_BLOCK))
+        target = int(_stack_counts(probe, 0, keys)[0, 0])
+        cfg = base_config(**kw, target_errors=target)
+        serial_trials, serial_totals = _run_point(cfg, 0, None, 1)
+        assert serial_trials == stop_block * TRIAL_BLOCK  # stops after stop_block of eight blocks
+        pool = RecordingPool(_init_worker, (cfg,))
+        trials, totals = _run_point(cfg, 0, pool, processes)
+        assert trials == serial_trials
+        np.testing.assert_array_equal(totals, serial_totals)
+        # one map per block, holding at least one (point_index, keys) stack task per process,
+        # each within the budget unless it has one member, sizes differing by at most one;
+        # the config reaches workers once, at start-up
+        assert len(pool.calls) == stop_block
+        for call in pool.calls:
+            sizes = [len(keys) for point, keys in call if point == 0]
+            assert len(sizes) == len(call) >= processes
+            assert all(size * m * n <= budget or size == 1 for size in sizes)
+            assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
+        # the keys sent are the trials up to the stop, in order: no trial past it is computed
+        sent = np.concatenate([keys for call in pool.calls for _, keys in call])
+        np.testing.assert_array_equal(sent, keys)
+
+
+def test_short_last_block_has_no_empty_stack():
+    # a last block of 2 trials on 3 processes: two one-trial stacks, no empty third
+    cfg = base_config(m_grid=(8,), trials=TRIAL_BLOCK + 2)
     pool = RecordingPool(_init_worker, (cfg,))
-    trials, totals = _run_point(cfg, 0, pool)
-    assert trials == serial_trials
-    np.testing.assert_array_equal(totals, serial_totals)
-    # one map per block, holding that block's (point_index, keys) chunk tasks in order, each
-    # with its chunk's slice of the keys; the config reaches workers once, at start-up
-    assert [len(call) for call in pool.calls] == [TRIAL_BLOCK // TRIAL_CHUNK] * stop_block
-    assert all(point == 0 and len(keys) == TRIAL_CHUNK for call in pool.calls for point, keys in call)
-    # so no trial past the stop is computed
-    sent = np.concatenate([keys for call in pool.calls for _, keys in call])
-    np.testing.assert_array_equal(sent, trial_keys(cfg.master_seed, 0, range(serial_trials)))
+    trials, totals = _run_point(cfg, 0, pool, 3)
+    assert trials == TRIAL_BLOCK + 2
+    assert [[len(keys) for _, keys in call] for call in pool.calls] == [[86, 85, 85], [1, 1]]
+    np.testing.assert_array_equal(totals, _run_point(cfg, 0, None, 1)[1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stack_budget_leaves_counts_unchanged(monkeypatch, workers):
+    # one-trial stacks, and whole-block stacks (the budget holds 256 trials at every point)
+    cfg = base_config(**KERNEL_CFG)
+    results = []
+    for budget in (1, TRIAL_BLOCK * max(m * n for m, n in cfg.grid_points())):
+        monkeypatch.setattr(montecarlo, "STACK_ENTRIES", budget)
+        results.append(sweep(cfg, workers=workers))
+    for det in cfg.detectors:
+        assert results[0].curves[det].points == results[1].curves[det].points
+        assert [pt.trials for pt in results[0].curves[det].points] == [300, 300]
 
 
 def test_sweep_counting_identity_zf():
