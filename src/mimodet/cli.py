@@ -79,52 +79,38 @@ def _fmt(x: float) -> str:
 class Campaign:
     name: str
     config: ExperimentConfig
-    echo: dict
+    echo: str
 
 
-def _words(raw) -> list:
-    """Items of a list value: "a, b c" in INI, a list in JSON."""
-    return raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
+def _words(raw: str) -> list[str]:
+    """Items of a list value: "a, b c"."""
+    return raw.replace(",", " ").split()
 
 
-def _parse_symbols(raw) -> list[complex]:
-    """Custom symbols from "re,im; re,im; ..." or from a JSON list of [re, im] pairs."""
-    pairs = [chunk.split(",") for chunk in raw.split(";") if chunk.strip()] if isinstance(raw, str) else raw
+def _parse_symbols(raw: str) -> list[complex]:
+    """Custom symbols from "re,im; re,im; ..."."""
+    pairs = [chunk.split(",") for chunk in raw.split(";") if chunk.strip()]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"symbols must be re,im pairs, got {raw!r}")
-    return [complex(_real(re), _real(im)) for re, im in pairs]
+    return [complex(float(re), float(im)) for re, im in pairs]
 
 
-def _integer(raw) -> int:
-    """An integer from an INI string or a JSON integer; a JSON float or bool is refused, never truncated."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ValueError("not an integer")
-    return int(raw)
-
-
-def _real(raw) -> float:
-    """A float from an INI string or a JSON number; a JSON bool is refused."""
-    if isinstance(raw, bool):
-        raise ValueError("not a number")
-    return float(raw)
-
-
-#: The config schema: each key's section and the parser of its raw value (an
-#: INI string or a JSON value).  The experiment keys are the fields of
-#: ExperimentConfig, which holds their defaults and says which are required;
-#: their order here is the order of the manifest echo.
+#: The config schema: each key's section and the parser of its raw INI value.
+#: The experiment keys are the fields of ExperimentConfig, which holds their
+#: defaults and says which are required; their order here is the order of the
+#: manifest echo.
 KEYS = {
-    "kind": ("constellation", lambda raw: ConstellationKind(str(raw).lower())),
-    "M": ("constellation", _integer),
+    "kind": ("constellation", lambda raw: ConstellationKind(raw.lower())),
+    "M": ("constellation", int),
     "symbols": ("constellation", _parse_symbols),
-    "detectors": ("experiment", lambda raw: tuple(str(d) for d in _words(raw))),
-    "snr_db": ("experiment", _real),
-    "m_grid": ("experiment", lambda raw: tuple(_integer(m) for m in _words(raw))),
-    "trials": ("experiment", _integer),
-    "master_seed": ("experiment", _integer),
-    "target_errors": ("experiment", _integer),
-    "n": ("experiment", _integer),
-    "delta": ("experiment", _real),
+    "detectors": ("experiment", lambda raw: tuple(_words(raw))),
+    "snr_db": ("experiment", float),
+    "m_grid": ("experiment", lambda raw: tuple(int(m) for m in _words(raw))),
+    "trials": ("experiment", int),
+    "master_seed": ("experiment", int),
+    "target_errors": ("experiment", int),
+    "n": ("experiment", int),
+    "delta": ("experiment", float),
 }
 BASE_SECTIONS = ("constellation", "experiment")
 
@@ -132,7 +118,7 @@ BASE_SECTIONS = ("constellation", "experiment")
 def _parse(key: str, raw):
     try:
         return KEYS[key][1](raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigValueError(key, f"bad value {raw!r} for {key}: {exc}") from exc
 
 
@@ -193,12 +179,12 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
         for key, raw in doc[section].items():
             if key not in KEYS or not (variant or KEYS[key][0] == section):
                 raise ConfigError(f"{at(section, key)}: unknown key {key!r} in [{section}]")
-            if variant and raw not in ("", None):
+            if variant and raw != "":
                 settings.pop({"n": "delta", "delta": "n"}.get(key), None)
             settings[key] = (raw, section)
     if seed is not None:
         settings["master_seed"] = (seed, "--seed")
-    raw = {key: value for key, (value, _) in settings.items() if value not in ("", None)}
+    raw = {key: value for key, (value, _) in settings.items() if value != ""}
     try:
         constellation = _build_constellation(raw.get("kind", ""), raw.get("M"), raw.get("symbols"))
         exp = {key: _parse(key, value) for key, value in raw.items() if KEYS[key][0] == "experiment"}
@@ -210,47 +196,40 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
     except ConfigValueError as exc:
         section = settings[exc.key][1] if exc.key in settings else KEYS[exc.key][0]
         raise ConfigError(f"{section if section == '--seed' else at(section, exc.key)}: {exc}") from exc
-
-    echo_const: dict = {"kind": constellation.kind.value, "M": constellation.M}
-    if constellation.kind is ConstellationKind.CUSTOM:
-        echo_const["symbols"] = [[s.real, s.imag] for s in constellation.symbols]
-    echo_exp = {key: getattr(config, key) for key, (section, _) in KEYS.items() if section == "experiment"}
-    echo = {"constellation": echo_const, "experiment": {k: v for k, v in echo_exp.items() if v is not None}}
-    return Campaign(name=name, config=config, echo=echo)
+    return Campaign(name=name, config=config, echo=_echo(config))
 
 
-def _json_object(path: str, pairs: list) -> dict:
-    """One object of a JSON config; a key or section given twice is a ConfigError."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"{path}:1: {key!r} is given twice in one JSON object")
-        obj[key] = value
-    return obj
+def _echo(config: ExperimentConfig) -> str:
+    """``config`` as INI text that load_config reads back to an equal config.
+
+    A custom set is echoed by its symbols, as Python float reprs, which parse
+    back to the same bits; any other set by its M.
+    """
+    c = config.constellation
+    values: dict = {"kind": c.kind.value}
+    if c.kind is ConstellationKind.CUSTOM:
+        values["symbols"] = "; ".join(f"{float(s.real)!r},{float(s.imag)!r}" for s in c.symbols)
+    else:
+        values["M"] = c.M
+    values.update((key, getattr(config, key)) for key, (section, _) in KEYS.items() if section == "experiment")
+    text = ""
+    for section in BASE_SECTIONS:
+        text += f"[{section}]\n"
+        for key, value in values.items():
+            if KEYS[key][0] == section and value is not None:
+                text += f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+    return text
 
 
 def load_config(path: str, seed_override: int | None = None) -> list[Campaign]:
-    """Parse an INI (key = value with sections) or JSON experiment file.
-
-    JSON has the same sections, variants included; its errors anchor at line 1.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{path}: no such config file")
-    text = p.read_text()
-    if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text, object_pairs_hook=lambda pairs: _json_object(path, pairs))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}:1: a JSON config is an object of sections")
-        for section, items in doc.items():
-            if not isinstance(items, dict):
-                raise ConfigError(f"{path}:1: [{section}] must be an object of keys")
-        lines: dict = {}
-    else:
-        doc, lines = _read_ini(path, text)
+    """Parse an INI experiment file: key = value lines under sections."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such config file") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
+    doc, lines = _read_ini(path, text)
 
     def at(section: str, key: str | None = None) -> str:
         return f"{path}:{lines.get((section, key), lines.get((section, None), 1))}"
@@ -331,9 +310,12 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
     campaigns = load_config(config_path, seed_override=seed)
     out = Path(out_path)
     manifest_path = out.with_suffix(".manifest.json")
-    for path in [*(_campaign_csv_path(out, camp.name) for camp in campaigns), manifest_path]:
+    paths = [*(_campaign_csv_path(out, camp.name) for camp in campaigns), manifest_path]
+    for i, path in enumerate(paths):
         if path.is_dir():
             raise ConfigError(f"--out: {path} is a directory")
+        if path in paths[:i]:  # a variant named "manifest" writes its CSV where the manifest goes
+            raise ConfigError(f"--out: two outputs would be written to {path}")
     try:  # before any sweep, so an --out under an existing file costs no work
         out.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -535,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a configured antenna sweep")
-    p_sweep.add_argument("--config", required=True, help="experiment file (INI or JSON)")
+    p_sweep.add_argument("--config", required=True, help="experiment file (INI)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_sweep.add_argument("--threads", type=positive_int, default=1, help="worker processes (does not change results)")

@@ -9,6 +9,7 @@ the (immutable) Constellation object.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,9 @@ def make_constellation(kind: ConstellationKind | str, M: int) -> Constellation:
     """
     if isinstance(kind, str):
         kind = ConstellationKind(kind.lower())
-    M = int(M)
+    if isinstance(M, bool):
+        raise TypeError(f"M must be an integer, not {M!r}")
+    M = operator.index(M)  # a float (or a numpy bool) raises TypeError, never truncated
     if kind is ConstellationKind.PSK:
         if M < 2:
             raise ValueError(f"PSK needs M >= 2, got {M}")

@@ -113,6 +113,11 @@ def _require_mn(p: SystemParams, who: str) -> tuple[int, int]:
     return p.m, p.n
 
 
+def _interference_free_lower_log(p: SystemParams, a: int) -> float:
+    """log of (1 / (sqrt(pi (a + 1/2)) M)) (1 + rho)^-a, the interference-free lower bound at diversity order a."""
+    return -0.5 * math.log(math.pi * (a + 0.5)) - math.log(p.M) - a * math.log1p(p.rho)
+
+
 def ml_lower_bound_log(p: SystemParams) -> float:
     """log of the single-user, interference-free VEP lower bound
 
@@ -122,7 +127,7 @@ def ml_lower_bound_log(p: SystemParams) -> float:
     the Wallis integral int_0^{pi/2} sin^{2m} below.
     """
     m, _ = _require_mn(p, "ml_lower_bound")
-    return -0.5 * math.log(math.pi * (m + 0.5)) - math.log(p.M) - m * math.log1p(p.rho)
+    return _interference_free_lower_log(p, m)
 
 
 def ml_union_bound_log(p: SystemParams) -> float:
@@ -211,10 +216,8 @@ def zf_sep_bounds_log(p: SystemParams) -> tuple[float, float]:
     """
     m, n = _require_mn(p, "zf_sep_bounds")
     a = m - n + 1
-    decay = -a * math.log1p(p.rho)
-    lower = -0.5 * math.log(math.pi * (m - n + 1.5)) - math.log(p.M) + decay
-    upper = math.log((p.M - 1) / 2.0) + decay
-    return lower, upper
+    upper = math.log((p.M - 1) / 2.0) - a * math.log1p(p.rho)
+    return _interference_free_lower_log(p, a), upper
 
 
 def zf_vep_bounds_log(p: SystemParams) -> tuple[float, float]:

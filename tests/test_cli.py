@@ -28,17 +28,24 @@ trials = 300
 master_seed = 42
 """
 
-JSON_CONFIG = {
-    "constellation": {"kind": "qam", "M": 16},
-    "experiment": {
-        "detectors": ["zf"],
-        "snr_db": 0,
-        "n": 2,
-        "m_grid": [6, 8, 10],
-        "trials": 300,
-        "master_seed": 42,
-    },
-}
+CUSTOM_CONFIG = """\
+[constellation]
+kind = custom
+symbols = 1,0; 0,1; -1,0; 0.1,-0.7
+
+[experiment]
+detectors = zf, ml-sphere
+snr_db = 3
+delta = 0.5
+m_grid = 4, 6
+trials = 200
+master_seed = 5
+
+[variant:fixed-n]
+n = 1
+"""
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -59,39 +66,76 @@ def test_load_ini(ini_path):
     assert cfg.trials == 300
 
 
-def test_load_json_equivalent(tmp_path, ini_path):
-    jp = tmp_path / "small.json"
-    jp.write_text(json.dumps(JSON_CONFIG))
-    a = load_config(str(ini_path))[0].config
-    b = load_config(str(jp))[0].config
-    assert a == b
-
-
 def test_seed_override(ini_path):
     cfg = load_config(str(ini_path), seed_override=777)[0].config
     assert cfg.master_seed == 777
 
 
-def test_manifest_echo_reproduces_run(tmp_path, ini_path):
-    out1 = tmp_path / "a.csv"
-    assert main(["sweep", "--config", str(ini_path), "--out", str(out1)]) == 0
+def test_manifest_echo_reproduces_run(tmp_path):
+    # a custom set, a variant that switches the user rule and --seed: each CSV is rebuilt from its echo alone
+    p = tmp_path / "custom.cfg"
+    p.write_text(CUSTOM_CONFIG)
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "a.csv"), "--seed", "99"]) == 0
     manifest = json.loads((tmp_path / "a.manifest.json").read_text())
-    echo = manifest["campaigns"][0]["config"]
-    echo_path = tmp_path / "echo.json"
-    echo_path.write_text(json.dumps(echo))
-    out2 = tmp_path / "b.csv"
-    assert main(["sweep", "--config", str(echo_path), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert [c["csv"] for c in manifest["campaigns"]] == ["a.csv", "a.fixed-n.csv"]
+    for i, campaign in enumerate(manifest["campaigns"]):
+        echo_path = tmp_path / f"echo{i}.cfg"
+        echo_path.write_text(campaign["config"])
+        again = tmp_path / f"again{i}.csv"
+        assert main(["sweep", "--config", str(echo_path), "--out", str(again)]) == 0
+        assert again.read_bytes() == (tmp_path / campaign["csv"]).read_bytes()
 
 
-def test_manifest_echo_with_ml_budget_exits_2(tmp_path, capsys):
-    # an echo written while ml_budget was a key names it; the cap is now a constant
-    echo = json.loads(json.dumps(JSON_CONFIG))
-    echo["experiment"]["ml_budget"] = 1048576
-    p = tmp_path / "echo.json"
-    p.write_text(json.dumps(echo))
+def test_echo_is_ini_text_in_schema_order(ini_path):
+    assert load_config(str(ini_path))[0].echo == (
+        "[constellation]\nkind = qam\nM = 16\n"
+        "[experiment]\ndetectors = zf\nsnr_db = 0.0\nm_grid = 6, 8, 10\ntrials = 300\nmaster_seed = 42\nn = 2\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["fig1.cfg", "fig2.cfg", "fig3.cfg"])
+def test_echo_loads_to_an_equal_config(tmp_path, name):
+    for campaign in load_config(str(CONFIGS / name)):
+        p = tmp_path / f"{campaign.name or 'base'}.cfg"
+        p.write_text(campaign.echo)
+        (again,) = load_config(str(p))
+        assert again.config == campaign.config and again.echo == campaign.echo
+
+
+def test_manifest_echo_with_ml_budget_exits_2(tmp_path, ini_path, capsys):
+    # an echo that names ml_budget, as echoes did while it was a key; the cap is now a constant
+    assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "a.csv")]) == 0
+    lines = json.loads((tmp_path / "a.manifest.json").read_text())["campaigns"][0]["config"].splitlines()
+    line = lines.index("[experiment]") + 2
+    lines.insert(line - 1, "ml_budget = 1048576")
+    p = tmp_path / "echo.cfg"
+    p.write_text("\n".join(lines) + "\n")
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{p}:1: unknown key 'ml_budget' in [experiment]" in capsys.readouterr().err
+    assert f"{p}:{line}: unknown key 'ml_budget' in [experiment]" in capsys.readouterr().err
+
+
+def test_json_config_exits_2_at_line_1(tmp_path, capsys):
+    # INI is the only config syntax, so a JSON config, such as an older manifest's echo, is refused
+    experiment = {"detectors": ["zf"], "snr_db": 0, "n": 2, "m_grid": [6], "trials": 30}
+    doc = {"constellation": {"kind": "qam", "M": 16}, "experiment": experiment}
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(doc, indent=2))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert f"config error: {p}:1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "invalid-utf8"])
+def test_unreadable_config_exits_2_at_its_path(tmp_path, capsys, kind):
+    # once exit 3 with "[Errno 21] Is a directory" or a codec error that named no file
+    p = tmp_path / "bad.cfg"
+    if kind == "directory":
+        p.mkdir()
+    else:
+        p.write_bytes(INI_CONFIG.encode() + b"# caf\xe9\n")
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config error: {p}: cannot read config file: " in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exits_2_at_the_flag(tmp_path, ini_path, capsys):
@@ -116,6 +160,23 @@ def test_out_directory_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, d
     (tmp_path / directory).mkdir()
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
     assert f"config error: --out: {tmp_path / directory} is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, out_name", [("manifest", "out.json"), ("manifest.json", "out")])
+def test_colliding_outputs_exit_2_before_any_sweep(tmp_path, capsys, monkeypatch, variant, out_name):
+    # the variant's CSV and the manifest are both out.manifest.json: the manifest once overwrote the CSV
+    from mimodet import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran although two outputs share a path")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    p = tmp_path / "v.cfg"
+    p.write_text(INI_CONFIG + f"\n[variant:{variant}]\ntrials = 100\n")
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / out_name)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out: two outputs would be written to {tmp_path / 'out.manifest.json'}" in err
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 @pytest.mark.parametrize("under", ["afile", "afile/sub"])
@@ -208,7 +269,7 @@ def test_sweep_variants_write_separate_csvs(tmp_path):
     assert (tmp_path / "multi.tiny.csv").exists()
     manifest = json.loads((tmp_path / "multi.manifest.json").read_text())
     assert [c["name"] for c in manifest["campaigns"]] == ["", "tiny"]
-    assert manifest["campaigns"][1]["config"]["experiment"]["m_grid"] == [4, 6]
+    assert "\nm_grid = 4, 6\ntrials = 100\n" in manifest["campaigns"][1]["config"]
 
 
 def test_variant_user_rule_switch(tmp_path):
@@ -405,20 +466,17 @@ def test_fit_missing_file_is_runtime_error(tmp_path):
 
 
 def test_bundled_configs_parse():
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
     expected_names = {
         "fig1.cfg": ["", "delta-sixth", "fixed-n4"],
         "fig2.cfg": ["", "snr2", "snr4"],
         "fig3.cfg": ["", "qpsk", "bpsk"],
     }
     for name, variants in expected_names.items():
-        campaigns = load_config(str(root / "configs" / name))
+        campaigns = load_config(str(CONFIGS / name))
         assert [c.name for c in campaigns] == variants
         for c in campaigns:
             assert c.config.trials >= 10000
-    fig3 = load_config(str(root / "configs" / "fig3.cfg"))
+    fig3 = load_config(str(CONFIGS / "fig3.cfg"))
     assert fig3[1].config.constellation.M == 4
     assert fig3[2].config.constellation.M == 2
 
@@ -448,12 +506,30 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         ("master_seed = 42", "master_seed = 42\nml_budget = -5", 12, "unknown key 'ml_budget' in [experiment]"),
         ("detectors = zf\n", "detectors = zf, ml-exhaustive\nml_budget = 0\n", 7, "unknown key 'ml_budget'"),
         ("master_seed = 42", "master_seed = 42\n\n[variant:v]\nml_budget = 5", 14, "'ml_budget' in [variant:v]"),
+        # a float or a bool where an integer belongs, or a bool where a float belongs
+        ("trials = 300", "trials = 300.7", 10, "bad value '300.7' for trials"),
+        ("master_seed = 42", "master_seed = true", 11, "bad value 'true' for master_seed"),
+        ("M = 16", "M = 16.9", 3, "bad value '16.9' for M"),
+        ("m_grid = 6, 8, 10", "m_grid = 8.6, 12", 9, "bad value '8.6, 12' for m_grid"),
+        ("snr_db = 0", "snr_db = false", 7, "bad value 'false' for snr_db"),
+        ("kind = qam\nM = 16", "kind = custom\nsymbols = true,0; -1,0", 3, "bad value 'true,0; -1,0' for symbols"),
+        # variants are [variant:<name>] sections; there is no [variants] section
+        ("master_seed = 42", "master_seed = 42\n\n[variants]\nv = 1", 13, "unknown section [variants]"),
+        # a name given twice is refused at its second line
+        ("trials = 300", "trials = 64\ntrials = 300", 11, "option 'trials' in section 'experiment' already exists"),
+        ("master_seed = 42", "master_seed = 42\n\n[constellation]\nkind = psk", 13, "section 'constellation' already"),
+        (
+            "master_seed = 42", "master_seed = 42\n\n[variant:v]\ntrials = 8\n\n[variant:v]\ntrials = 16", 16,
+            "section 'variant:v' already exists",
+        ),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
         "qam-M", "symbols", "snr-sigma2-underflow", "snr-sigma2-overflow", "symbols-infinite-energy",
         "symbols-zero-energy", "default-section", "empty-default-section", "ml-budget-zero", "ml-budget-negative",
-        "ml-budget-zero-with-ml", "ml-budget-in-variant",
+        "ml-budget-zero-with-ml", "ml-budget-in-variant", "float-trials", "bool-seed", "float-M", "float-grid-point",
+        "bool-snr", "bool-symbol-coordinate", "variants-section", "duplicate-key", "duplicate-section",
+        "duplicate-variant",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):
@@ -466,71 +542,6 @@ def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, messag
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "section,key,value,reason",
-    [
-        ("experiment", "trials", 300.7, "not an integer"),
-        ("experiment", "master_seed", True, "not an integer"),
-        ("constellation", "M", 16.9, "not an integer"),
-        ("experiment", "m_grid", [8.6, 12], "not an integer"),
-        ("experiment", "snr_db", False, "not a number"),
-    ],
-    ids=["float-trials", "bool-seed", "float-M", "float-grid-point", "bool-snr"],
-)
-def test_json_number_of_wrong_type_exits_2(tmp_path, capsys, section, key, value, reason):
-    # a JSON float or bool where an integer belongs, or a bool where a float belongs, is refused
-    doc = json.loads(json.dumps(JSON_CONFIG))
-    doc[section][key] = value
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{p}:1: bad value {value!r} for {key}: {reason}" in capsys.readouterr().err
-
-
-def test_json_bool_symbol_coordinate_exits_2(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({**JSON_CONFIG, "constellation": {"kind": "custom", "symbols": [[True, 0], [-1, 0]]}}))
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{p}:1: bad value [[True, 0], [-1, 0]] for symbols: not a number" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "extra,message",
-    [
-        ({"experiment": 5}, "[experiment] must be an object of keys"),
-        ({"variants": [1]}, "[variants] must be an object of keys"),
-        ({"variant:v": 5}, "[variant:v] must be an object of keys"),
-    ],
-    ids=["experiment-number", "variants-list", "variant-number"],
-)
-def test_json_non_object_section_exits_2(tmp_path, capsys, extra, message):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({**JSON_CONFIG, **extra}))
-    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{p}:1: {message}" in capsys.readouterr().err
-
-
-JSON_TEXT = json.dumps(JSON_CONFIG)
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        (JSON_TEXT.replace('"trials": 300', '"trials": 64, "trials": 300'), "'trials' is given twice"),
-        (JSON_TEXT[:-1] + ', "constellation": {"kind": "psk", "M": 8}}', "'constellation' is given twice"),
-        (JSON_TEXT[:-1] + ', "variant:v": {"trials": 8}, "variant:v": {"trials": 16}}', "'variant:v' is given twice"),
-    ],
-    ids=["key", "section", "variant"],
-)
-def test_json_duplicate_name_exits_2(tmp_path, capsys, text, message):
-    p = tmp_path / "dup.json"
-    p.write_text(text)
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
-    assert f"{p}:1: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("name", ["", "a/b", "a\\b"], ids=["empty", "slash", "backslash"])
 def test_ini_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys, name):
     p = tmp_path / "named.cfg"
@@ -540,34 +551,6 @@ def test_ini_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{p}:13: " in err and "variant name must be non-empty" in err
     assert not out.exists() and not (tmp_path / "x.manifest.json").exists()
-
-
-def test_json_variants_object_is_an_unknown_section(tmp_path, capsys):
-    # a JSON variant is a "variant:<name>" section, as in INI; there is no second spelling
-    p = tmp_path / "old.json"
-    p.write_text(json.dumps({**JSON_CONFIG, "variants": {"v": {"trials": 100}}}))
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
-    assert f"{p}:1: unknown section [variants]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_json_variant_section_runs_as_a_campaign(tmp_path):
-    p = tmp_path / "v.json"
-    p.write_text(json.dumps({**JSON_CONFIG, "variant:tiny": {"trials": 100, "m_grid": [4, 6]}}))
-    campaigns = load_config(str(p))
-    assert [c.name for c in campaigns] == ["", "tiny"]
-    assert campaigns[1].config.trials == 100 and campaigns[1].config.m_grid == (4, 6)
-
-
-@pytest.mark.parametrize("name", ["", "a/b"], ids=["empty", "slash"])
-def test_json_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys, name):
-    p = tmp_path / "named.json"
-    p.write_text(json.dumps({**JSON_CONFIG, f"variant:{name}": {"trials": 100}}))
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
-    assert f"{p}:1: a variant name must be non-empty" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_readme_config_block_names_every_key():
@@ -684,24 +667,44 @@ def test_reference_sweeps_script_rejects_threads_below_one():
     assert "--threads" in done.stderr and "Traceback" not in done.stderr
 
 
-def test_reference_sweeps_script_fits_only_the_csvs_of_its_manifest(tmp_path, monkeypatch):
+def reference_sweeps_script():
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_reference_sweeps.py"
     spec = importlib.util.spec_from_file_location("run_reference_sweeps", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
 
-    def fake_sweep(config_path, out_path, threads=1):
+
+def test_reference_sweeps_script_fits_only_the_csvs_of_its_manifest(tmp_path, monkeypatch):
+    from mimodet import cli
+
+    def fake_sweep(config_path, out_path, seed=None, threads=1):
         out = Path(out_path)
         out.write_text("")
         out.with_suffix(".manifest.json").write_text(json.dumps({"campaigns": [{"csv": out.name}]}))
         return 0
 
     fitted = []
-    monkeypatch.setattr(script, "cmd_sweep", fake_sweep)
-    monkeypatch.setattr(script, "cmd_fit", lambda csv_path: fitted.append(Path(csv_path).name))
+    monkeypatch.setattr(cli, "cmd_sweep", fake_sweep)
+    monkeypatch.setattr(cli, "cmd_fit", lambda csv_path, min_errors: fitted.append(Path(csv_path).name))
     (tmp_path / "fig1.old.csv").write_text("left by an earlier run\n")
     monkeypatch.setattr(sys, "argv", ["run_reference_sweeps.py", "--out-dir", str(tmp_path)])
-    assert script.main() == 0
+    assert reference_sweeps_script().main() == 0
     assert fitted == ["fig1.csv", "fig2.csv", "fig3.csv"]
+
+
+@pytest.mark.parametrize("under", ["afile", "afile/x"])
+def test_reference_sweeps_script_out_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch, under):
+    # once a FileExistsError or NotADirectoryError traceback with exit 1
+    from mimodet import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran although the output directory cannot be made")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(sys, "argv", ["run_reference_sweeps.py", "--out-dir", str(tmp_path / under)])
+    assert reference_sweeps_script().main() == 2
+    assert f"config error: --out: cannot create directory {tmp_path / under}: " in capsys.readouterr().err

@@ -62,6 +62,21 @@ def test_invalid_orders_rejected(kind, M):
         make_constellation(kind, M)
 
 
+@pytest.mark.parametrize(
+    "kind,M",
+    [("psk", 4.9), ("qam", 16.5), ("qam", 16.0), ("psk", True), ("psk", np.True_)],
+    ids=["psk-4.9", "qam-16.5", "qam-16.0", "psk-True", "psk-np.True_"],
+)
+def test_non_integer_order_refused_not_truncated(kind, M):
+    # int(M) once built 4-PSK from 4.9 and 16-QAM from 16.5
+    with pytest.raises(TypeError):
+        make_constellation(kind, M)
+
+
+def test_numpy_integer_order_accepted():
+    assert make_constellation("qam", np.int64(16)) == make_constellation("qam", 16)
+
+
 def test_custom_min_distance_brute_force():
     c = custom_constellation([0, 3, 4j])
     # pairs: |3| = 3, |4i| = 4, |3 - 4i| = 5
