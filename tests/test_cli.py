@@ -553,6 +553,14 @@ def test_ini_variant_name_empty_or_with_path_separator_exits_2(tmp_path, capsys,
     assert not out.exists() and not (tmp_path / "x.manifest.json").exists()
 
 
+def test_ini_variant_section_runs_as_a_campaign(tmp_path):
+    p = tmp_path / "v.cfg"
+    p.write_text(INI_CONFIG + "\n[variant:tiny]\ntrials = 100\nm_grid = 4, 6\n")
+    campaigns = load_config(str(p))
+    assert [c.name for c in campaigns] == ["", "tiny"]
+    assert campaigns[1].config.trials == 100 and campaigns[1].config.m_grid == (4, 6)
+
+
 def test_readme_config_block_names_every_key():
     """The README's config example names each key of the schema, in its own base section."""
     from mimodet.cli import KEYS
