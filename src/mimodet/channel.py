@@ -12,13 +12,12 @@ reconstructed independently of worker count or scheduling order.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; pay for it at import, not in a sweep
 
-from .constellation import Constellation
+from .constellation import Constellation, as_integer
 
 _MASK32 = 0xFFFFFFFF
 
@@ -40,13 +39,17 @@ _STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B)
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent random stream for (master_seed, key...), all integers (else TypeError).
+    """Independent random stream for (master_seed, key...), all integers (else TypeError, bools too).
 
     Streams with distinct keys are statistically independent and do not
     depend on how work is sharded across processes.
     """
-    ss = np.random.SeedSequence(operator.index(master_seed), spawn_key=tuple(map(operator.index, key)))
+    ss = np.random.SeedSequence(as_integer(master_seed, "master_seed"), spawn_key=_key_words(key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _key_words(key) -> tuple[int, ...]:
+    return tuple(as_integer(word, "a spawn-key word") for word in key)
 
 
 @functools.lru_cache(maxsize=64)
@@ -74,12 +77,13 @@ def trial_keys(master_seed: int, *key) -> np.ndarray:
     ``SeedSequence(master_seed, spawn_key=(*prefix, trials[i])).generate_state(2, np.uint64)``.
     The pool comes from numpy once per prefix and only the trial word and
     ``generate_state`` are hashed per trial, so trial indices must be integers in [0, 2**32).
+    The seed and prefix words must be integers; a bool or a float raises TypeError.
     """
     *prefix, trials = key
     t = np.asarray(trials).reshape(-1)
     if t.size and not (t.dtype.kind in "iu" and t.min() >= 0 and t.max() <= _MASK32):
         raise ValueError("trial indices must be integers in [0, 2**32)")
-    left, xor, mul = _prefix_mixer(operator.index(master_seed), tuple(map(operator.index, prefix)))
+    left, xor, mul = _prefix_mixer(as_integer(master_seed, "master_seed"), _key_words(prefix))
     w = (t.astype(np.uint32)[:, None] ^ xor) * mul  # hashmix of the trial word, (T, 4)
     w ^= w >> 16
     w = left - w * np.uint32(_MIX_MULT_R)  # mix into each pool word

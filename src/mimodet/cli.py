@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="experiment file (INI)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sweep.add_argument("--threads", type=positive_int, default=1, help="worker processes (does not change results)")
+    p_sweep.add_argument("--threads", type=positive_int, default=1, help="processes that compute, this one included (does not change results)")
 
     p_theory = sub.add_parser("theory", help="print closed-form quantities")
     p_theory.add_argument("--kind", required=True, choices=["psk", "qam", "custom"])

@@ -15,6 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool, a float or a numpy bool raises TypeError, never truncated or read as 0/1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 class ConstellationKind(enum.Enum):
     PSK = "psk"
     QAM = "qam"
@@ -79,9 +86,7 @@ def make_constellation(kind: ConstellationKind | str, M: int) -> Constellation:
     """
     if isinstance(kind, str):
         kind = ConstellationKind(kind.lower())
-    if isinstance(M, bool):
-        raise TypeError(f"M must be an integer, not {M!r}")
-    M = operator.index(M)  # a float (or a numpy bool) raises TypeError, never truncated
+    M = as_integer(M, "M")
     if kind is ConstellationKind.PSK:
         if M < 2:
             raise ValueError(f"PSK needs M >= 2, got {M}")

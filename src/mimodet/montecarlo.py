@@ -3,9 +3,10 @@
 Every trial owns a private counter-based random stream keyed by
 (master_seed, grid-point index, trial index).  A grid point runs one
 ``TRIAL_BLOCK`` block at a time: the block's trials are cut in order into
-stacks within ``STACK_ENTRIES`` H entries, computed (serially or by one pool
-``map``), their integer counts summed, and the adaptive stop checked at the
-block's end.  Sweep output is therefore a pure function of the config,
+stacks within ``STACK_ENTRIES`` H entries, computed (serially, or by one
+``map`` of a fork pool in which this process and its forked children each
+compute a share), their integer counts summed, and the adaptive stop checked
+at the block's end.  Sweep output is therefore a pure function of the config,
 independent of worker count, stack sizes and scheduling, and no stack is
 computed past a stop.  Each stack's trials are sampled and detected as
 stacked arrays by the detectors that ``detect.DETECTORS`` names.
@@ -14,15 +15,15 @@ stacked arrays by the detectors that ``detect.DETECTORS`` names.
 from __future__ import annotations
 
 import math
-import multiprocessing.pool  # loaded here so no sweep and no forked worker pays for it
-import operator
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import sample_stack, sigma2_from_snr, trial_keys
-from .constellation import Constellation
+from .constellation import Constellation, as_integer
 from .detect import DETECTORS, ML_BUDGET
 
 #: Trials per work block.  Fixed (never derived from worker count) so the
@@ -33,7 +34,8 @@ TRIAL_BLOCK = 256
 #: at (48, 16).  Whole-block stacks without a budget slowed ZF sweeps and raised peak RSS.
 STACK_ENTRIES = 24576
 
-#: Most pool processes.  A block has a stack per process, so 8 keep them >= 32 trials.
+#: Most processes that compute a pooled sweep, this one included.  A block has a
+#: stack per process, so 8 keep them >= 32 trials.
 POOL_PROCESSES = 8
 
 #: Wilson score interval critical value for 95% coverage.
@@ -78,12 +80,10 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         for key in ("n", "trials", "master_seed", "target_errors", "m_grid"):
             value = getattr(self, key)
-            try:  # as Python ints: a float or a bool is refused, never truncated or read as 0/1
+            try:
                 if value is not None:
                     items = tuple(value) if key == "m_grid" else (value,)
-                    if any(isinstance(v, bool) for v in items):
-                        raise TypeError
-                    ints = tuple(map(operator.index, items))
+                    ints = tuple(as_integer(v, key) for v in items)
                     object.__setattr__(self, key, ints if key == "m_grid" else ints[0])
             except TypeError:
                 raise ConfigValueError(key, f"{key} takes integers only, got {value!r}") from None
@@ -223,18 +223,117 @@ def _stack_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) 
     return counts
 
 
-#: The sweep's config in a pool worker, set once by :func:`_init_worker`.
+#: The sweep's config in each process of a pool, set by :func:`_init_worker` before the fork.
 _WORKER_CONFIG: ExperimentConfig | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(config: ExperimentConfig | None) -> None:
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
 
 
 def _worker_counts(task: tuple[int, np.ndarray]) -> np.ndarray:
-    """``_stack_counts`` of a pool task (point_index, keys) under the worker's config."""
+    """``_stack_counts`` of a pool task (point_index, keys) under the pool's config."""
     return _stack_counts(_WORKER_CONFIG, *task)
+
+
+class _ForkPool:
+    """``processes`` processes that compute each ``map``: this one and processes - 1 forked children.
+
+    ``initializer(*initargs)`` runs here before the fork, so the children hold its
+    state without pickling it.  Each child has its own task and result pipe and
+    serves ``(func, tasks)`` messages until its task pipe reaches EOF.  In a
+    ``map``, task i goes to process i mod processes, process 0 being this one:
+    it writes the children's tasks, computes its own, then reads the children's
+    results.  A child's exception is re-raised here; a child that dies raises
+    ``RuntimeError``.  After an exception the pool is only fit to ``close``.
+    """
+
+    def __init__(self, processes: int, initializer, initargs) -> None:
+        initializer(*initargs)
+        self.children: list[tuple[int, object, object]] = []  # (pid, task writer, result reader)
+        try:
+            for _ in range(processes - 1):
+                task_r, task_w = os.pipe()
+                result_r, result_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # a sibling's pipe ends, held here, would hide its EOF
+                    siblings = [end.fileno() for _, *ends in self.children for end in ends]
+                    _serve(task_r, result_w, [task_w, result_r, *siblings])
+                os.close(task_r)
+                os.close(result_w)
+                self.children.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, func, tasks) -> list:
+        tasks = list(tasks)
+        share = len(self.children) + 1
+        busy = self.children[: len(tasks) - 1]  # a child with no task is left out
+        for j, (pid, writer, _) in enumerate(busy, 1):
+            try:
+                pickle.dump((func, tasks[j::share]), writer, pickle.HIGHEST_PROTOCOL)
+                writer.flush()
+            except BrokenPipeError:
+                raise self._died(pid) from None
+        results = [None] * len(tasks)
+        results[::share] = [func(task) for task in tasks[::share]]
+        for j, (pid, _, reader) in enumerate(busy, 1):
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise self._died(pid) from None
+            if not ok:
+                raise value
+            results[j::share] = value
+        return results
+
+    def _died(self, pid: int) -> RuntimeError:
+        """Drop and reap a child that ended without a result."""
+        child = next(c for c in self.children if c[0] == pid)
+        self.children.remove(child)
+        _, writer, reader = child
+        reader.close()
+        try:
+            writer.close()
+        except BrokenPipeError:  # its tasks, left unflushed
+            pass
+        _, status = os.waitpid(pid, 0)
+        return RuntimeError(f"pool process {pid} died without a result (exit status {os.waitstatus_to_exitcode(status)})")
+
+    def close(self) -> None:
+        """End the children at their task pipe's EOF and reap them."""
+        for _, writer, reader in self.children:
+            writer.close()
+            reader.close()
+        for pid, _, _ in self.children:
+            os.waitpid(pid, 0)
+        self.children = []
+
+
+def _serve(task_fd: int, result_fd: int, inherited: list[int]) -> None:
+    """A pool child's life: close the ``inherited`` descriptors, answer each
+    (func, tasks) message with (ok, results or exception), then exit."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(task_fd, "rb") as tasks_in, os.fdopen(result_fd, "wb") as results_out:
+            while True:
+                try:
+                    func, tasks = pickle.load(tasks_in)
+                except EOFError:
+                    break
+                try:
+                    reply = (True, [func(task) for task in tasks])
+                except Exception as exc:
+                    reply = (False, exc)
+                results_out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # whole, or not at all
+                results_out.flush()
+        status = 0
+    finally:
+        os._exit(status)  # never return into the forking caller's stack
 
 
 def _run_point(config: ExperimentConfig, point_index: int, pool, processes: int) -> tuple[int, np.ndarray]:
@@ -243,9 +342,9 @@ def _run_point(config: ExperimentConfig, point_index: int, pool, processes: int)
     The point runs one TRIAL_BLOCK block at a time.  A block of t trials is cut in
     trial order into min(t, max(processes, ceil(t * m * n / STACK_ENTRIES))) stacks
     whose sizes differ by at most one, computed in a list when serial or by one
-    ``pool.map`` whose workers hold the config.  The stop rule is applied at each
-    block's end, so the stop is the same for every worker count and no stack
-    past it is computed.
+    ``pool.map`` over the ``processes`` processes that hold the config, this one
+    included.  The stop rule is applied at each block's end, so the stop is the
+    same for every worker count and no stack past it is computed.
     """
     m, n = config.grid_points()[point_index]
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
@@ -269,8 +368,10 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run the Monte Carlo antenna sweep: per-detector counts and estimates at every grid point.
 
     Output is bit-identical for any ``workers`` value; parallelism only
-    changes wall-clock time.  The CSV's closed-form columns are not part of
-    the result: the CSV writer computes them from :mod:`mimodet.theory`.
+    changes wall-clock time.  Above 1, min(workers, POOL_PROCESSES) processes
+    compute: this one and children forked for the call, none of which outlives
+    it.  The CSV's closed-form columns are not part of the result: the CSV
+    writer computes them from :mod:`mimodet.theory`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -282,7 +383,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     pool = None
     try:
         if processes > 1:
-            pool = multiprocessing.get_context("fork").Pool(processes, initializer=_init_worker, initargs=(config,))
+            pool = _ForkPool(processes, _init_worker, (config,))
         for point_index, (m, n) in enumerate(config.grid_points()):
             tp = time.perf_counter()
             trials_done, totals = _run_point(config, point_index, pool, processes)
@@ -311,7 +412,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     finally:
         if pool is not None:
             pool.close()
-            pool.join()
+            _init_worker(None)
 
     return SweepResult(
         config=config,

@@ -213,6 +213,17 @@ def test_non_integer_seed_or_prefix_refused_not_truncated(seed, point):
         substream(seed, point, 1)
 
 
+@pytest.mark.parametrize(
+    "seed, point, trial", [(True, 0, 1), (False, 0, 1), (1, True, 1), (np.True_, 0, 1), (1, np.False_, 1), (1, 0, True)]
+)
+def test_bool_seed_or_key_word_refused_not_read_as_int(seed, point, trial):
+    # True once drew the stream of seed, point or trial 1
+    with pytest.raises(TypeError):
+        substream(seed, point, trial)
+    with pytest.raises((TypeError, ValueError)):  # a bool trial index fails the trial-index check
+        trial_keys(seed, point, [trial])
+
+
 def test_numpy_integer_seed_and_prefix_accepted():
     np.testing.assert_array_equal(trial_keys(np.uint64(3), np.int32(1), [0, 5]), trial_keys(3, 1, [0, 5]))
     assert substream(np.int64(3), np.uint8(1)).integers(1 << 62) == substream(3, 1).integers(1 << 62)

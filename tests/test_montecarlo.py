@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -401,6 +402,89 @@ def test_stack_budget_leaves_counts_unchanged(monkeypatch, workers):
         assert [pt.trials for pt in results[0].curves[det].points] == [300, 300]
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 60 s instead of letting a pool hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("pooled sweep still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child_only(action):
+    """A ZF stand-in that runs ``action`` in a pool child and detects normally in this process."""
+    parent, zf = os.getpid(), montecarlo.DETECTORS["zf"]
+
+    def detector(H, r, c):
+        if os.getpid() != parent:
+            action()
+        return zf(H, r, c)
+
+    return detector
+
+
+def test_pooled_sweep_leaves_no_child(deadline):
+    sweep(base_config(trials=3 * TRIAL_BLOCK), workers=3)
+    assert_no_child_left()
+
+
+def test_child_exception_is_raised_here(monkeypatch, deadline):
+    def fail():
+        raise np.linalg.LinAlgError("singular stack in a child")
+
+    monkeypatch.setitem(montecarlo.DETECTORS, "zf", in_child_only(fail))
+    with pytest.raises(np.linalg.LinAlgError, match="singular stack in a child"):
+        sweep(base_config(), workers=2)
+    assert_no_child_left()
+
+
+def test_exception_here_still_reaps_children(monkeypatch, deadline):
+    parent, zf = os.getpid(), montecarlo.DETECTORS["zf"]
+
+    def detector(H, r, c):
+        if os.getpid() == parent:
+            raise np.linalg.LinAlgError("singular stack here")
+        return zf(H, r, c)
+
+    monkeypatch.setitem(montecarlo.DETECTORS, "zf", detector)
+    with pytest.raises(np.linalg.LinAlgError, match="singular stack here"):
+        sweep(base_config(), workers=3)
+    assert_no_child_left()
+
+
+def test_dead_child_raises_with_its_exit_status(monkeypatch, deadline):
+    monkeypatch.setitem(montecarlo.DETECTORS, "zf", in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    with pytest.raises(RuntimeError, match=rf"exit status -{int(signal.SIGKILL)}\b"):
+        sweep(base_config(), workers=2)
+    assert_no_child_left()
+
+
+def test_child_dead_before_its_tasks_raises_with_its_exit_status(deadline):
+    cfg = base_config()
+    pool = montecarlo._ForkPool(3, _init_worker, (cfg,))
+    try:
+        pid = pool.children[0][0]
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, its pipe ends closed, not yet reaped
+        tasks = [(0, trial_keys(cfg.master_seed, 0, range(k, k + 8))) for k in range(0, 24, 8)]
+        with pytest.raises(RuntimeError, match=rf"exit status -{int(signal.SIGKILL)}\b"):
+            pool.map(montecarlo._worker_counts, tasks)
+    finally:
+        pool.close()
+        _init_worker(None)
+    assert_no_child_left()
+
+
 def test_sweep_counting_identity_zf():
     cfg = base_config(m_grid=(8, 12), trials=400, snr_db=-6.0)
     res = sweep(cfg)
@@ -562,14 +646,15 @@ serial = sorted(set(sys.modules) - loaded)
 config = ExperimentConfig(constellation=qam16, detectors=("zf", "ml-sphere"), snr_db=0.0, m_grid=(4, 6), n=2, trials=300)
 sweep(config, workers=2)
 pooled = sorted(set(sys.modules) - loaded)
-print(json.dumps({"serial": serial, "pooled": pooled}))
+print(json.dumps({"cli": sorted(loaded), "serial": serial, "pooled": pooled}))
 """
 
 
 def test_sweeps_import_nothing_after_cli():
     added = json.loads(_fresh_python(IMPORT_GUARD))
     assert added["serial"] == []
-    assert [m for m in added["pooled"] if m.startswith(("numpy", "scipy", "multiprocessing.pool"))] == []
+    assert [m for m in added["pooled"] if m.startswith(("numpy", "scipy", "multiprocessing"))] == []
+    assert [m for m in added["cli"] if m.split(".")[0] == "multiprocessing"] == []
 
 
 def test_library_and_cli_load_no_scipy():
