@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, theory
+from . import BLAS_THREAD_VARS, __version__, theory
 from .channel import sigma2_from_snr
 from .constellation import Constellation, ConstellationKind, custom_constellation, make_constellation
 from .montecarlo import (
-    ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope, sweep,
-    users_for_ratio,
+    POOL_PROCESSES, ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope,
+    sweep, users_for_ratio,
 )
 
 CSV_COLUMNS = [
@@ -306,6 +306,28 @@ def _campaign_csv_path(out: Path, name: str) -> Path:
     return out.with_name(f"{out.stem}.{name}{out.suffix}")
 
 
+def _run_record(threads: int) -> dict:
+    """What a sweep ran on: its processes, BLAS threading, versions and machine."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # an older numpy's show_config takes no mode and only prints
+        blas = {}
+    uname = os.uname()
+    return {
+        "threads": threads,
+        "processes": min(threads, POOL_PROCESSES),
+        **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "sysname": uname.sysname,
+        "release": uname.release,
+        "machine": uname.machine,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads: int = 1) -> int:
     campaigns = load_config(config_path, seed_override=seed)
     out = Path(out_path)
@@ -323,6 +345,7 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
     manifest: dict = {
         "version": __version__,
         "config_file": str(config_path),
+        "run": _run_record(threads),
         "campaigns": [],
     }
     t0 = time.perf_counter()
@@ -520,7 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="experiment file (INI)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sweep.add_argument("--threads", type=positive_int, default=1, help="processes that compute, this one included (does not change results)")
+    p_sweep.add_argument("--threads", type=positive_int, default=1, help=(
+        "processes that compute, this one included, each with one BLAS thread unless OPENBLAS_NUM_THREADS, "
+        "OMP_NUM_THREADS or MKL_NUM_THREADS is set (neither changes results)"
+    ))
 
     p_theory = sub.add_parser("theory", help="print closed-form quantities")
     p_theory.add_argument("--kind", required=True, choices=["psk", "qam", "custom"])

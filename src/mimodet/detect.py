@@ -18,6 +18,7 @@ r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ ML_PASS_CANDIDATES = 1 << 16
 #: at 1.0.  That build's threshold was about 1e6 multiply-adds (its
 #: single-threaded small-matrix kernel takes products up to there); the
 #: generic one is 4 * 65536, and half of that keeps every product on the
-#: calling thread with either.
+#: calling thread with either.  The package starts BLAS with one thread
+#: (see ``mimodet/__init__.py``), but a caller's BLAS is threaded when it
+#: imported numpy first or set one of ``BLAS_THREAD_VARS``; the cap keeps
+#: every product single-threaded there too, so it stays.
 ML_PASS_MACS = 1 << 17
 
 #: Partial vectors the sphere search expands per step, over all members of
@@ -162,6 +166,24 @@ def _own_weights(G: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([w.real, -w.imag], axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _ml_tables(c: Constellation, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only candidate tables of exhaustive ML over c^n, shared by every call.
+
+    The index vectors ia and ib of the first n // 2 entries a and of the
+    rest b, then Ac, FA, FB and ``right_fixed`` as :func:`_split_ranks`
+    takes them.  They depend only on (c, n), so a sweep builds them once.
+    """
+    na = n // 2
+    ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
+    A, Bs = c.symbols[ia], c.symbols[ib]
+    right_fixed = np.concatenate([Bs.conj().view(np.float64).T, np.ones((1, len(Bs)))])
+    tables = (ia, ib, A.conj(), _own_features(A), _own_features(Bs), right_fixed)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _split_ranks(Wa, Wb, Gab, Ac, FA, FB, right_fixed: np.ndarray, rows: int) -> np.ndarray:
     """Flattened (a, b) rank of each member's minimizer; see detect_ml_exhaustive_stack.
 
@@ -242,26 +264,24 @@ def detect_ml_exhaustive_stack(
     if len(H) == 0:
         return np.zeros((0, n), dtype=np.int64)
     na = n // 2
-    ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
-    A, Bs = c.symbols[ia], c.symbols[ib]
-    right_fixed = np.concatenate([Bs.conj().view(np.float64).T, np.ones((1, len(Bs)))])
+    ia, ib, Ac, FA, FB, right_fixed = _ml_tables(c, n)
+    nA, nB = len(ia), len(ib)
     k = len(right_fixed) + 1
-    rows = max(1, min(len(A), ML_PASS_CANDIDATES // len(Bs), ML_PASS_MACS // (k * len(Bs))))
-    rows = -(-len(A) // -(-len(A) // rows))  # the same passes, rows spread evenly over them
-    group = max(1, ML_PASS_CANDIDATES // (rows * len(Bs)))
+    rows = max(1, min(nA, ML_PASS_CANDIDATES // nB, ML_PASS_MACS // (k * nB)))
+    rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
+    group = max(1, ML_PASS_CANDIDATES // (rows * nB))
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
     y = (Hh @ r[..., None])[..., 0]
     Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
     Gab = 2.0 * G[:, :na, na:]
-    Ac, FA, FB = A.conj(), _own_features(A), _own_features(Bs)
     ranks = np.concatenate(
         [
             _split_ranks(Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group], Ac, FA, FB, right_fixed, rows)
             for lo in range(0, len(H), group)
         ]
     )
-    return np.concatenate([ia[ranks // len(ib)], ib[ranks % len(ib)]], axis=1)
+    return np.concatenate([ia[ranks // nB], ib[ranks % nB]], axis=1)
 
 
 def detect_ml_exhaustive(

@@ -86,6 +86,41 @@ def test_manifest_echo_reproduces_run(tmp_path):
         assert again.read_bytes() == (tmp_path / campaign["csv"]).read_bytes()
 
 
+@pytest.mark.parametrize("threads, processes", [(1, 1), (3, 3), (12, 8)])
+def test_manifest_records_the_run(tmp_path, ini_path, monkeypatch, threads, processes):
+    import numpy as np
+
+    from mimodet import cli
+
+    # the record states --threads as given; the sweep itself runs serially here, so no process is forked
+    serial = cli.sweep
+    monkeypatch.setattr(cli, "sweep", lambda config, workers: serial(config))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "a.csv"), "--threads", str(threads)]) == 0
+    manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+    run = manifest.pop("run")
+    assert set(manifest) == {"version", "config_file", "campaigns", "duration_s", "master_seed"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    uname = os.uname()
+    assert run == {
+        "threads": threads,
+        "processes": processes,
+        "OPENBLAS_NUM_THREADS": "3",
+        "OMP_NUM_THREADS": "unset",
+        "MKL_NUM_THREADS": "1",
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+        "sysname": uname.sysname,
+        "release": uname.release,
+        "machine": uname.machine,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def test_echo_is_ini_text_in_schema_order(ini_path):
     assert load_config(str(ini_path))[0].echo == (
         "[constellation]\nkind = qam\nM = 16\n"

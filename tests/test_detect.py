@@ -435,6 +435,24 @@ def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
 
 
+def test_exhaustive_candidate_tables_are_shared_and_read_only():
+    # an equal constellation built again hits the same entry: the cache keys on its symbols, not its identity
+    tables = detect._ml_tables(QPSK, 5)
+    again = detect._ml_tables(make_constellation("psk", 4), 5)
+    assert len(tables) == 6 and all(a is b for a, b in zip(tables, again))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+    assert detect._ml_tables(QPSK, 4)[0].shape == (4**2, 2)
+    # a call after the cache is filled decides as the first one did
+    H, r = zf_stack_of(9, 7, 5, QPSK, 1.5, 152)
+    first = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), first)
+    for k in (0, 4, 8):
+        np.testing.assert_array_equal(first[k], all_candidates_argmin(H[k], r[k], QPSK))
+
+
 @pytest.mark.parametrize(
     "c, m, n",
     [

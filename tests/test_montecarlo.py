@@ -623,10 +623,18 @@ def test_fit_slope_recovers_bound_curve_slopes():
 # imports: everything a sweep needs is loaded with the package
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of ``code`` run by a new interpreter that imports this mimodet."""
+def _fresh_python(code: str, blas: dict[str, str] | None = None) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this mimodet.
+
+    With ``blas`` given, the BLAS thread variables the child starts with are
+    exactly those in it; otherwise it inherits this process's environment.
+    """
     src = str(Path(mimodet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if blas is not None:
+        for var in mimodet.BLAS_THREAD_VARS:
+            env.pop(var, None)
+        env.update(blas)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -666,3 +674,55 @@ def test_library_and_cli_load_no_scipy():
     assert out.splitlines()[-1] == "0 []"
     package = Path(mimodet.__file__).resolve().parent
     assert [p.name for p in sorted(package.glob("*.py")) if "scipy" in p.read_text()] == []
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading: one thread per process unless the caller chose otherwise
+
+BLAS_PROBE = """
+import json, os
+import mimodet.cli
+tasks = len(os.listdir("/proc/self/task"))
+print(json.dumps([tasks, [os.environ.get(var) for var in mimodet.BLAS_THREAD_VARS]]))
+"""
+
+needs_threads = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts BLAS threads in /proc/self/task; BLAS starts one thread per CPU at most",
+)
+
+
+@needs_threads
+def test_blas_runs_one_thread_when_no_variable_is_set():
+    # OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS
+    assert json.loads(_fresh_python(BLAS_PROBE, blas={})) == [1, ["1", None, "1"]]
+
+
+@needs_threads
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_an_explicit_blas_variable_is_honoured(var):
+    tasks, values = json.loads(_fresh_python(BLAS_PROBE, blas={var: "2"}))
+    assert tasks == 2
+    assert values == [{var: "2"}.get(v) for v in mimodet.BLAS_THREAD_VARS]  # nothing else was set
+
+
+def test_numpy_imported_first_leaves_the_environment_alone():
+    code = "import json, os, numpy\nbefore = dict(os.environ)\nimport mimodet.cli\nprint(json.dumps(before == dict(os.environ)))\n"
+    assert json.loads(_fresh_python(code, blas={})) is True
+
+
+def test_blas_threads_move_no_csv_byte(tmp_path):
+    cfg = tmp_path / "ml.cfg"
+    cfg.write_text(
+        "[constellation]\nkind = psk\nM = 4\n[experiment]\ndetectors = zf, ml-exhaustive\nsnr_db = 0\n"
+        "n = 8\nm_grid = 8, 12\ntrials = 600\nmaster_seed = 11\n"
+    )
+    outputs = []
+    for name, blas in (("one", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / f"{name}.csv"
+        code = f"import mimodet.cli\nraise SystemExit(mimodet.cli.main(['sweep', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))\n"
+        _fresh_python(code, blas=blas)
+        run = json.loads(out.with_suffix(".manifest.json").read_text())["run"]
+        assert run["OPENBLAS_NUM_THREADS"] == blas.get("OPENBLAS_NUM_THREADS", "1")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
