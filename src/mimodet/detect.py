@@ -4,12 +4,12 @@ The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
 S^n, up to ML_BUDGET candidates, every candidate scored by one real matrix
 product per pass, and is the ground-truth oracle for everything else.  The
 sphere decoder returns the identical decision for any constellation and n
-by an exact radius-pruned search over the constellation's own symbols after
-a complex QR, run layer by layer over a whole stack of systems at once.
-ZF solves the normal equations (H^H H) x = H^H r of the unconstrained
-least-squares problem, after a Cholesky check of H^H H, and quantizes each
-entry to the nearest symbol; a member whose Gram matrix is too ill
-conditioned for that is solved by QR instead.
+by an exact radius-pruned search over the constellation's own symbols, run
+layer by layer over a whole stack of systems at once.  ZF solves the normal
+equations (H^H H) x = H^H r of the unconstrained least-squares problem and
+quantizes each entry to the nearest symbol.  Both take the triangular factor
+of H^H H from one Cholesky-checked route: a member whose Gram matrix is too
+ill conditioned for that is factored by QR instead.
 
 Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
 r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
@@ -363,16 +363,21 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> t
 def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Any constellation.  One stacked complex QR gives every member's R and
-    Q^H y, and the stacked radius-pruned search of R x = Q^H y runs over the
-    constellation's own symbols at each layer.  The search is exact, so
+    Any constellation.  :func:`_normal_equations` gives every member's
+    triangular factor L of H^H H, and the stacked radius-pruned search of
+    L^H x = z runs over the constellation's own symbols at each layer, with
+    z = L^-1 H^H r, or Q^H r for a member factored by QR.  The search is exact, so
     every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
     ties.  Raises ValueError on non-finite input and LinAlgError when any
     member is numerically rank deficient.
     """
     H, r = _check_stack(H, r)
-    R, y = _qr_augmented(H, r)
-    x, _ = _sphere_stack_search(R, y, c.symbols)
+    _, y, L, gram, z_qr = _normal_equations(H, r)
+    # ||H x - r||^2 = ||L^H x - L^-1 y||^2 + const for L L^H = H^H H; a member
+    # factored by QR takes Q^H r, which never forms its ill-conditioned y
+    z = np.linalg.solve(L, y)[..., 0]
+    z[~gram] = z_qr
+    x, _ = _sphere_stack_search(L.conj().swapaxes(-1, -2), z, c.symbols)
     return nearest_symbols(c, x)
 
 
@@ -407,17 +412,17 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
         return L
 
 
-def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and L.
+def _normal_equations(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """G = H^H H, y = H^H r (..., n, 1), L, the Gram mask, and Q^H r of the members outside it.
 
-    L[k] is lower triangular with L[k] L[k]^H = H[k]^H H[k].  Each member is
-    solved by the normal equations: G = H^H H and y = H^H r from two stacked
-    products, a stacked Cholesky factorization of G as L and its rank check,
-    then one stacked solve of G x = y.  A member whose factorization fails,
-    or whose min/max pivot of L falls below GRAM_TOLERANCE, is solved by QR
-    instead (H[k] = Q R, L[k] = R^H), whose RANK_TOLERANCE check raises
-    LinAlgError for a numerically rank deficient member.  The route a member
-    takes depends on that member's H alone.
+    L[k] is lower triangular with L[k] L[k]^H = H[k]^H H[k].  G and y come
+    from two stacked products and L from a stacked Cholesky factorization of
+    G.  A member is in the mask, and solved by G, when its factorization
+    succeeds and its min/max pivot of L is at least GRAM_TOLERANCE.  Every
+    other member is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
+    RANK_TOLERANCE check raises LinAlgError for a numerically rank deficient
+    member, and Q^H r of those members, in stack order, is returned last.
+    The route a member takes depends on that member's H alone.
     """
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
@@ -428,17 +433,29 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a NaN pivot (failed factorization) or an infinite one (G overflowed) fails this too
     gram = (pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)
     if np.all(gram):
+        return G, y, L, gram, np.empty((0, H.shape[-1]), dtype=np.complex128)
+    qr = ~gram
+    R, z = _qr_augmented(H[qr], r[qr])
+    L[qr] = R.conj().swapaxes(-1, -2)
+    return G, y, L, gram, z
+
+
+def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and L.
+
+    L is :func:`_normal_equations`'s.  A member in its Gram mask is solved by
+    one stacked solve of the normal equations G x = y, any other by R x = Q^H r.
+    """
+    G, y, L, gram, z = _normal_equations(H, r)
+    if np.all(gram):
         return np.linalg.solve(G, y)[..., 0], L
     x = np.empty(r.shape[:-1] + H.shape[-1:], dtype=np.complex128)
     if np.any(gram):
         x[gram] = np.linalg.solve(G[gram], y[gram])[..., 0]
-    qr = ~gram
-    R, z = _qr_augmented(H[qr], r[qr])
     # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
     # solve swaps no rows and leaves R as it is: what remains is LAPACK's
     # back-substitution, run per member in one call.
-    x[qr] = np.linalg.solve(R, z[..., None])[..., 0]
-    L[qr] = R.conj().swapaxes(-1, -2)
+    x[~gram] = np.linalg.solve(L[~gram].conj().swapaxes(-1, -2), z[..., None])[..., 0]
     return x, L
 
 

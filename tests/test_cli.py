@@ -110,6 +110,7 @@ def test_manifest_records_the_run(tmp_path, ini_path, monkeypatch, threads, proc
         "OPENBLAS_NUM_THREADS": "3",
         "OMP_NUM_THREADS": "unset",
         "MKL_NUM_THREADS": "1",
+        "malloc": mimodet.MALLOC_POLICY,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": blas["name"],
@@ -119,6 +120,8 @@ def test_manifest_records_the_run(tmp_path, ini_path, monkeypatch, threads, proc
         "machine": uname.machine,
         "cpu_count": os.cpu_count(),
     }
+    thresholds = {"M_MMAP_THRESHOLD": mimodet.MALLOC_MMAP_THRESHOLD, "M_TRIM_THRESHOLD": mimodet.MALLOC_TRIM_THRESHOLD}
+    assert run["malloc"] in (thresholds, "caller", "unavailable")
 
 
 def test_echo_is_ini_text_in_schema_order(ini_path):
@@ -751,3 +754,45 @@ def test_reference_sweeps_script_out_dir_under_a_file_exits_2(tmp_path, capsys, 
     monkeypatch.setattr(sys, "argv", ["run_reference_sweeps.py", "--out-dir", str(tmp_path / under)])
     assert reference_sweeps_script().main() == 2
     assert f"config error: --out: cannot create directory {tmp_path / under}: " in capsys.readouterr().err
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m mimodet.cli args`` in a new process, its output buffered as in a pipe."""
+    src = str(Path(mimodet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "mimodet.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_point_exits_with_every_output_written(tmp_path, ini_path):
+    # the entry point leaves by os._exit: buffered output, the CSV and the manifest must all be there
+    p = tmp_path / "variant.cfg"
+    p.write_text(INI_CONFIG + "\n[variant:wide]\nm_grid = 6, 12\n")
+    out = tmp_path / "a.csv"
+    done = run_cli("sweep", "--config", str(p), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert [line.split(" (")[0] for line in done.stdout.splitlines()] == [
+        f"wrote {out}",
+        f"wrote {tmp_path / 'a.wide.csv'}",
+        f"wrote {tmp_path / 'a.manifest.json'}",
+    ]
+    assert done.stderr == ""
+    manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+    for campaign, rows in zip(manifest["campaigns"], (3, 2)):
+        with open(tmp_path / campaign["csv"], newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == CSV_COLUMNS and len(table) == 1 + rows
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
+
+    missing = run_cli("sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "c.csv"))
+    assert missing.returncode == 2
+    assert missing.stderr == f"config error: {tmp_path / 'missing.cfg'}: no such config file\n"
+
+    thin = synthetic_csv(tmp_path, [make_row(m, "zf", 1000, 0, 0.0) for m in (10, 20, 30)])
+    unfit = run_cli("fit", "--csv", str(thin))
+    assert unfit.returncode == 3
+    assert unfit.stdout.startswith("zf: insufficient data")
+    assert unfit.stderr == "insufficient data: no detector had enough qualifying points\n"

@@ -542,6 +542,33 @@ def test_detectors_map_each_config_name_to_its_stack_detector():
             np.testing.assert_array_equal(single[name](H[k], r[k], QAM16).x_hat, x_hat[k])
 
 
+def test_sphere_stack_solves_an_ill_conditioned_member_by_qr_alone(monkeypatch):
+    # the sphere search takes ZF's route: the Gram factor of every member whose pivots
+    # pass GRAM_TOLERANCE, QR for the one member whose pivot ratio is near 1e-6 or 1e-9
+    qr_stacks = []
+    qr = detect._qr_augmented
+    monkeypatch.setattr(detect, "_qr_augmented", lambda B, y: qr_stacks.append(len(B)) or qr(B, y))
+    H, r = zf_stack_of(24, 8, 3, QAM16, 0.5, 170)
+    exhaustive = detect.detect_ml_exhaustive_stack(H, r, QAM16)
+    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), exhaustive)
+    assert qr_stacks == []
+    z = substream(171).standard_normal((8, 2))
+    noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    for eps in (1e-6, 1e-9):
+        ill = H.copy()
+        ill[5, :, 1] = ill[5, :, 0] + eps * noise
+        _, _, _, gram, _ = detect._normal_equations(ill, r)
+        assert gram.tolist() == [k != 5 for k in range(24)]
+        qr_stacks.clear()
+        stacked = detect.detect_ml_sphere_stack(ill, r, QAM16)
+        assert qr_stacks == [1]
+        np.testing.assert_array_equal(stacked, detect.detect_ml_exhaustive_stack(ill, r, QAM16))
+        np.testing.assert_array_equal(stacked, [detect_ml_sphere(h, y, QAM16).x_hat for h, y in zip(ill, r)])
+    ill[5, :, 1] = ill[5, :, 0] + 1e-12 * noise  # QR's rank check refuses it
+    with pytest.raises(np.linalg.LinAlgError):
+        detect.detect_ml_sphere_stack(ill, r, QAM16)
+
+
 def test_sphere_stack_rejects_rank_deficient_member():
     H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
     H[3, :, 1] = 2.0 * H[3, :, 0]

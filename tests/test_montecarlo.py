@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -623,18 +624,21 @@ def test_fit_slope_recovers_bound_curve_slopes():
 # imports: everything a sweep needs is loaded with the package
 
 
-def _fresh_python(code: str, blas: dict[str, str] | None = None) -> str:
+def _fresh_python(code: str, blas: dict[str, str] | None = None, malloc: dict[str, str] | None = None) -> str:
     """stdout of ``code`` run by a new interpreter that imports this mimodet.
 
     With ``blas`` given, the BLAS thread variables the child starts with are
-    exactly those in it; otherwise it inherits this process's environment.
+    exactly those in it, and with ``malloc`` given, so are the variables of
+    ``mimodet.MALLOC_VARS`` and ``GLIBC_TUNABLES``; otherwise it inherits
+    this process's environment.
     """
     src = str(Path(mimodet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if blas is not None:
-        for var in mimodet.BLAS_THREAD_VARS:
-            env.pop(var, None)
-        env.update(blas)
+    for chosen, names in ((blas, mimodet.BLAS_THREAD_VARS), (malloc, (*mimodet.MALLOC_VARS, "GLIBC_TUNABLES"))):
+        if chosen is not None:
+            for var in names:
+                env.pop(var, None)
+            env.update(chosen)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -726,3 +730,69 @@ def test_blas_threads_move_no_csv_byte(tmp_path):
         assert run["OPENBLAS_NUM_THREADS"] == blas.get("OPENBLAS_NUM_THREADS", "1")
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# malloc: freed stack arrays stay mapped unless the caller chose glibc's thresholds
+
+GLIBC_THRESHOLDS = {"M_MMAP_THRESHOLD": 4 << 20, "M_TRIM_THRESHOLD": 8 << 20}
+
+FAULT_PROBE = """
+import json, resource
+import mimodet, mimodet.cli
+from mimodet import montecarlo
+from mimodet.constellation import make_constellation
+from mimodet.montecarlo import ExperimentConfig, sweep
+
+stacks = [0]
+stack_counts = montecarlo._stack_counts
+
+def counted(*args):
+    stacks[0] += 1
+    return stack_counts(*args)
+
+montecarlo._stack_counts = counted
+faults = {}
+for det, kind, M, m, n in (("zf", "qam", 16, 48, 16), ("ml-exhaustive", "psk", 4, 32, 8), ("ml-sphere", "qam", 16, 48, 4)):
+    config = ExperimentConfig(
+        constellation=make_constellation(kind, M), detectors=(det,), snr_db=0.0, m_grid=(m,), n=n, trials=1024
+    )
+    sweep(config)  # warm-up: caches, lazy set-up, the heap's high-water mark
+    stacks[0] = 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep(config)
+    faults[det] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / stacks[0]
+print(json.dumps([mimodet.MALLOC_POLICY, faults]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts the faults glibc malloc's thresholds cause")
+def test_a_stack_reuses_the_pages_of_the_stack_before():
+    # under glibc's own thresholds: 186-244 minor faults per stack on a 2-core VM
+    policy, faults = json.loads(_fresh_python(FAULT_PROBE, malloc={}))
+    assert policy == GLIBC_THRESHOLDS
+    assert all(per_stack < 8 for per_stack in faults.values()), faults
+
+
+def test_a_caller_malloc_setting_turns_the_policy_off(tmp_path):
+    cfg = tmp_path / "zf.cfg"
+    cfg.write_text(
+        "[constellation]\nkind = qam\nM = 16\n[experiment]\ndetectors = zf, ml-sphere\nsnr_db = 0\n"
+        "n = 4\nm_grid = 12, 48\ntrials = 600\nmaster_seed = 12\n"
+    )
+    outputs = {}
+    for name, malloc in (("default", {}), ("caller", {"MALLOC_TRIM_THRESHOLD_": "131072"})):
+        out = tmp_path / f"{name}.csv"
+        code = f"import mimodet.cli\nraise SystemExit(mimodet.cli.main(['sweep', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))\n"
+        _fresh_python(code, malloc=malloc)
+        outputs[name] = (json.loads(out.with_suffix(".manifest.json").read_text())["run"]["malloc"], out.read_bytes())
+    assert outputs["caller"][0] == "caller"
+    assert outputs["default"][0] in (GLIBC_THRESHOLDS, "unavailable")
+    assert outputs["caller"][1] == outputs["default"][1]
+    code = "import json, mimodet\nprint(json.dumps(mimodet.MALLOC_POLICY))\n"
+    assert json.loads(_fresh_python(code, malloc={"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"})) == "caller"
+
+
+def test_the_malloc_policy_is_unavailable_off_linux():
+    code = "import json, sys, numpy\nsys.platform = 'win32'\nimport mimodet\nprint(json.dumps(mimodet.MALLOC_POLICY))\n"
+    assert json.loads(_fresh_python(code, malloc={})) == "unavailable"
