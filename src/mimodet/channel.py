@@ -185,8 +185,9 @@ def _draw(rng: np.random.Generator, m: int, n: int, M: int) -> tuple[np.ndarray,
 
 def _assemble(H: np.ndarray, x_true: np.ndarray, v: np.ndarray, c: Constellation, sigma2: float):
     """Scale a stack's unit normals in place and form r = H x* + v; returns (H, x_true, v, r)."""
-    H /= np.sqrt(2.0)
-    v *= np.sqrt(sigma2 / 2.0)
+    # on the float views: complex arithmetic gives these bits but an exact zero's sign, at 5-9x the cost
+    H.view(np.float64)[...] *= 1.0 / np.sqrt(2.0)
+    v.view(np.float64)[...] *= np.sqrt(sigma2 / 2.0)
     return H, x_true, v, np.matmul(H, c.symbols[x_true][..., None])[..., 0] + v
 
 

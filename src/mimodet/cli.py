@@ -28,7 +28,7 @@ from . import BLAS_THREAD_VARS, MALLOC_POLICY, __version__, theory
 from .channel import sigma2_from_snr
 from .constellation import Constellation, ConstellationKind, custom_constellation, make_constellation
 from .montecarlo import (
-    POOL_PROCESSES, ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope,
+    ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope, pool_processes,
     sweep, users_for_ratio,
 )
 
@@ -315,7 +315,7 @@ def _run_record(threads: int) -> dict:
     uname = os.uname()
     return {
         "threads": threads,
-        "processes": min(threads, POOL_PROCESSES),
+        "processes": pool_processes(threads),
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
         "malloc": MALLOC_POLICY,
         "python": ".".join(map(str, sys.version_info[:3])),

@@ -1,19 +1,21 @@
 """Monte Carlo VEP/SEP estimation, antenna sweeps, and slope extraction.
 
 Every trial owns a private counter-based random stream keyed by
-(master_seed, grid-point index, trial index).  A grid point runs one
-``TRIAL_BLOCK`` block at a time: the block's trials are cut in order into
-stacks within ``STACK_ENTRIES`` H entries, computed (serially, or by one
-``map`` of a fork pool in which this process and its forked children each
-compute a share), their integer counts summed, and the adaptive stop checked
-at the block's end.  Sweep output is therefore a pure function of the config,
-independent of worker count, stack sizes and scheduling, and no stack is
-computed past a stop.  Each stack's trials are sampled and detected as
+(master_seed, grid-point index, trial index).  A grid point's ``TRIAL_BLOCK``
+blocks are cut in order into stacks within ``STACK_ENTRIES`` H entries and
+go to a fork pool in rounds, one ``map`` each, in which this process and its
+forked children each compute a share; a serial sweep is a pool of one.  With
+an adaptive stop, a round is one block and the stop is checked at its end;
+without one, a round is up to ``ROUND_BLOCKS`` blocks.  The stacks' integer
+counts are summed, so sweep output is a pure function of the config,
+independent of worker count, stack sizes, rounds and scheduling, and no stack
+is computed past a stop.  Each stack's trials are sampled and detected as
 stacked arrays by the detectors that ``detect.DETECTORS`` names.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -37,6 +39,10 @@ STACK_ENTRIES = 24576
 #: Most processes that compute a pooled sweep, this one included.  A block has a
 #: stack per process, so 8 keep them >= 32 trials.
 POOL_PROCESSES = 8
+
+#: Most blocks in one pool round of a point with no adaptive stop: 16 384 trials,
+#: 256 KiB of keys, so a round's memory stays bounded up to the 2**32 trial cap.
+ROUND_BLOCKS = 64
 
 #: Wilson score interval critical value for 95% coverage.
 WILSON_Z = 1.96
@@ -223,34 +229,21 @@ def _stack_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) 
     return counts
 
 
-#: The sweep's config in each process of a pool, set by :func:`_init_worker` before the fork.
-_WORKER_CONFIG: ExperimentConfig | None = None
-
-
-def _init_worker(config: ExperimentConfig | None) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_counts(task: tuple[int, np.ndarray]) -> np.ndarray:
-    """``_stack_counts`` of a pool task (point_index, keys) under the pool's config."""
-    return _stack_counts(_WORKER_CONFIG, *task)
-
-
 class _ForkPool:
     """``processes`` processes that compute each ``map``: this one and processes - 1 forked children.
 
-    ``initializer(*initargs)`` runs here before the fork, so the children hold its
-    state without pickling it.  Each child has its own task and result pipe and
-    serves ``(func, tasks)`` messages until its task pipe reaches EOF.  In a
-    ``map``, task i goes to process i mod processes, process 0 being this one:
-    it writes the children's tasks, computes its own, then reads the children's
-    results.  A child's exception is re-raised here; a child that dies raises
-    ``RuntimeError``.  After an exception the pool is only fit to ``close``.
+    A task is computed as ``func(*task)``.  The children hold ``func`` from the
+    fork, so it is never pickled; a pool of one forks nothing.  Each child has
+    its own task and result pipe and serves task lists until its task pipe
+    reaches EOF.  In a ``map``, task i goes to process i mod processes,
+    process 0 being this one: it writes the children's tasks, computes its
+    own, then reads the children's results.  A child's exception is re-raised
+    here; a child that dies raises ``RuntimeError``.  After an exception the
+    pool is only fit to ``close``.
     """
 
-    def __init__(self, processes: int, initializer, initargs) -> None:
-        initializer(*initargs)
+    def __init__(self, processes: int, func) -> None:
+        self.processes, self.func = processes, func
         self.children: list[tuple[int, object, object]] = []  # (pid, task writer, result reader)
         try:
             for _ in range(processes - 1):
@@ -259,7 +252,7 @@ class _ForkPool:
                 pid = os.fork()
                 if pid == 0:  # a sibling's pipe ends, held here, would hide its EOF
                     siblings = [end.fileno() for _, *ends in self.children for end in ends]
-                    _serve(task_r, result_w, [task_w, result_r, *siblings])
+                    _serve(func, task_r, result_w, [task_w, result_r, *siblings])
                 os.close(task_r)
                 os.close(result_w)
                 self.children.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
@@ -267,18 +260,17 @@ class _ForkPool:
             self.close()
             raise
 
-    def map(self, func, tasks) -> list:
-        tasks = list(tasks)
+    def map(self, tasks: list) -> list:
         share = len(self.children) + 1
         busy = self.children[: len(tasks) - 1]  # a child with no task is left out
         for j, (pid, writer, _) in enumerate(busy, 1):
             try:
-                pickle.dump((func, tasks[j::share]), writer, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(tasks[j::share], writer, pickle.HIGHEST_PROTOCOL)
                 writer.flush()
             except BrokenPipeError:
                 raise self._died(pid) from None
         results = [None] * len(tasks)
-        results[::share] = [func(task) for task in tasks[::share]]
+        results[::share] = [self.func(*task) for task in tasks[::share]]
         for j, (pid, _, reader) in enumerate(busy, 1):
             try:
                 ok, value = pickle.load(reader)
@@ -312,9 +304,9 @@ class _ForkPool:
         self.children = []
 
 
-def _serve(task_fd: int, result_fd: int, inherited: list[int]) -> None:
-    """A pool child's life: close the ``inherited`` descriptors, answer each
-    (func, tasks) message with (ok, results or exception), then exit."""
+def _serve(func, task_fd: int, result_fd: int, inherited: list[int]) -> None:
+    """A pool child's life: close the ``inherited`` descriptors, answer each task
+    list with (ok, [func(*task) ...] or exception), then exit."""
     status = 1
     try:
         for fd in inherited:
@@ -322,11 +314,11 @@ def _serve(task_fd: int, result_fd: int, inherited: list[int]) -> None:
         with os.fdopen(task_fd, "rb") as tasks_in, os.fdopen(result_fd, "wb") as results_out:
             while True:
                 try:
-                    func, tasks = pickle.load(tasks_in)
+                    tasks = pickle.load(tasks_in)
                 except EOFError:
                     break
                 try:
-                    reply = (True, [func(task) for task in tasks])
+                    reply = (True, [func(*task) for task in tasks])
                 except Exception as exc:
                     reply = (False, exc)
                 results_out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))  # whole, or not at all
@@ -336,57 +328,59 @@ def _serve(task_fd: int, result_fd: int, inherited: list[int]) -> None:
         os._exit(status)  # never return into the forking caller's stack
 
 
-def _run_point(config: ExperimentConfig, point_index: int, pool, processes: int) -> tuple[int, np.ndarray]:
+def _run_point(config: ExperimentConfig, point_index: int, pool: _ForkPool) -> tuple[int, np.ndarray]:
     """Trials used and summed ``_stack_counts`` of one grid point; stop early when allowed.
 
-    The point runs one TRIAL_BLOCK block at a time.  A block of t trials is cut in
-    trial order into min(t, max(processes, ceil(t * m * n / STACK_ENTRIES))) stacks
-    whose sizes differ by at most one, computed in a list when serial or by one
-    ``pool.map`` over the ``processes`` processes that hold the config, this one
-    included.  The stop rule is applied at each block's end, so the stop is the
-    same for every worker count and no stack past it is computed.
+    The point's trials go to ``pool`` in rounds, one ``map`` each: a single
+    TRIAL_BLOCK block when ``target_errors`` is set, else up to ROUND_BLOCKS
+    consecutive blocks.  A block of t trials is cut in trial order into
+    min(t, max(pool.processes, ceil(t * m * n / STACK_ENTRIES))) stacks whose
+    sizes differ by at most one, whatever its round.  The stop rule is applied
+    at each block's end, so the stop is the same for every pool size and no
+    stack past it is computed.
     """
     m, n = config.grid_points()[point_index]
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
-    for block in range(0, config.trials, TRIAL_BLOCK):
-        end = min(block + TRIAL_BLOCK, config.trials)
-        keys = trial_keys(config.master_seed, point_index, np.arange(block, end))
-        stacks = min(end - block, max(processes, -(-(end - block) * m * n // STACK_ENTRIES)))
-        tasks = [(point_index, part) for part in np.array_split(keys, stacks)]
-        if pool is None:
-            results = [_stack_counts(config, *task) for task in tasks]
-        else:
-            results = pool.map(_worker_counts, tasks)
-        for counts in results:
+    step = TRIAL_BLOCK if config.target_errors is not None else TRIAL_BLOCK * ROUND_BLOCKS
+    for start in range(0, config.trials, step):
+        end = min(start + step, config.trials)
+        tasks = []
+        for block in range(start, end, TRIAL_BLOCK):
+            keys = trial_keys(config.master_seed, point_index, np.arange(block, min(block + TRIAL_BLOCK, end)))
+            stacks = min(len(keys), max(pool.processes, -(-len(keys) * m * n // STACK_ENTRIES)))
+            tasks += [(point_index, part) for part in np.array_split(keys, stacks)]
+        for counts in pool.map(tasks):
             totals += counts
         if config.target_errors is not None and (totals[:, 0] >= config.target_errors).all():
             break
     return end, totals
 
 
+def pool_processes(workers: int) -> int:
+    """Processes that compute a sweep of ``workers``: min(workers, POOL_PROCESSES)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, POOL_PROCESSES)
+
+
 def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run the Monte Carlo antenna sweep: per-detector counts and estimates at every grid point.
 
     Output is bit-identical for any ``workers`` value; parallelism only
-    changes wall-clock time.  Above 1, min(workers, POOL_PROCESSES) processes
-    compute: this one and children forked for the call, none of which outlives
-    it.  The CSV's closed-form columns are not part of the result: the CSV
-    writer computes them from :mod:`mimodet.theory`.
+    changes wall-clock time.  :func:`pool_processes` processes compute: this
+    one and children forked for the call, none of which outlives it.  The
+    CSV's closed-form columns are not part of the result: the CSV writer
+    computes them from :mod:`mimodet.theory`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     curves = {det: VepCurve(detector=det) for det in config.detectors}
     per_point_s: list[float] = []
     t0 = time.perf_counter()
 
-    processes = min(workers, POOL_PROCESSES)
-    pool = None
+    pool = _ForkPool(pool_processes(workers), functools.partial(_stack_counts, config))
     try:
-        if processes > 1:
-            pool = _ForkPool(processes, _init_worker, (config,))
         for point_index, (m, n) in enumerate(config.grid_points()):
             tp = time.perf_counter()
-            trials_done, totals = _run_point(config, point_index, pool, processes)
+            trials_done, totals = _run_point(config, point_index, pool)
             per_point_s.append(time.perf_counter() - tp)
             for det, (errors, sym_total, user1) in zip(config.detectors, totals.tolist()):
                 vep_hat, ci_low, ci_high = estimate_vep(errors, trials_done)
@@ -410,9 +404,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
                     )
                 )
     finally:
-        if pool is not None:
-            pool.close()
-            _init_worker(None)
+        pool.close()
 
     return SweepResult(
         config=config,

@@ -122,6 +122,20 @@ def test_stack_members_equal_instances_bit_for_bit():
             np.testing.assert_array_equal(v[t], v_ref)
 
 
+@pytest.mark.parametrize("m, n, sigma2", [(48, 16, 0.7), (36, 12, 2.5), (48, 4, 0.0)])
+def test_stack_scaling_equals_complex_arithmetic(m, n, sigma2):
+    # the unit normals of each key, scaled and combined by complex arithmetic
+    c = make_constellation("qam", 16)
+    keys = trial_keys(24, 2, range(20))
+    draws = [channel._draw(substream(24, 2, t), m, n, c.M) for t in range(20)]
+    H_ref = np.stack([z for z, _, _ in draws]).view(np.complex128) / np.sqrt(2.0)
+    x_ref = np.stack([x for _, x, _ in draws])
+    v_ref = np.stack([w for _, _, w in draws]).view(np.complex128) * np.sqrt(sigma2 / 2.0)
+    r_ref = np.matmul(H_ref, c.symbols[x_ref][..., None])[..., 0] + v_ref
+    for got, want in zip(sample_stack(m, n, c, sigma2, keys), (H_ref, x_ref, v_ref, r_ref)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "keys",
     [

@@ -22,6 +22,7 @@ from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
     POOL_PROCESSES,
+    ROUND_BLOCKS,
     STACK_ENTRIES,
     TRIAL_BLOCK,
     ConfigValueError,
@@ -29,7 +30,6 @@ from mimodet.montecarlo import (
     PointStats,
     VepCurve,
     estimate_vep,
-    _init_worker,
     _run_point,
     _stack_counts,
     fit_slope,
@@ -336,15 +336,19 @@ def test_chunk_dispatch_counts_equal_run_trial_sums_with_stop(workers):
 
 
 class RecordingPool:
-    """Stands in for a process pool: runs each ``map`` at once and records its task list."""
+    """Stands in for a pool of ``processes``: computes each ``map`` here and records its task list."""
 
-    def __init__(self, initializer, initargs):
-        initializer(*initargs)
-        self.calls = []
+    def __init__(self, processes, func):
+        self.processes, self.func, self.calls = processes, func, []
 
-    def map(self, func, tasks):
+    def map(self, tasks):
         self.calls.append(list(tasks))
-        return [func(task) for task in tasks]
+        return [self.func(*task) for task in tasks]
+
+
+def serial_point(cfg, point_index=0):
+    """``_run_point`` on the pool of one that a serial sweep uses."""
+    return _run_point(cfg, point_index, montecarlo._ForkPool(1, functools.partial(_stack_counts, cfg)))
 
 
 @pytest.mark.parametrize("stop_block", [1, 2, 3])
@@ -360,10 +364,10 @@ def test_chunk_dispatch_bounds_work_past_the_stop(monkeypatch, stop_block):
         keys = trial_keys(probe.master_seed, 0, range(stop_block * TRIAL_BLOCK))
         target = int(_stack_counts(probe, 0, keys)[0, 0])
         cfg = base_config(**kw, target_errors=target)
-        serial_trials, serial_totals = _run_point(cfg, 0, None, 1)
+        serial_trials, serial_totals = serial_point(cfg)
         assert serial_trials == stop_block * TRIAL_BLOCK  # stops after stop_block of eight blocks
-        pool = RecordingPool(_init_worker, (cfg,))
-        trials, totals = _run_point(cfg, 0, pool, processes)
+        pool = RecordingPool(processes, functools.partial(_stack_counts, cfg))
+        trials, totals = _run_point(cfg, 0, pool)
         assert trials == serial_trials
         np.testing.assert_array_equal(totals, serial_totals)
         # one map per block, holding at least one (point_index, keys) stack task per process,
@@ -381,13 +385,38 @@ def test_chunk_dispatch_bounds_work_past_the_stop(monkeypatch, stop_block):
 
 
 def test_short_last_block_has_no_empty_stack():
-    # a last block of 2 trials on 3 processes: two one-trial stacks, no empty third
+    # a last block of 2 trials on 3 processes: two one-trial stacks, no empty third;
+    # with no stop rule both blocks go out in one round
     cfg = base_config(m_grid=(8,), trials=TRIAL_BLOCK + 2)
-    pool = RecordingPool(_init_worker, (cfg,))
-    trials, totals = _run_point(cfg, 0, pool, 3)
+    pool = RecordingPool(3, functools.partial(_stack_counts, cfg))
+    trials, totals = _run_point(cfg, 0, pool)
     assert trials == TRIAL_BLOCK + 2
-    assert [[len(keys) for _, keys in call] for call in pool.calls] == [[86, 85, 85], [1, 1]]
-    np.testing.assert_array_equal(totals, _run_point(cfg, 0, None, 1)[1])
+    assert [[len(keys) for _, keys in call] for call in pool.calls] == [[86, 85, 85, 1, 1]]
+    np.testing.assert_array_equal(totals, serial_point(cfg)[1])
+
+
+@pytest.mark.parametrize("cap, blocks, last", [(3, 8, 5), (ROUND_BLOCKS, ROUND_BLOCKS + 1, 1)])
+def test_point_without_stop_rule_goes_out_in_rounds_of_the_cap(monkeypatch, cap, blocks, last):
+    # blocks - 1 whole blocks and one of `last` trials: ceil(blocks / cap) maps, each of
+    # cap whole blocks but the last, every block cut as when it went out alone
+    monkeypatch.setattr(montecarlo, "ROUND_BLOCKS", cap)
+    cfg = base_config(m_grid=(8,), trials=(blocks - 1) * TRIAL_BLOCK + last)
+    pool = RecordingPool(2, functools.partial(_stack_counts, cfg))
+    trials, totals = _run_point(cfg, 0, pool)
+    assert trials == cfg.trials
+    assert len(pool.calls) == -(-blocks // cap)
+    stacks = [2] * (blocks - 1) + [min(last, 2)]  # a stack per process, never an empty one
+    assert [len(call) for call in pool.calls] == [sum(stacks[b : b + cap]) for b in range(0, blocks, cap)]
+    for i, call in enumerate(pool.calls):
+        assert all(point == 0 for point, _ in call)
+        assert sum(len(keys) for _, keys in call) == min(cap * TRIAL_BLOCK, cfg.trials - i * cap * TRIAL_BLOCK)
+    sent = np.concatenate([keys for call in pool.calls for _, keys in call])
+    np.testing.assert_array_equal(sent, trial_keys(cfg.master_seed, 0, range(cfg.trials)))
+    one = montecarlo._ForkPool(1, functools.partial(_stack_counts, cfg))
+    assert one.children == []  # a pool of one forks nothing
+    serial_trials, serial_totals = _run_point(cfg, 0, one)
+    assert serial_trials == trials
+    np.testing.assert_array_equal(totals, serial_totals)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -472,17 +501,16 @@ def test_dead_child_raises_with_its_exit_status(monkeypatch, deadline):
 
 def test_child_dead_before_its_tasks_raises_with_its_exit_status(deadline):
     cfg = base_config()
-    pool = montecarlo._ForkPool(3, _init_worker, (cfg,))
+    pool = montecarlo._ForkPool(3, functools.partial(_stack_counts, cfg))
     try:
         pid = pool.children[0][0]
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, its pipe ends closed, not yet reaped
         tasks = [(0, trial_keys(cfg.master_seed, 0, range(k, k + 8))) for k in range(0, 24, 8)]
         with pytest.raises(RuntimeError, match=rf"exit status -{int(signal.SIGKILL)}\b"):
-            pool.map(montecarlo._worker_counts, tasks)
+            pool.map(tasks)
     finally:
         pool.close()
-        _init_worker(None)
     assert_no_child_left()
 
 
