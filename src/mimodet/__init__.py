@@ -81,7 +81,7 @@ MALLOC_POLICY = _malloc_policy()
 
 from .constellation import Constellation, ConstellationKind, make_constellation
 from .channel import ChannelInstance, sample_instance, sigma2_from_snr, substream
-from .detect import DetectionOutcome, ZfIntermediate, detect_ml_exhaustive, detect_ml_sphere, detect_zf, zf_decorrelate
+from .detect import DetectionOutcome, detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from .theory import SystemParams, antenna_efficiency_ml, antenna_efficiency_zf, q_function
 from .montecarlo import ExperimentConfig, SlopeFit, VepCurve, estimate_vep, fit_slope, sweep
 
@@ -94,11 +94,9 @@ __all__ = [
     "sigma2_from_snr",
     "substream",
     "DetectionOutcome",
-    "ZfIntermediate",
     "detect_ml_exhaustive",
     "detect_ml_sphere",
     "detect_zf",
-    "zf_decorrelate",
     "SystemParams",
     "antenna_efficiency_ml",
     "antenna_efficiency_zf",

@@ -162,14 +162,6 @@ class ChannelInstance:
     r: np.ndarray
     sigma2: float
 
-    @property
-    def m(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[1]
-
 
 def _check_model(m: int, n: int, sigma2: float) -> None:
     if not (m >= n >= 1):

@@ -5,11 +5,11 @@ S^n, up to ML_BUDGET candidates, every candidate scored by one real matrix
 product per pass, and is the ground-truth oracle for everything else.  The
 sphere decoder returns the identical decision for any constellation and n
 by an exact radius-pruned search over the constellation's own symbols, run
-layer by layer over a whole stack of systems at once.  ZF solves the normal
-equations (H^H H) x = H^H r of the unconstrained least-squares problem and
-quantizes each entry to the nearest symbol.  Both take the triangular factor
-of H^H H from one Cholesky-checked route: a member whose Gram matrix is too
-ill conditioned for that is factored by QR instead.
+layer by layer over a whole stack of systems at once.  ZF quantizes each
+entry of the unconstrained least-squares solution x_tilde to the nearest
+symbol.  Both read x_tilde and the triangular factor of H^H H from one
+route, :func:`_zf_solve`, which solves the normal equations (H^H H) x = H^H r
+and factors by QR a member whose Gram matrix is too ill conditioned for that.
 
 Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
 r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
@@ -83,25 +83,12 @@ class DetectionOutcome:
     metric: float
 
 
-@dataclass(frozen=True)
-class ZfIntermediate:
-    """Decorrelated signal x_tilde and per-user post-detection SNR scales.
-
-    gamma[j] = 1 / [(H^H H)^-1]_jj; conditioned on H the ZF noise seen by
-    user j is CN(0, sigma^2 / gamma[j]).
-    """
-
-    x_tilde: np.ndarray
-    gamma: np.ndarray
-
-
-def _check_stack(H: np.ndarray, r: np.ndarray, ndim: int | None = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Validated complex H (..., m, n) and r (..., m); ``ndim`` fixes H's rank."""
+def _check_stack(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated complex H (B, m, n) and r (B, m)."""
     H = np.asarray(H, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
-    if H.ndim < 2 or (ndim is not None and H.ndim != ndim) or r.shape != H.shape[:-1]:
-        lead = "B, " if ndim == 3 else "..., "
-        raise ValueError(f"need H of shape ({lead}m, n) and r of shape ({lead}m), got {H.shape} and {r.shape}")
+    if H.ndim != 3 or r.shape != H.shape[:-1]:
+        raise ValueError(f"need H of shape (B, m, n) and r of shape (B, m), got {H.shape} and {r.shape}")
     if not (H.shape[-2] >= H.shape[-1] >= 1):
         raise ValueError(f"need m >= n >= 1, got H of shape {H.shape}")
     if not (np.all(np.isfinite(H.view(np.float64))) and np.all(np.isfinite(r.view(np.float64)))):
@@ -363,21 +350,19 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> t
 def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Any constellation.  :func:`_normal_equations` gives every member's
-    triangular factor L of H^H H, and the stacked radius-pruned search of
-    L^H x = z runs over the constellation's own symbols at each layer, with
-    z = L^-1 H^H r, or Q^H r for a member factored by QR.  The search is exact, so
+    Any constellation.  :func:`_zf_solve` gives every member's least-squares
+    solution x_tilde and triangular factor L of H^H H, and the stacked
+    radius-pruned search of R x = R x_tilde, R = L^H, runs over the
+    constellation's own symbols at each layer.  The search is exact, so
     every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
     ties.  Raises ValueError on non-finite input and LinAlgError when any
     member is numerically rank deficient.
     """
     H, r = _check_stack(H, r)
-    _, y, L, gram, z_qr = _normal_equations(H, r)
-    # ||H x - r||^2 = ||L^H x - L^-1 y||^2 + const for L L^H = H^H H; a member
-    # factored by QR takes Q^H r, which never forms its ill-conditioned y
-    z = np.linalg.solve(L, y)[..., 0]
-    z[~gram] = z_qr
-    x, _ = _sphere_stack_search(L.conj().swapaxes(-1, -2), z, c.symbols)
+    x_tilde, L = _zf_solve(H, r)
+    # ||H x - r||^2 = ||R (x - x_tilde)||^2 + const for R^H R = H^H H
+    R = L.conj().swapaxes(-1, -2)
+    x, _ = _sphere_stack_search(R, (R @ x_tilde[..., None])[..., 0], c.symbols)
     return nearest_symbols(c, x)
 
 
@@ -412,17 +397,18 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
         return L
 
 
-def _normal_equations(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
-    """G = H^H H, y = H^H r (..., n, 1), L, the Gram mask, and Q^H r of the members outside it.
+def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2 over H (..., m, n), and L.
 
-    L[k] is lower triangular with L[k] L[k]^H = H[k]^H H[k].  G and y come
-    from two stacked products and L from a stacked Cholesky factorization of
-    G.  A member is in the mask, and solved by G, when its factorization
-    succeeds and its min/max pivot of L is at least GRAM_TOLERANCE.  Every
-    other member is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
+    The package's one least-squares route.  L[k] is lower triangular with
+    L[k] L[k]^H = H[k]^H H[k].  G = H^H H and y = H^H r come from two stacked
+    products and L from a stacked Cholesky factorization of G.  A member
+    whose factorization succeeds with a min/max pivot of L of at least
+    GRAM_TOLERANCE is solved by one stacked solve of G x = y.  Every other
+    member is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
     RANK_TOLERANCE check raises LinAlgError for a numerically rank deficient
-    member, and Q^H r of those members, in stack order, is returned last.
-    The route a member takes depends on that member's H alone.
+    member, and solved by R x = Q^H r.  The route a member takes depends on
+    that member's H alone.
     """
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
@@ -433,29 +419,17 @@ def _normal_equations(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
     # a NaN pivot (failed factorization) or an infinite one (G overflowed) fails this too
     gram = (pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)
     if np.all(gram):
-        return G, y, L, gram, np.empty((0, H.shape[-1]), dtype=np.complex128)
+        return np.linalg.solve(G, y)[..., 0], L
     qr = ~gram
     R, z = _qr_augmented(H[qr], r[qr])
     L[qr] = R.conj().swapaxes(-1, -2)
-    return G, y, L, gram, z
-
-
-def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2, and L.
-
-    L is :func:`_normal_equations`'s.  A member in its Gram mask is solved by
-    one stacked solve of the normal equations G x = y, any other by R x = Q^H r.
-    """
-    G, y, L, gram, z = _normal_equations(H, r)
-    if np.all(gram):
-        return np.linalg.solve(G, y)[..., 0], L
     x = np.empty(r.shape[:-1] + H.shape[-1:], dtype=np.complex128)
     if np.any(gram):
         x[gram] = np.linalg.solve(G[gram], y[gram])[..., 0]
     # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
     # solve swaps no rows and leaves R as it is: what remains is LAPACK's
     # back-substitution, run per member in one call.
-    x[~gram] = np.linalg.solve(L[~gram].conj().swapaxes(-1, -2), z[..., None])[..., 0]
+    x[qr] = np.linalg.solve(R, z[..., None])[..., 0]
     return x, L
 
 
@@ -468,24 +442,6 @@ def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarra
     H, r = _check_stack(H, r)
     x_tilde, _ = _zf_solve(H, r)
     return nearest_symbols(c, x_tilde)
-
-
-def zf_decorrelate(H: np.ndarray, r: np.ndarray) -> ZfIntermediate:
-    """Least-squares decorrelation x_tilde = argmin ||H x - r||^2 plus gamma.
-
-    Takes one system (H (m, n), r (m,)) or a stack (H (..., m, n),
-    r (..., m)); x_tilde and gamma then have shape (..., n).  Solved as
-    :func:`detect_zf_stack` solves, by the normal equations or, for an ill
-    conditioned member, by QR; the explicit Gram inverse is never formed (it
-    exists only as a test oracle).  With L L^H = H^H H, (H^H H)^-1 =
-    L^-H L^-1, so gamma[j] is the inverse squared norm of column j of L^-1,
-    which a stacked solve of the triangular L forms.
-    """
-    H, r = _check_stack(H, r, ndim=None)
-    x_tilde, L = _zf_solve(H, r)
-    Linv = np.linalg.solve(L, np.eye(H.shape[-1], dtype=np.complex128))
-    gamma = 1.0 / np.sum(np.abs(Linv) ** 2, axis=-2)
-    return ZfIntermediate(x_tilde=x_tilde, gamma=gamma)
 
 
 def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcome:

@@ -334,12 +334,14 @@ def _run_point(config: ExperimentConfig, point_index: int, pool: _ForkPool) -> t
     The point's trials go to ``pool`` in rounds, one ``map`` each: a single
     TRIAL_BLOCK block when ``target_errors`` is set, else up to ROUND_BLOCKS
     consecutive blocks.  A block of t trials is cut in trial order into
-    min(t, max(pool.processes, ceil(t * m * n / STACK_ENTRIES))) stacks whose
-    sizes differ by at most one, whatever its round.  The stop rule is applied
-    at each block's end, so the stop is the same for every pool size and no
-    stack past it is computed.
+    min(t, max(pool.processes, ceil(t / cap))) stacks whose sizes differ by
+    at most one, whatever its round, where cap = max(1, STACK_ENTRIES // (m * n))
+    trials: a stack of more than one trial holds at most STACK_ENTRIES
+    entries of H.  The stop rule is applied at each block's end, so the stop
+    is the same for every pool size and no stack past it is computed.
     """
     m, n = config.grid_points()[point_index]
+    cap = max(1, STACK_ENTRIES // (m * n))
     totals = np.zeros((len(config.detectors), 3), dtype=np.int64)
     step = TRIAL_BLOCK if config.target_errors is not None else TRIAL_BLOCK * ROUND_BLOCKS
     for start in range(0, config.trials, step):
@@ -347,7 +349,7 @@ def _run_point(config: ExperimentConfig, point_index: int, pool: _ForkPool) -> t
         tasks = []
         for block in range(start, end, TRIAL_BLOCK):
             keys = trial_keys(config.master_seed, point_index, np.arange(block, min(block + TRIAL_BLOCK, end)))
-            stacks = min(len(keys), max(pool.processes, -(-len(keys) * m * n // STACK_ENTRIES)))
+            stacks = min(len(keys), max(pool.processes, -(-len(keys) // cap)))
             tasks += [(point_index, part) for part in np.array_split(keys, stacks)]
         for counts in pool.map(tasks):
             totals += counts

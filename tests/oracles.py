@@ -4,6 +4,9 @@ These take scipy's routes (adaptive quadrature, ``special.gammaln`` and
 ``special.logsumexp``) to quantities the library computes in closed form
 with ``math`` and numpy, so agreement checks the formulas and not one
 implementation against itself.  scipy comes with the ``test`` extra.
+:func:`zf_gamma` is the exception: it reads ZF's own factor, and
+``test_zf_gamma_matches_dense_inverse_oracle`` checks it against the
+explicit Gram inverse.
 """
 
 import math
@@ -12,6 +15,17 @@ import numpy as np
 from scipy import integrate, special
 
 from mimodet.theory import SystemParams
+
+
+def zf_gamma(L: np.ndarray) -> np.ndarray:
+    """Post-detection SNR scales gamma[..., j] = 1 / [(H^H H)^-1]_jj from L of ``detect._zf_solve``.
+
+    With L L^H = H^H H, (H^H H)^-1 = L^-H L^-1, so gamma[j] is the inverse
+    squared norm of column j of L^-1; conditioned on H the ZF noise seen by
+    user j is CN(0, sigma^2 / gamma[j]).
+    """
+    Linv = np.linalg.solve(L, np.eye(L.shape[-1], dtype=np.complex128))
+    return 1.0 / np.sum(np.abs(Linv) ** 2, axis=-2)
 
 
 def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> float:

@@ -14,11 +14,11 @@ from scipy import stats
 from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
 from mimodet.cli import main
 from mimodet.constellation import make_constellation
-from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf, zf_decorrelate
+from mimodet.detect import _zf_solve, detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import ExperimentConfig, fit_slope, sweep
 from mimodet import theory
 
-from oracles import q_function_craig
+from oracles import q_function_craig, zf_gamma
 
 QAM16 = make_constellation("qam", 16)
 QPSK = make_constellation("psk", 4)
@@ -189,7 +189,7 @@ def test_c4_detector_equivalence():
 # ---------------------------------------------------------------------------
 # criterion 5: chi-square laws of the post-detection SNR statistics
 
-#: Channel samples decorrelated per stacked zf_decorrelate call.
+#: Channel samples factored per stacked _zf_solve call.
 GAMMA_GROUP = 4096
 
 
@@ -199,7 +199,7 @@ def _sample_gamma1(m: int, n: int, samples: int, seed: int) -> np.ndarray:
     for lo in range(0, samples, GAMMA_GROUP):
         keys = trial_keys(seed, range(lo, min(lo + GAMMA_GROUP, samples)))
         H = sample_stack(m, n, QPSK, 1.0, keys)[0]  # H is the first draw of each stream
-        out[lo : lo + len(H)] = zf_decorrelate(H, np.zeros(H.shape[:-1], dtype=complex)).gamma[:, 0]
+        out[lo : lo + len(H)] = zf_gamma(_zf_solve(H, np.zeros(H.shape[:-1], dtype=complex))[1])[:, 0]
     return out
 
 

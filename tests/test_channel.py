@@ -83,7 +83,7 @@ def test_instance_recomputes_exactly():
     c = make_constellation("qam", 16)
     inst = sample_instance(10, 4, c, 0.5, substream(5, 7))
     np.testing.assert_array_equal(inst.H @ c.symbols[inst.x_true] + inst.v, inst.r)
-    assert inst.m == 10 and inst.n == 4
+    assert inst.H.shape == (10, 4)
 
 
 def test_instance_bit_identical_regeneration():

@@ -354,9 +354,11 @@ def serial_point(cfg, point_index=0):
 @pytest.mark.parametrize("stop_block", [1, 2, 3])
 def test_chunk_dispatch_bounds_work_past_the_stop(monkeypatch, stop_block):
     # (m, n, processes, budget): a stack per process at (8, 2); 8 stacks of 32 trials at
-    # (48, 16); 5 of 51-52 at (36, 12); one-trial stacks when one trial exceeds the budget
+    # (48, 16); 5 of 51-52 at (36, 12); 4 of 64 at (24, 12), where
+    # 86 trials overrun the budget; one-trial stacks when one trial exceeds the budget
     for m, n, processes, budget in [(8, 2, 2, STACK_ENTRIES), (8, 2, 3, STACK_ENTRIES),
-                                    (48, 16, 2, STACK_ENTRIES), (36, 12, 2, STACK_ENTRIES), (8, 2, 2, 15)]:
+                                    (48, 16, 2, STACK_ENTRIES), (36, 12, 2, STACK_ENTRIES),
+                                    (24, 12, 2, STACK_ENTRIES), (8, 2, 2, 15)]:
         monkeypatch.setattr(montecarlo, "STACK_ENTRIES", budget)
         kw = dict(m_grid=(m,), n=n, trials=8 * TRIAL_BLOCK, snr_db=-6.0)
         probe = base_config(**kw)

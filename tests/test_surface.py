@@ -2,7 +2,8 @@
 
 The benchmark's tracer skips any name it cannot find, so a cleanup that
 drops one of these would silently empty a traced layer or break its replay
-check; these tests fail first.
+check; these tests fail first.  ``mimodet.__all__`` is pinned as a set, so
+an export is added or dropped only on purpose.
 """
 
 import numpy as np
@@ -30,5 +31,28 @@ def test_cli_and_sweep_entry_points_exist():
 
 
 def test_package_exports_resolve():
+    assert set(mimodet.__all__) == {
+        "Constellation",
+        "ConstellationKind",
+        "make_constellation",
+        "ChannelInstance",
+        "sample_instance",
+        "sigma2_from_snr",
+        "substream",
+        "DetectionOutcome",
+        "detect_ml_exhaustive",
+        "detect_ml_sphere",
+        "detect_zf",
+        "SystemParams",
+        "antenna_efficiency_ml",
+        "antenna_efficiency_zf",
+        "q_function",
+        "ExperimentConfig",
+        "SlopeFit",
+        "VepCurve",
+        "estimate_vep",
+        "fit_slope",
+        "sweep",
+    }
     missing = [name for name in mimodet.__all__ if not hasattr(mimodet, name)]
     assert missing == []
