@@ -80,27 +80,18 @@ def _malloc_policy():
 MALLOC_POLICY = _malloc_policy()
 
 from .constellation import Constellation, ConstellationKind, make_constellation
-from .channel import ChannelInstance, sample_instance, sigma2_from_snr, substream
-from .detect import DetectionOutcome, detect_ml_exhaustive, detect_ml_sphere, detect_zf
-from .theory import SystemParams, antenna_efficiency_ml, antenna_efficiency_zf, q_function
+from .channel import sigma2_from_snr
+from .theory import SystemParams, antenna_efficiency_ml, antenna_efficiency_zf
 from .montecarlo import ExperimentConfig, SlopeFit, VepCurve, estimate_vep, fit_slope, sweep
 
 __all__ = [
     "Constellation",
     "ConstellationKind",
     "make_constellation",
-    "ChannelInstance",
-    "sample_instance",
     "sigma2_from_snr",
-    "substream",
-    "DetectionOutcome",
-    "detect_ml_exhaustive",
-    "detect_ml_sphere",
-    "detect_zf",
     "SystemParams",
     "antenna_efficiency_ml",
     "antenna_efficiency_zf",
-    "q_function",
     "ExperimentConfig",
     "SlopeFit",
     "VepCurve",

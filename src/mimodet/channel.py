@@ -160,7 +160,6 @@ class ChannelInstance:
     x_true: np.ndarray
     v: np.ndarray
     r: np.ndarray
-    sigma2: float
 
 
 def _check_model(m: int, n: int, sigma2: float) -> None:
@@ -238,4 +237,4 @@ def sample_instance(
     _check_model(m, n, sigma2)
     H, x_true, v = (a[None] for a in _draw(rng, m, n, c.M))
     H, x_true, v, r = _assemble(H.view(np.complex128), x_true, v.view(np.complex128), c, sigma2)
-    return ChannelInstance(H=H[0], x_true=x_true[0], v=v[0], r=r[0], sigma2=float(sigma2))
+    return ChannelInstance(H=H[0], x_true=x_true[0], v=v[0], r=r[0])

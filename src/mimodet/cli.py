@@ -26,7 +26,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS, MALLOC_POLICY, __version__, theory
 from .channel import sigma2_from_snr
-from .constellation import Constellation, ConstellationKind, custom_constellation, make_constellation
+from .constellation import Constellation, ConstellationKind, make_constellation
 from .montecarlo import (
     ConfigValueError, ExperimentConfig, PointStats, SweepResult, VepCurve, estimate_vep, fit_slope, pool_processes,
     sweep, users_for_ratio,
@@ -125,15 +125,19 @@ def _parse(key: str, raw):
 def _build_constellation(kind, M, symbols) -> Constellation:
     """Constellation from the raw kind, M and symbols of a config or of `theory`'s flags.
 
-    Failures raise ConfigValueError naming the key at fault.
+    Failures raise ConfigValueError naming the key at fault; the other kind's
+    key (M for a custom set, symbols otherwise) is refused.
     """
     kind = _parse("kind", kind)
-    key, raw = ("symbols", symbols) if kind is ConstellationKind.CUSTOM else ("M", M)
+    custom = kind is ConstellationKind.CUSTOM
+    key, raw, stray, stray_raw = ("symbols", symbols, "M", M) if custom else ("M", M, "symbols", symbols)
+    if stray_raw is not None:
+        raise ConfigValueError(stray, f"kind={kind.value} takes {key}, not {stray}")
     if raw is None:
         raise ConfigValueError(key, f"constellation needs {key} for kind={kind.value}")
     value = _parse(key, raw)
     try:
-        return custom_constellation(value) if kind is ConstellationKind.CUSTOM else make_constellation(kind, value)
+        return Constellation(value) if custom else make_constellation(kind, value)
     except ValueError as exc:
         raise ConfigValueError(key, str(exc)) from exc
 
@@ -146,7 +150,8 @@ def _read_ini(path: str, text: str) -> tuple[dict, dict]:
     """
     # only "#" starts an inline comment: ";" separates the points of `symbols`;
     # no header names the default section "", so [DEFAULT] is an unknown section
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+    # and values are literal: "%" starts no interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="", interpolation=None)
     parser.optionxform = str  # keep key case: "M" must stay "M"
     try:
         parser.read_string(text, source=path)
@@ -168,8 +173,9 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
     """One campaign from ``sections`` of ``doc``, each overriding the ones before.
 
     An empty value unsets its key.  In a variant, setting n unsets delta and
-    setting delta unsets n, so a variant can switch the user rule.  ``seed``,
-    when given, overrides master_seed after every section.  Every
+    setting delta unsets n, so a variant can switch the user rule; M and
+    symbols unset each other, so it can switch the constellation kind.
+    ``seed``, when given, overrides master_seed after every section.  Every
     failure is a ConfigError at the line of the key at fault, or at the line
     of its section when the key is missing; a bad ``seed`` is one at --seed.
     """
@@ -180,7 +186,7 @@ def _campaign(name: str, doc: dict, sections: tuple, at, seed: int | None) -> Ca
             if key not in KEYS or not (variant or KEYS[key][0] == section):
                 raise ConfigError(f"{at(section, key)}: unknown key {key!r} in [{section}]")
             if variant and raw != "":
-                settings.pop({"n": "delta", "delta": "n"}.get(key), None)
+                settings.pop({"n": "delta", "delta": "n", "M": "symbols", "symbols": "M"}.get(key), None)
             settings[key] = (raw, section)
     if seed is not None:
         settings["master_seed"] = (seed, "--seed")
@@ -384,7 +390,7 @@ def cmd_sweep(config_path: str, out_path: str, seed: int | None = None, threads:
 
 def cmd_theory(
     kind: str,
-    M: int,
+    M: int | None,
     snr_db: float,
     delta: float | None = None,
     m: int | None = None,
@@ -551,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_theory = sub.add_parser("theory", help="print closed-form quantities")
     p_theory.add_argument("--kind", required=True, choices=["psk", "qam", "custom"])
-    p_theory.add_argument("--M", type=int, default=0, help="constellation size (psk/qam)")
+    p_theory.add_argument("--M", type=int, default=None, help="constellation size (psk/qam)")
     p_theory.add_argument("--symbols", default=None, help='custom symbols: "re,im; re,im; ..."')
     p_theory.add_argument("--snr-db", type=float, required=True)
     p_theory.add_argument("--delta", type=float, default=None)
@@ -586,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:  # RuntimeError: a pool process died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -105,11 +105,6 @@ def make_constellation(kind: ConstellationKind | str, M: int) -> Constellation:
     return Constellation(symbols=symbols, kind=kind)
 
 
-def custom_constellation(points) -> Constellation:
-    """Wrap an explicit list of complex points; no normalization is applied."""
-    return Constellation(symbols=np.asarray(points, dtype=np.complex128), kind=ConstellationKind.CUSTOM)
-
-
 def nearest_symbols(c: Constellation, z: np.ndarray) -> np.ndarray:
     """Entrywise nearest-symbol indices for an array (or scalar) of points.
 

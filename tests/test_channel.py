@@ -12,7 +12,7 @@ from mimodet.channel import (
     substream,
     trial_keys,
 )
-from mimodet.constellation import custom_constellation, make_constellation
+from mimodet.constellation import Constellation, make_constellation
 
 QPSK = make_constellation("psk", 4)
 
@@ -25,7 +25,7 @@ def test_sigma2_from_snr_unit_energy():
 
 
 def test_sigma2_from_snr_scales_with_energy():
-    c = custom_constellation([0.0, 2.0])  # avg energy (0 + 4)/2 = 2
+    c = Constellation([0.0, 2.0])  # avg energy (0 + 4)/2 = 2
     assert c.avg_energy == pytest.approx(2.0)
     assert sigma2_from_snr(0.0, c) == pytest.approx(2.0, rel=1e-15)
 
@@ -106,7 +106,7 @@ def numpy_instance(m, n, c, sigma2, rng):
 
 
 def test_stack_members_equal_instances_bit_for_bit():
-    for c in (make_constellation("qam", 16), custom_constellation(np.exp(2j * np.pi * np.arange(5) / 5))):
+    for c in (make_constellation("qam", 16), Constellation(np.exp(2j * np.pi * np.arange(5) / 5))):
         H, x_true, v, r = sample_stack(9, 3, c, 0.7, trial_keys(22, 1, range(33)))
         assert H.shape == (33, 9, 3) and x_true.shape == (33, 3) and v.shape == (33, 9) and r.shape == (33, 9)
         for t in range(33):

@@ -13,6 +13,7 @@ import pytest
 
 import mimodet
 from mimodet.cli import CSV_COLUMNS, ConfigError, load_config, main
+from mimodet.constellation import Constellation, make_constellation
 
 INI_CONFIG = """\
 [constellation]
@@ -318,6 +319,18 @@ def test_variant_user_rule_switch(tmp_path):
     assert campaigns[1].config.n == 3 and campaigns[1].config.delta is None
 
 
+def test_variant_constellation_kind_switch(tmp_path):
+    p = tmp_path / "switch.cfg"
+    p.write_text(INI_CONFIG + "\n[variant:custom]\nkind = custom\nsymbols = 1,0; -1,0; 0,2\n")
+    base, custom = (c.config.constellation for c in load_config(str(p)))
+    assert base == make_constellation("qam", 16)
+    assert custom == Constellation([1, -1, 2j])
+    # a variant's M unsets the base's symbols, and a custom set refuses it at its line
+    p.write_text(CUSTOM_CONFIG + "M = 4\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:15: kind=custom takes symbols, not M$"):
+        load_config(str(p))
+
+
 def test_custom_constellation_config(tmp_path):
     p = tmp_path / "custom.cfg"
     p.write_text(
@@ -560,6 +573,12 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
             "master_seed = 42", "master_seed = 42\n\n[variant:v]\ntrials = 8\n\n[variant:v]\ntrials = 16", 16,
             "section 'variant:v' already exists",
         ),
+        # values are literal: "%" starts no interpolation
+        ("detectors = zf", "detectors = zf%", 6, "unknown detector 'zf%'"),
+        ("master_seed = 42", "master_seed = %(trials)s", 11, "bad value '%(trials)s' for master_seed"),
+        # the other constellation kind's key is refused, not ignored
+        ("kind = qam\nM = 16", "kind = custom\nM = banana\nsymbols = 1,0; -1,0", 3, "kind=custom takes symbols, not M"),
+        ("M = 16", "M = 16\nsymbols = nonsense", 4, "kind=qam takes M, not symbols"),
     ],
     ids=[
         "misspelled-key", "unknown-constellation-key", "variant-value", "trials-cast", "seed-cast", "negative-seed",
@@ -567,7 +586,7 @@ BROKEN_VARIANT = "\n[variant:ok]\ntrials = 100\n\n[variant:broken]\ntrials = 0\n
         "symbols-zero-energy", "default-section", "empty-default-section", "ml-budget-zero", "ml-budget-negative",
         "ml-budget-zero-with-ml", "ml-budget-in-variant", "float-trials", "bool-seed", "float-M", "float-grid-point",
         "bool-snr", "bool-symbol-coordinate", "variants-section", "duplicate-key", "duplicate-section",
-        "duplicate-variant",
+        "duplicate-variant", "percent-in-detectors", "percent-interpolation", "custom-with-M", "qam-with-symbols",
     ],
 )
 def test_bad_config_exits_2_at_its_line(tmp_path, capsys, old, new, line, message):
@@ -614,6 +633,14 @@ def test_readme_config_block_names_every_key():
         assert named[section] == {key for key, (home, _) in KEYS.items() if home == section}
 
 
+def test_theory_M_is_needed_by_psk_and_qam_only(capsys):
+    assert main(["theory", "--kind", "qam", "--snr-db", "0", "--delta", "0.25"]) == 2
+    assert capsys.readouterr().err == "config error: --M: constellation needs M for kind=qam\n"
+    custom = ["--kind", "custom", "--symbols", "1,0; -1,0", "--M", "4", "--snr-db", "0", "--delta", "0.25"]
+    assert main(["theory", *custom]) == 2
+    assert capsys.readouterr().err == "config error: --M: kind=custom takes symbols, not M\n"
+
+
 def test_theory_bad_flags_are_config_errors(capsys):
     assert main(["theory", "--kind", "qam", "--M", "15", "--snr-db", "0", "--delta", "0.25"]) == 2
     assert "--M: QAM needs M" in capsys.readouterr().err
@@ -643,6 +670,22 @@ def test_fit_min_errors_below_one_is_usage_error(tmp_path, min_errors):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--csv", str(p), "--min-errors", min_errors])
     assert exc.value.code == 2
+
+
+def test_dead_pool_process_exits_3(tmp_path, ini_path, capsys, monkeypatch):
+    from mimodet import montecarlo
+
+    parent, stack_counts = os.getpid(), montecarlo._stack_counts
+
+    def counts(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return stack_counts(*args)
+
+    monkeypatch.setattr(montecarlo, "_stack_counts", counts)
+    assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "x.csv"), "--threads", "2"]) == 3
+    assert re.fullmatch(r"error: pool process \d+ died without a result \(exit status 7\)\n", capsys.readouterr().err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_variant_empty_value_unsets_base_key(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mimodet.constellation import (
     Constellation,
     ConstellationKind,
-    custom_constellation,
     make_constellation,
     nearest_symbols,
 )
@@ -78,7 +77,7 @@ def test_numpy_integer_order_accepted():
 
 
 def test_custom_min_distance_brute_force():
-    c = custom_constellation([0, 3, 4j])
+    c = Constellation([0, 3, 4j])
     # pairs: |3| = 3, |4i| = 4, |3 - 4i| = 5
     assert c.d_min == pytest.approx(3.0, abs=1e-12)
     assert c.kind is ConstellationKind.CUSTOM
@@ -87,9 +86,9 @@ def test_custom_min_distance_brute_force():
 
 def test_duplicate_and_short_sets_rejected():
     with pytest.raises(ValueError):
-        custom_constellation([1 + 0j])
+        Constellation([1 + 0j])
     with pytest.raises(ValueError):
-        custom_constellation([1 + 0j, 1 + 0j, 2])
+        Constellation([1 + 0j, 1 + 0j, 2])
 
 
 def test_nearest_symbol_identity_and_ties():
@@ -136,7 +135,7 @@ def test_half_dmin_decoding_guarantee(k, mag, phase):
 )
 def test_scaling_preserves_decisions_and_scales_dmin(scale, zr, zi):
     base = make_constellation("psk", 8)
-    scaled = custom_constellation(base.symbols * scale)
+    scaled = Constellation(base.symbols * scale)
     assert scaled.d_min == pytest.approx(scale * base.d_min, rel=1e-12)
     z = complex(zr, zi)
     # decision ties (z equidistant from two symbols) break on float rounding

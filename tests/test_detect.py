@@ -7,7 +7,7 @@ import pytest
 
 from mimodet import detect
 from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
-from mimodet.constellation import custom_constellation, make_constellation, nearest_symbols
+from mimodet.constellation import Constellation, make_constellation, nearest_symbols
 from mimodet.detect import (
     _sphere_stack_search,
     detect_ml_exhaustive,
@@ -23,7 +23,7 @@ QAM16 = make_constellation("qam", 16)
 BPSK = make_constellation("psk", 2)
 PSK8 = make_constellation("psk", 8)
 #: Five points, no square QAM and no PSK, of average energy 0.9 (not unit).
-CUSTOM5 = custom_constellation([0.0, 1.0, 1j, -1.0 - 0.5j, 0.5 - 1.0j])
+CUSTOM5 = Constellation([0.0, 1.0, 1j, -1.0 - 0.5j, 0.5 - 1.0j])
 
 
 def brute_force_ml(H, r, c):

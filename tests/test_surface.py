@@ -35,18 +35,10 @@ def test_package_exports_resolve():
         "Constellation",
         "ConstellationKind",
         "make_constellation",
-        "ChannelInstance",
-        "sample_instance",
         "sigma2_from_snr",
-        "substream",
-        "DetectionOutcome",
-        "detect_ml_exhaustive",
-        "detect_ml_sphere",
-        "detect_zf",
         "SystemParams",
         "antenna_efficiency_ml",
         "antenna_efficiency_zf",
-        "q_function",
         "ExperimentConfig",
         "SlopeFit",
         "VepCurve",
