@@ -8,8 +8,8 @@ by an exact radius-pruned search over the constellation's own symbols, run
 layer by layer over a whole stack of systems at once.  ZF quantizes each
 entry of the unconstrained least-squares solution x_tilde to the nearest
 symbol.  Both read x_tilde and the triangular factor of H^H H from one
-route, :func:`_zf_solve`, which solves the normal equations (H^H H) x = H^H r
-and factors by QR a member whose Gram matrix is too ill conditioned for that.
+route, :func:`_zf_solve`, which solves (H^H H) x = H^H r, or R x = Q^H r from
+QR for a member too ill conditioned for that, over a stack in one call.
 
 Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
 r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
@@ -403,12 +403,12 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The package's one least-squares route.  L[k] is lower triangular with
     L[k] L[k]^H = H[k]^H H[k].  G = H^H H and y = H^H r come from two stacked
     products and L from a stacked Cholesky factorization of G.  A member
-    whose factorization succeeds with a min/max pivot of L of at least
-    GRAM_TOLERANCE is solved by one stacked solve of G x = y.  Every other
-    member is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
+    whose factorization fails or has a min/max pivot of L below
+    GRAM_TOLERANCE is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
     RANK_TOLERANCE check raises LinAlgError for a numerically rank deficient
-    member, and solved by R x = Q^H r.  The route a member takes depends on
-    that member's H alone.
+    member, and R and Q^H r take the place of its G and y.  One stacked solve
+    gives every x_tilde, each member's by LAPACK on its own, and the route a
+    member takes depends on that member's H alone.
     """
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
@@ -417,20 +417,15 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pivots = np.diagonal(L, axis1=-2, axis2=-1).real
     hi = pivots.max(axis=-1)
     # a NaN pivot (failed factorization) or an infinite one (G overflowed) fails this too
-    gram = (pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf)
-    if np.all(gram):
-        return np.linalg.solve(G, y)[..., 0], L
-    qr = ~gram
-    R, z = _qr_augmented(H[qr], r[qr])
-    L[qr] = R.conj().swapaxes(-1, -2)
-    x = np.empty(r.shape[:-1] + H.shape[-1:], dtype=np.complex128)
-    if np.any(gram):
-        x[gram] = np.linalg.solve(G[gram], y[gram])[..., 0]
-    # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
-    # solve swaps no rows and leaves R as it is: what remains is LAPACK's
-    # back-substitution, run per member in one call.
-    x[qr] = np.linalg.solve(R, z[..., None])[..., 0]
-    return x, L
+    qr = ~((pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf))
+    if np.any(qr):
+        R, z = _qr_augmented(H[qr], r[qr])
+        L[qr] = R.conj().swapaxes(-1, -2)
+        # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
+        # solve swaps no rows and leaves R as it is: what remains of its solve
+        # is LAPACK's back-substitution.
+        G[qr], y[qr] = R, z[..., None]
+    return np.linalg.solve(G, y)[..., 0], L
 
 
 def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:

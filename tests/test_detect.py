@@ -606,3 +606,21 @@ def test_zf_solve_stack_equals_per_instance():
     deficient[1, 2, :, 2] = deficient[1, 2, :, 0]
     with pytest.raises(np.linalg.LinAlgError):
         detect._zf_solve(deficient, r)
+
+
+@pytest.mark.parametrize("eps", [None, 1e-6, 1e-9], ids=["all-gram", "qr-1e-6", "qr-1e-9"])
+def test_zf_solve_stack_takes_one_solve_call(monkeypatch, eps):
+    # QR members' R and Q^H r join the Gram members' G and y in one stacked solve,
+    # and every member's x_tilde equals its own one-member solve bit for bit
+    H, r = zf_stack_of(24, 8, 3, QAM16, 0.5, 170)
+    if eps is not None:
+        z = substream(171).standard_normal((8, 2))
+        H[5, :, 1] = H[5, :, 0] + eps * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    single = [detect._zf_solve(h, y) for h, y in zip(H, r)]
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    x_tilde, L = detect._zf_solve(H, r)
+    assert calls == [(24, 3, 3)]
+    np.testing.assert_array_equal(x_tilde, [x for x, _ in single])
+    np.testing.assert_array_equal(L, [factor for _, factor in single])

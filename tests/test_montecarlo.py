@@ -36,8 +36,12 @@ from mimodet.montecarlo import (
     sweep,
 )
 
+from oracles import sep_exact
+
 QPSK = make_constellation("psk", 4)
 QAM16 = make_constellation("qam", 16)
+BPSK = make_constellation("psk", 2)
+PSK8 = make_constellation("psk", 8)
 
 
 def wilson_oracle(errors, trials, z=1.96):
@@ -46,6 +50,52 @@ def wilson_oracle(errors, trials, z=1.96):
     center = (p + z * z / (2 * trials)) / (1 + z * z / trials)
     half = (z / (1 + z * z / trials)) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials**2))
     return center - half, center + half
+
+
+#: z of the two-sided 99.9 % Wilson intervals the exact-SEP oracle tests read.
+ORACLE_Z = 3.29
+
+
+def oracle_point(c, detector, snr_db, m, n):
+    """sigma^2 and the PointStats of one 20 000-trial sweep at (m, n), seed 7."""
+    config = ExperimentConfig(
+        constellation=c, detectors=(detector,), snr_db=snr_db, m_grid=(m,), n=n, trials=20000, master_seed=7
+    )
+    return config.sigma2, sweep(config).curves[detector].points[0]
+
+
+@pytest.mark.parametrize(
+    "c, snr_db, m, n",
+    [(QAM16, 0.0, 12, 4), (QAM16, 0.0, 24, 8), (QPSK, 0.0, 12, 4), (PSK8, 3.0, 16, 6), (BPSK, 0.0, 6, 2)],
+    ids=["qam16-12x4", "qam16-24x8", "qpsk-12x4", "psk8-16x6", "bpsk-6x2"],
+)
+def test_zf_user1_sep_matches_the_exact_finite_m_sep(c, snr_db, m, n):
+    # ZF's noise on user 1 is CN(0, sigma^2 / gamma), gamma ~ Gamma(m - n + 1, 1).  A trial's
+    # users share H, so the interval is over trials: user 1's error in each is one Bernoulli draw
+    sigma2, point = oracle_point(c, "zf", snr_db, m, n)
+    lo, hi = wilson_oracle(point.user1_errors, point.trials, ORACLE_Z)
+    assert lo <= sep_exact(c, sigma2, m - n + 1) <= hi
+    # power: a diversity one lower falls outside the interval
+    assert not lo <= sep_exact(c, sigma2, m - n) <= hi
+
+
+@pytest.mark.parametrize("c, snr_db", [(QAM16, 0.0), (QPSK, -6.0)], ids=["qam16", "qpsk"])
+def test_single_user_ml_vep_matches_the_exact_mrc_sep(c, snr_db):
+    # at n = 1 ML is the nearest symbol to the matched filter, m-branch MRC: gamma ~ Gamma(m, 1)
+    sigma2, point = oracle_point(c, "ml-sphere", snr_db, 8, 1)
+    assert point.errors == point.user1_errors
+    lo, hi = wilson_oracle(point.errors, point.trials, ORACLE_Z)
+    assert lo <= sep_exact(c, sigma2, 8) <= hi
+    assert not lo <= sep_exact(c, sigma2, 7) <= hi
+
+
+def test_ml_vep_is_above_the_genie_sep():
+    # a genie that tells user 1 the other users' symbols leaves it m-branch MRC, and no
+    # detector errs on user 1, let alone on the vector, less often than that genie's
+    sigma2, point = oracle_point(QPSK, "ml-sphere", -6.0, 24, 6)
+    genie = sep_exact(QPSK, sigma2, 24)
+    assert wilson_oracle(point.user1_errors, point.trials, ORACLE_Z)[1] >= genie
+    assert wilson_oracle(point.errors, point.trials, ORACLE_Z)[1] >= genie
 
 
 def test_wilson_zero_errors():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mimodet.channel import substream
-from mimodet.constellation import make_constellation
+from mimodet.constellation import Constellation, make_constellation
 from mimodet import theory
 from mimodet.theory import (
     SystemParams,
@@ -31,7 +31,7 @@ from mimodet.theory import (
 )
 from mimodet.cli import _prob, load_config
 
-from oracles import ml_lower_bound_integral, ml_union_bound_log_scipy, q_function_craig, q_function_erfc
+from oracles import ml_lower_bound_integral, ml_union_bound_log_scipy, q_function_craig, q_function_erfc, sep_exact
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,6 +145,27 @@ def test_ml_lower_bound_below_integral_form():
     for m, rho in [(2, 0.1), (5, 0.5), (10, 1.0), (40, 0.1)]:
         p = params(M=4, rho=rho, m=m, n=min(m, 2))
         assert prob_from_log(ml_lower_bound_log(p)) <= ml_lower_bound_integral(p) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, 19])
+@pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
+def test_sep_exact_bpsk_matches_the_mrc_closed_form(sigma2, a):
+    # Proakis: BPSK over a-branch MRC, mu = sqrt(rho / (1 + rho)), rho = 1 / sigma2 here
+    mu = mpmath.sqrt(1 / (1 + mpmath.mpf(sigma2)))
+    closed = ((1 - mu) / 2) ** a * sum(mpmath.binomial(a - 1 + k, k) * ((1 + mu) / 2) ** k for k in range(a))
+    assert sep_exact(make_constellation("psk", 2), sigma2, a) == pytest.approx(float(closed), rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [1, 3, 12])
+def test_sep_exact_qam_and_psk_forms_agree_on_qpsk(a):
+    # 4-QAM is QPSK turned by pi/4: the square-QAM and PSK integrals give one SEP
+    qam, psk = make_constellation("qam", 4), make_constellation("psk", 4)
+    assert sep_exact(qam, 0.5, a) == pytest.approx(sep_exact(psk, 0.5, a), rel=1e-10)
+
+
+def test_sep_exact_is_not_available_for_custom_sets():
+    with pytest.raises(ValueError, match="not available"):
+        sep_exact(Constellation([0.0, 1.0, 1j]), 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
