@@ -1,15 +1,18 @@
 """MIMO detectors: exhaustive ML, sphere-decoder ML, and zero-forcing.
 
 The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
-S^n, up to ML_BUDGET candidates, every candidate scored by one real matrix
-product per pass, and is the ground-truth oracle for everything else.  The
-sphere decoder returns the identical decision for any constellation and n
-by an exact radius-pruned search over the constellation's own symbols, run
-layer by layer over a whole stack of systems at once.  ZF quantizes each
-entry of the unconstrained least-squares solution x_tilde to the nearest
-symbol.  Both read x_tilde and the triangular factor of H^H H from one
-route, :func:`_zf_solve`, which solves (H^H H) x = H^H r, or R x = Q^H r from
-QR for a member too ill conditioned for that, over a stack in one call.
+S^n, up to ML_BUDGET candidates, and is the ground-truth oracle for
+everything else.  Per call it builds its operand buffers once over cached,
+transposed candidate tables, scores every candidate by one real matrix
+product per pass, and takes one argmin over a group's passes: ties go to the
+lexicographically smallest index vector.  The sphere decoder returns the
+identical decision for any constellation and n by an exact radius-pruned
+search over the constellation's own symbols, run layer by layer over a whole
+stack of systems at once.  ZF quantizes each entry of the unconstrained
+least-squares solution x_tilde to the nearest symbol.  Both read x_tilde and
+the triangular factor of H^H H from one route, :func:`_zf_solve`, which
+solves (H^H H) x = H^H r, or R x = Q^H r from QR for a member too ill
+conditioned for that, over a stack in one call.
 
 Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
 r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
@@ -84,16 +87,34 @@ class DetectionOutcome:
 
 
 def _check_stack(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validated complex H (B, m, n) and r (B, m)."""
+    """Validated complex H (B, m, n) and r (B, m), every member well inside float range.
+
+    A nonzero member whose largest real or imaginary part over H and r lies
+    outside [2^-257, 2^256) is scaled into [1/2, 1) by a power of two, which
+    is exact and moves no decision, so no Gram entry or score overflows or
+    underflows.  Other members keep their bits; the caller's arrays are
+    never written.
+    """
     H = np.asarray(H, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
     if H.ndim != 3 or r.shape != H.shape[:-1]:
         raise ValueError(f"need H of shape (B, m, n) and r of shape (B, m), got {H.shape} and {r.shape}")
-    if not (H.shape[-2] >= H.shape[-1] >= 1):
+    B, m, n = H.shape
+    if not (m >= n >= 1):
         raise ValueError(f"need m >= n >= 1, got H of shape {H.shape}")
-    if not (np.all(np.isfinite(H.view(np.float64))) and np.all(np.isfinite(r.view(np.float64)))):
+    Hv, rv = H.view(np.float64).reshape(B, 2 * m * n), r.view(np.float64)
+    # a member's power in [2^-480, 2^480] puts its largest entry in range, and
+    # summing it makes no temporary; out of it, inf or NaN, the entries decide
+    with np.errstate(over="ignore"):
+        power = sum((v[:, None] @ v[..., None])[:, 0, 0] for v in (Hv, rv))
+    if np.all((power >= 2.0**-480) & (power <= 2.0**480)):
+        return H, r
+    peak = np.maximum(np.abs(Hv).max(axis=1), np.abs(rv).max(axis=1))
+    if not np.all(np.isfinite(peak)):
         raise ValueError("H and r must be finite")
-    return H, r
+    e = np.frexp(peak)[1][:, None]  # 0 for an all-zero member
+    e = np.where(np.abs(e) > 256, -e, 0)
+    return np.ldexp(Hv, e).view(np.complex128).reshape(H.shape), np.ldexp(rv, e).view(np.complex128)
 
 
 def _one_member(stack_detector, H, r, c: Constellation) -> DetectionOutcome:
@@ -158,60 +179,44 @@ def _ml_tables(c: Constellation, n: int) -> tuple[np.ndarray, ...]:
     """Read-only candidate tables of exhaustive ML over c^n, shared by every call.
 
     The index vectors ia and ib of the first n // 2 entries a and of the
-    rest b, then Ac, FA, FB and ``right_fixed`` as :func:`_split_ranks`
-    takes them.  They depend only on (c, n), so a sweep builds them once.
+    rest b, the conjugated rows Ac of a, the own-term features of a and of b
+    transposed to (features, candidates) and C-contiguous, the faster layout
+    for their products with the members' weights, and ``right_fixed``, the
+    rows of ``right`` that all members share.  They depend only on (c, n).
     """
     na = n // 2
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
     A, Bs = c.symbols[ia], c.symbols[ib]
     right_fixed = np.concatenate([Bs.conj().view(np.float64).T, np.ones((1, len(Bs)))])
-    tables = (ia, ib, A.conj(), _own_features(A), _own_features(Bs), right_fixed)
+    tables = (ia, ib, A.conj(), *(np.ascontiguousarray(_own_features(X).T) for X in (A, Bs)), right_fixed)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _split_ranks(Wa, Wb, Gab, Ac, FA, FB, right_fixed: np.ndarray, rows: int) -> np.ndarray:
-    """Flattened (a, b) rank of each member's minimizer; see detect_ml_exhaustive_stack.
+def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
+    """Flattened (a, b) rank of each member's minimizer from a group's left (g, nA, k) and right (g, k, nB).
 
-    Wa and Wb (g, .) hold each member's own-term weights of the first and
-    second halves, and Gab (g, na, nb) its 2 G_ab.  Ac holds the conjugated
-    first halves a as rows, FA and FB the own-term features of the first
-    and second halves, and ``right_fixed`` the rows of ``right`` shared by
-    all members.  Each pass scores ``rows`` rows of a against every b for
-    every member, by one batched real product.
+    Each pass scores ``rows`` rows of a against every b for every member by
+    one batched real product and keeps each member's argmin and score; one
+    argmin over the passes then picks, per member, the first pass that
+    reaches the minimum.
     """
-    g, na, nb = Gab.shape
-    k, nA, nB = len(right_fixed) + 1, len(FA), len(FB)
-    left = np.empty((g, nA, k))
-    right = np.empty((g, k, nB))
-    right[:, :-1] = right_fixed
-    left[:, :, -1] = 1.0
-    for s in _spans(nA, Wa.size):
-        left[:, s, -2] = Wa @ FA[s].T
-    for s in _spans(nB, Wb.size):
-        right[:, -1, s] = Wb @ FB[s].T
-    # a^H (2 G_ab) with its real and imaginary parts interleaved, against
-    # the rows Re b_j, -Im b_j of right
-    Gab = Gab.transpose(1, 0, 2).reshape(na, g * nb)
-    for s in _spans(nA, 4 * Gab.size):
-        left[:, s, :-2] = (Ac[s] @ Gab).view(np.float64).reshape(-1, g, 2 * nb).swapaxes(0, 1)
+    g, nA, _ = left.shape
+    nB = right.shape[-1]
+    starts = range(0, nA, rows)
+    at, val = np.empty((len(starts), g), dtype=np.intp), np.empty((len(starts), g))
     members = np.arange(g)
-    best_val = np.full(g, np.inf)
-    best_rank = np.zeros(g, dtype=np.int64)
     # one output buffer serves every pass, a short one included: no pass
     # allocates, and argmin never copies its scores
     buf = np.empty(g * rows * nB)
-    for lo in range(0, nA, rows):
-        h = min(rows, nA - lo)
-        q = buf[: g * h * nB].reshape(g, h * nB)
-        np.matmul(left[:, lo : lo + h], right, out=q.reshape(g, h, nB))
-        j = np.argmin(q, axis=1)
-        val = q[members, j]
-        better = val < best_val
-        best_val[better] = val[better]
-        best_rank[better] = lo * nB + j[better]
-    return best_rank
+    for p, lo in enumerate(starts):
+        q = buf[: g * min(rows, nA - lo) * nB].reshape(g, -1)
+        np.matmul(left[:, lo : lo + rows], right, out=q.reshape(g, -1, nB))
+        q.argmin(axis=1, out=at[p])
+        val[p] = q[members, at[p]]
+    best = val.argmin(axis=0)
+    return best * (rows * nB) + at[best, members]
 
 
 def detect_ml_exhaustive_stack(
@@ -223,22 +228,24 @@ def detect_ml_exhaustive_stack(
 
     With x = (a, b), a the first n // 2 entries and G = H^H H, y = H^H r,
     the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b), with
-    qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  For a group of members,
-    qa and qb each come from one real 2-D product of the candidates'
-    features [conj(x_i) x_j | conj(x)] with the members' [G | -2 y], and
-    P = a^H (2 G_ab) from one complex 2-D product.  Each member then has
-    left = [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b
-    (interleaved); 1; qb], so one batched real product left @ right scores
-    a block of a-rows against every b, all terms included, and an argmin
-    picks the block's minimizer: every candidate is scored.  Row-major order
-    over (a, b) is the lexicographic order of x; argmin keeps the first
-    minimizer of a pass and a strict < the earlier pass, so ties break to
-    the lexicographically smallest index vector.  A pass scores at most
-    ML_PASS_CANDIDATES candidates over its group, which bounds the
-    temporaries whatever n is, and no product costs more than ML_PASS_MACS
-    multiply-adds (a complex one counted as 4), which keeps BLAS on one
-    thread.  Refuses to run when M^n exceeds ML_BUDGET rather than
-    approximating: :func:`detect_ml_sphere_stack` is exact beyond it.
+    qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  Each member has left =
+    [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b (interleaved);
+    1; qb], P = a^H (2 G_ab), so one batched real product left @ right scores a
+    pass of a-rows against every b, all terms included: every candidate is
+    scored.  Members go through in groups, and left and right are allocated
+    once per call, with their ones and b rows written once.  Per group, qa and
+    qb each come from one real 2-D product of the members' [G | -2 y] with the
+    transposed candidate features [conj(x_i) x_j | conj(x)] of
+    :func:`_ml_tables`, P from one batched complex product, and
+    :func:`_split_ranks` reduces the passes once.  Row-major order over (a, b)
+    is the lexicographic order of x, and a tie goes to the first minimizer of a
+    pass and to the first pass reaching the minimum: to the lexicographically
+    smallest index vector.  A pass scores at most ML_PASS_CANDIDATES candidates
+    over its group, which bounds the temporaries whatever n and B are, and no
+    product costs more than ML_PASS_MACS multiply-adds (a complex one counted
+    as 4), which keeps BLAS on one thread.  Refuses to run when M^n exceeds
+    ML_BUDGET rather than approximating: :func:`detect_ml_sphere_stack` is
+    exact beyond it.
     """
     H, r = _check_stack(H, r)
     n = H.shape[-1]
@@ -251,23 +258,32 @@ def detect_ml_exhaustive_stack(
     if len(H) == 0:
         return np.zeros((0, n), dtype=np.int64)
     na = n // 2
-    ia, ib, Ac, FA, FB, right_fixed = _ml_tables(c, n)
+    ia, ib, Ac, FAt, FBt, right_fixed = _ml_tables(c, n)
     nA, nB = len(ia), len(ib)
     k = len(right_fixed) + 1
     rows = max(1, min(nA, ML_PASS_CANDIDATES // nB, ML_PASS_MACS // (k * nB)))
     rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
-    group = max(1, ML_PASS_CANDIDATES // (rows * nB))
+    group = min(len(H), max(1, ML_PASS_CANDIDATES // (rows * nB)))
     Hh = H.conj().swapaxes(-1, -2)
     G = Hh @ H
     y = (Hh @ r[..., None])[..., 0]
     Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
     Gab = 2.0 * G[:, :na, na:]
-    ranks = np.concatenate(
-        [
-            _split_ranks(Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group], Ac, FA, FB, right_fixed, rows)
-            for lo in range(0, len(H), group)
-        ]
-    )
+    left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
+    left[:, :, -1], right[:, :-1] = 1.0, right_fixed
+    ranks = np.empty(len(H), dtype=np.int64)
+    for lo in range(0, len(H), group):
+        wa, wb, gab = Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group]
+        g = len(wa)
+        for s in _spans(nA, wa.size):
+            np.matmul(wa, FAt[:, s], out=left[:g, s, -2])
+        for s in _spans(nB, wb.size):
+            np.matmul(wb, FBt[:, s], out=right[:g, -1, s])
+        # a^H (2 G_ab), complex, is Re P, Im P interleaved, against the rows
+        # Re b_j, -Im b_j of right
+        for s in _spans(nA, 4 * gab.size):
+            np.matmul(Ac[s], gab, out=left.view(np.complex128)[:g, s, : n - na])
+        ranks[lo : lo + g] = _split_ranks(left[:g], right[:g], rows)
     return np.concatenate([ia[ranks // nB], ib[ranks % nB]], axis=1)
 
 

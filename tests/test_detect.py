@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimodet import detect
-from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
+from mimodet.channel import sample_instance, sample_stack, sigma2_from_snr, substream, trial_keys
 from mimodet.constellation import Constellation, make_constellation, nearest_symbols
 from mimodet.detect import (
     _sphere_stack_search,
@@ -130,6 +130,19 @@ def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
         out = detect_ml_exhaustive(inst.H, inst.r, QPSK)
         np.testing.assert_array_equal(out.x_hat, all_candidates_argmin(inst.H, inst.r, QPSK))
 
+
+
+def test_split_ml_tie_across_passes_goes_to_the_earlier_pass(monkeypatch):
+    # H's column 0 is zero, so candidates that differ only in x_0, the first
+    # entry of the first half, tie exactly.  n = 5 QPSK: a = (x_0, x_1) has 16
+    # rows, and 64 candidates per pass make one a-row per pass, so the tied
+    # rows x_1 + 4 x_0 lie in four passes, none of them the first when x_1 > 0
+    H, r = zf_stack_of(12, 7, 5, QPSK, 1.5, 129)
+    H[:, :, 0] = 0.0
+    oracle = np.array([all_candidates_argmin(Hk, rk, QPSK) for Hk, rk in zip(H, r)])
+    assert np.all(oracle[:, 0] == 0) and np.count_nonzero(oracle[:, 1]) >= 6
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 64)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), oracle)
 
 # ---------------------------------------------------------------------------
 # sphere decoder
@@ -591,6 +604,28 @@ def test_ml_stack_rejects_non_finite_member(stack_detector):
         with pytest.raises(ValueError):
             stack_detector(H, r_bad, QAM16)
 
+
+
+@pytest.mark.parametrize("scale", [2.0**530, 2.0**-560], ids=["2^530", "2^-560"])
+@pytest.mark.parametrize(
+    "stack_detector",
+    [detect.detect_zf_stack, detect.detect_ml_sphere_stack, detect.detect_ml_exhaustive_stack],
+    ids=["zf", "sphere", "exhaustive"],
+)
+def test_stack_detectors_decide_alike_on_power_of_two_scaled_systems(stack_detector, scale):
+    # scaling (H, r) by a power of two is exact, so no decision may move; at
+    # these scales G = H^H H and the scores leave float range unless the
+    # scaled members are brought back
+    H, _, _, r = sample_stack(6, 4, QAM16, sigma2_from_snr(0.0, QAM16), trial_keys(5, 0, np.arange(256)))
+    expected = stack_detector(H, r, QAM16)
+    np.testing.assert_array_equal(stack_detector(H * scale, r * scale, QAM16), expected)
+    # scaled and unscaled members in one stack, the caller's arrays left as they are
+    mixed_H, mixed_r = H.copy(), r.copy()
+    mixed_H[::2] *= scale
+    mixed_r[::2] *= scale
+    np.testing.assert_array_equal(stack_detector(mixed_H, mixed_r, QAM16), expected)
+    np.testing.assert_array_equal(mixed_H[1::2], H[1::2])
+    np.testing.assert_array_equal(mixed_r[::2], r[::2] * scale)
 
 def test_zf_solve_stack_equals_per_instance():
     H, r = zf_stack_of(9, 7, 3, QAM16, 1.0, 152)
