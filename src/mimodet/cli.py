@@ -592,7 +592,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:  # RuntimeError: a pool process died
+    # RuntimeError: a pool process died; MemoryError: a grid point too large to hold
+    except (ValueError, OSError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -14,6 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Most symbols in a set.  4096-QAM is the largest set in use; its d_min
+#: search holds M x M pairwise differences, about 0.4 GB at 4096, and a
+#: larger set would outgrow memory before any sweep starts.
+MAX_SYMBOLS = 4096
+
+
+def _check_size(M: int) -> None:
+    if M > MAX_SYMBOLS:
+        raise ValueError(f"a constellation holds at most MAX_SYMBOLS = {MAX_SYMBOLS} symbols, got {M}")
+
 
 def as_integer(value, name: str) -> int:
     """``value`` as a Python int; a bool, a float or a numpy bool raises TypeError, never truncated or read as 0/1."""
@@ -34,7 +44,8 @@ class Constellation:
 
     ``d_min`` (the exact minimum |s - s'| over distinct symbol pairs) and
     ``avg_energy`` are always recomputed from the symbol list, so custom
-    (possibly unnormalized) sets report their true geometry.
+    (possibly unnormalized) sets report their true geometry.  A set holds 2
+    to MAX_SYMBOLS symbols.
     Instances are immutable and safe to share across worker processes.
     """
 
@@ -48,6 +59,7 @@ class Constellation:
         sym = np.asarray(self.symbols, dtype=np.complex128).ravel()
         if sym.size < 2:
             raise ValueError(f"constellation needs at least 2 symbols, got {sym.size}")
+        _check_size(sym.size)
         if not np.all(np.isfinite(sym.view(np.float64))):
             raise ValueError("constellation symbols must be finite")
         dist = np.abs(sym[:, None] - sym[None, :])
@@ -82,11 +94,13 @@ def make_constellation(kind: ConstellationKind | str, M: int) -> Constellation:
     PSK places symbols at angles 2*pi*k/M, k = 0..M-1 (no phase rotation;
     results are rotation invariant, one convention is fixed for determinism).
     QAM uses the square {+-1, +-3, ...} grid scaled to unit average energy and
-    requires M to be an even power of two (4, 16, 64, ...).
+    requires M to be an even power of two (4, 16, 64, ...).  M above
+    MAX_SYMBOLS is refused before any symbol is built.
     """
     if isinstance(kind, str):
         kind = ConstellationKind(kind.lower())
     M = as_integer(M, "M")
+    _check_size(M)
     if kind is ConstellationKind.PSK:
         if M < 2:
             raise ValueError(f"PSK needs M >= 2, got {M}")

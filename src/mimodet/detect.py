@@ -219,6 +219,15 @@ def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
     return best * (rows * nB) + at[best, members]
 
 
+def check_ml_budget(M: int, n: int) -> None:
+    """Raise ValueError when exhaustive ML over M^n candidates exceeds ML_BUDGET."""
+    if M**n > ML_BUDGET:
+        raise ValueError(
+            f"{M}^{n} = {M**n} candidates exceeds ML_BUDGET = {ML_BUDGET}; "
+            "ml-sphere gives the exact ML decision beyond it"
+        )
+
+
 def detect_ml_exhaustive_stack(
     H: np.ndarray,
     r: np.ndarray,
@@ -249,12 +258,7 @@ def detect_ml_exhaustive_stack(
     """
     H, r = _check_stack(H, r)
     n = H.shape[-1]
-    total = c.M**n
-    if total > ML_BUDGET:
-        raise ValueError(
-            f"exhaustive enumeration of {c.M}^{n} = {total} candidates exceeds "
-            f"ML_BUDGET = {ML_BUDGET}; ml-sphere gives the exact ML decision beyond it"
-        )
+    check_ml_budget(c.M, n)
     if len(H) == 0:
         return np.zeros((0, n), dtype=np.int64)
     na = n // 2
@@ -264,9 +268,8 @@ def detect_ml_exhaustive_stack(
     rows = max(1, min(nA, ML_PASS_CANDIDATES // nB, ML_PASS_MACS // (k * nB)))
     rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
     group = min(len(H), max(1, ML_PASS_CANDIDATES // (rows * nB)))
-    Hh = H.conj().swapaxes(-1, -2)
-    G = Hh @ H
-    y = (Hh @ r[..., None])[..., 0]
+    G, y = _gram(H, r)
+    y = y[..., 0]
     Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
     Gab = 2.0 * G[:, :na, na:]
     left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
@@ -395,6 +398,12 @@ def detect_ml_sphere(
     return _one_member(detect_ml_sphere_stack, H, r, c)
 
 
+def _gram(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = H^H H (..., n, n) and y = H^H r (..., n, 1) of each member, by two stacked products."""
+    Hh = H.conj().swapaxes(-1, -2)
+    return Hh @ H, Hh @ r[..., None]
+
+
 def _gram_cholesky(G: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L (L L^H = G) of each member of G (..., n, n).
 
@@ -417,8 +426,8 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2 over H (..., m, n), and L.
 
     The package's one least-squares route.  L[k] is lower triangular with
-    L[k] L[k]^H = H[k]^H H[k].  G = H^H H and y = H^H r come from two stacked
-    products and L from a stacked Cholesky factorization of G.  A member
+    L[k] L[k]^H = H[k]^H H[k].  G = H^H H and y = H^H r come from :func:`_gram`
+    and L from a stacked Cholesky factorization of G.  A member
     whose factorization fails or has a min/max pivot of L below
     GRAM_TOLERANCE is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
     RANK_TOLERANCE check raises LinAlgError for a numerically rank deficient
@@ -426,9 +435,7 @@ def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gives every x_tilde, each member's by LAPACK on its own, and the route a
     member takes depends on that member's H alone.
     """
-    Hh = H.conj().swapaxes(-1, -2)
-    G = Hh @ H
-    y = Hh @ r[..., None]
+    G, y = _gram(H, r)
     L = _gram_cholesky(G)
     pivots = np.diagonal(L, axis1=-2, axis2=-1).real
     hi = pivots.max(axis=-1)

@@ -1,13 +1,14 @@
 """Monte Carlo VEP/SEP estimation, antenna sweeps, and slope extraction.
 
 Every trial owns a private counter-based random stream keyed by
-(master_seed, grid-point index, trial index).  A grid point's ``TRIAL_BLOCK``
-blocks are cut in order into stacks within ``STACK_ENTRIES`` H entries and
-go to a fork pool in rounds, one ``map`` each, in which this process and its
-forked children each compute a share; a serial sweep is a pool of one.  With
-an adaptive stop, a round is one block and the stop is checked at its end;
-without one, a round is up to ``ROUND_BLOCKS`` blocks.  The stacks' integer
-counts are summed, so sweep output is a pure function of the config,
+(master_seed, grid-point index, trial index).  A grid point's trials go to
+a fork pool in rounds, one ``map`` each, in which this process and its forked
+children each compute a share; a serial sweep is a pool of one.  With an
+adaptive stop, a round is one ``TRIAL_BLOCK`` block and the stop is checked
+at its end; without one, a round is up to ``ROUND_BLOCKS`` blocks.  Each
+round is cut in trial order into stacks, at least one per process, each
+within ``STACK_ENTRIES`` H entries unless it holds one trial.  The stacks'
+integer counts are summed, so sweep output is a pure function of the config,
 independent of worker count, stack sizes, rounds and scheduling, and no stack
 is computed past a stop.  Each stack's trials are sampled and detected as
 stacked arrays by the detectors that ``detect.DETECTORS`` names.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .channel import sample_stack, sigma2_from_snr, trial_keys
 from .constellation import Constellation, as_integer
-from .detect import DETECTORS, ML_BUDGET
+from .detect import DETECTORS, check_ml_budget
 
 #: Trials per work block.  Fixed (never derived from worker count) so the
 #: adaptive-stop boundary and all counts are scheduling independent.
@@ -36,8 +37,8 @@ TRIAL_BLOCK = 256
 #: at (48, 16).  Whole-block stacks without a budget slowed ZF sweeps and raised peak RSS.
 STACK_ENTRIES = 24576
 
-#: Most processes that compute a pooled sweep, this one included.  A block has a
-#: stack per process, so 8 keep them >= 32 trials.
+#: Most processes that compute a pooled sweep, this one included.  A round has a
+#: stack per process, so 8 keep a one-block round's stacks >= 32 trials.
 POOL_PROCESSES = 8
 
 #: Most blocks in one pool round of a point with no adaptive stop: 16 384 trials,
@@ -126,13 +127,11 @@ class ExperimentConfig:
             n = self.users_for(m)
             if not (m >= n >= 1):
                 raise ConfigValueError("m_grid", f"grid point m={m} gives n={n}; need m >= n >= 1")
-            M = self.constellation.M
-            if "ml-exhaustive" in self.detectors and M**n > ML_BUDGET:
-                raise ConfigValueError(
-                    "detectors",
-                    f"ml-exhaustive infeasible at m={m}: {M}^{n} = {M**n} candidates "
-                    f"exceeds ML_BUDGET = {ML_BUDGET}; ml-sphere is exact beyond it",
-                )
+            if "ml-exhaustive" in self.detectors:
+                try:
+                    check_ml_budget(self.constellation.M, n)
+                except ValueError as exc:
+                    raise ConfigValueError("detectors", f"ml-exhaustive infeasible at m={m}: {exc}") from exc
 
     def users_for(self, m: int) -> int:
         if self.n is not None:
@@ -333,11 +332,11 @@ def _run_point(config: ExperimentConfig, point_index: int, pool: _ForkPool) -> t
 
     The point's trials go to ``pool`` in rounds, one ``map`` each: a single
     TRIAL_BLOCK block when ``target_errors`` is set, else up to ROUND_BLOCKS
-    consecutive blocks.  A block of t trials is cut in trial order into
+    consecutive blocks.  A round of t trials is cut in trial order into
     min(t, max(pool.processes, ceil(t / cap))) stacks whose sizes differ by
-    at most one, whatever its round, where cap = max(1, STACK_ENTRIES // (m * n))
-    trials: a stack of more than one trial holds at most STACK_ENTRIES
-    entries of H.  The stop rule is applied at each block's end, so the stop
+    at most one, where cap = max(1, STACK_ENTRIES // (m * n)) trials: a stack
+    of more than one trial holds at most STACK_ENTRIES entries of H.  The
+    stop rule is applied at each round's end, a block boundary, so the stop
     is the same for every pool size and no stack past it is computed.
     """
     m, n = config.grid_points()[point_index]
@@ -346,12 +345,9 @@ def _run_point(config: ExperimentConfig, point_index: int, pool: _ForkPool) -> t
     step = TRIAL_BLOCK if config.target_errors is not None else TRIAL_BLOCK * ROUND_BLOCKS
     for start in range(0, config.trials, step):
         end = min(start + step, config.trials)
-        tasks = []
-        for block in range(start, end, TRIAL_BLOCK):
-            keys = trial_keys(config.master_seed, point_index, np.arange(block, min(block + TRIAL_BLOCK, end)))
-            stacks = min(len(keys), max(pool.processes, -(-len(keys) // cap)))
-            tasks += [(point_index, part) for part in np.array_split(keys, stacks)]
-        for counts in pool.map(tasks):
+        keys = trial_keys(config.master_seed, point_index, np.arange(start, end))
+        stacks = min(len(keys), max(pool.processes, -(-len(keys) // cap)))
+        for counts in pool.map([(point_index, part) for part in np.array_split(keys, stacks)]):
             totals += counts
         if config.target_errors is not None and (totals[:, 0] >= config.target_errors).all():
             break

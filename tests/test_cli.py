@@ -651,6 +651,20 @@ def test_theory_bad_flags_are_config_errors(capsys):
     assert "exactly one of --n or --delta" in capsys.readouterr().err
 
 
+def test_set_beyond_max_symbols_exits_2_at_its_line(tmp_path, capsys):
+    # once, 2**20-PSK died with a MemoryError traceback (exit 1) building its M x M distances
+    refused = "a constellation holds at most MAX_SYMBOLS = 4096 symbols, got"
+    p = tmp_path / "huge.cfg"
+    p.write_text(INI_CONFIG.replace("kind = qam\nM = 16", "kind = psk\nM = 1048576"))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {p}:3: {refused} 1048576\n"
+    assert main(["theory", "--kind", "psk", "--M", "1048576", "--snr-db", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: --M: {refused} 1048576\n"
+    symbols = "; ".join(f"{k},0" for k in range(4097))
+    assert main(["theory", "--kind", "custom", "--symbols", symbols, "--snr-db", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: --symbols: {refused} 4097\n"
+
+
 @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
 def test_theory_snr_out_of_range_is_config_error(capsys, snr_db):
     assert main(["theory", "--kind", "qam", "--M", "16", f"--snr-db={snr_db}", "--delta", "0.25"]) == 2
@@ -685,6 +699,19 @@ def test_dead_pool_process_exits_3(tmp_path, ini_path, capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "_stack_counts", counts)
     assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "x.csv"), "--threads", "2"]) == 3
     assert re.fullmatch(r"error: pool process \d+ died without a result \(exit status 7\)\n", capsys.readouterr().err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_out_of_memory_exits_3(tmp_path, ini_path, capsys, monkeypatch):
+    # a grid point too large to hold, such as n = 1 at m = 10**9, once died with a MemoryError traceback (exit 1)
+    from mimodet import cli
+
+    def sweep(config, workers):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "sweep", sweep)
+    assert main(["sweep", "--config", str(ini_path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -91,6 +91,15 @@ def test_duplicate_and_short_sets_rejected():
         Constellation([1 + 0j, 1 + 0j, 2])
 
 
+def test_sets_beyond_max_symbols_refused_before_any_array():
+    # once, the M x M distance matrix of 2**20 symbols asked for 16 TiB and died with MemoryError
+    with pytest.raises(ValueError, match="at most MAX_SYMBOLS = 4096 symbols, got 4097"):
+        Constellation(np.exp(2j * np.pi * np.arange(4097) / 4097))
+    for kind in ("psk", "qam"):
+        with pytest.raises(ValueError, match="at most MAX_SYMBOLS = 4096 symbols, got 1048576"):
+            make_constellation(kind, 1 << 20)
+
+
 def test_nearest_symbol_identity_and_ties():
     c = make_constellation("qam", 16)
     for k in range(c.M):

@@ -1,5 +1,6 @@
 """Sweep engine tests: Wilson intervals, determinism, slope fitting, imports."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import mimodet
 from mimodet import montecarlo
 from mimodet.channel import sample_instance, substream, trial_keys
+from mimodet.cli import load_config
 from mimodet.constellation import make_constellation
 from mimodet.detect import detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import (
@@ -437,28 +439,36 @@ def test_chunk_dispatch_bounds_work_past_the_stop(monkeypatch, stop_block):
 
 
 def test_short_last_block_has_no_empty_stack():
-    # a last block of 2 trials on 3 processes: two one-trial stacks, no empty third;
-    # with no stop rule both blocks go out in one round
-    cfg = base_config(m_grid=(8,), trials=TRIAL_BLOCK + 2)
-    pool = RecordingPool(3, functools.partial(_stack_counts, cfg))
-    trials, totals = _run_point(cfg, 0, pool)
-    assert trials == TRIAL_BLOCK + 2
-    assert [[len(keys) for _, keys in call] for call in pool.calls] == [[86, 85, 85, 1, 1]]
-    np.testing.assert_array_equal(totals, serial_point(cfg)[1])
+    # with a stop rule that never stops, a last round of 2 trials on 3 processes goes out
+    # as two one-trial stacks, no empty third; with no stop rule both blocks go out in
+    # one round, cut as a whole
+    for target, sizes in [(10**6, [[86, 85, 85], [1, 1]]), (None, [[86, 86, 86]])]:
+        cfg = base_config(m_grid=(8,), trials=TRIAL_BLOCK + 2, target_errors=target)
+        pool = RecordingPool(3, functools.partial(_stack_counts, cfg))
+        trials, totals = _run_point(cfg, 0, pool)
+        assert trials == TRIAL_BLOCK + 2
+        assert [[len(keys) for _, keys in call] for call in pool.calls] == sizes
+        np.testing.assert_array_equal(totals, serial_point(cfg)[1])
 
 
-@pytest.mark.parametrize("cap, blocks, last", [(3, 8, 5), (ROUND_BLOCKS, ROUND_BLOCKS + 1, 1)])
-def test_point_without_stop_rule_goes_out_in_rounds_of_the_cap(monkeypatch, cap, blocks, last):
+@pytest.mark.parametrize(
+    "cap, blocks, last, stacks",
+    [(3, 8, 5, [2, 2, 2]), (ROUND_BLOCKS, ROUND_BLOCKS + 1, 1, [11, 1])],
+    ids=["3-8-5", "64-65-1"],
+)
+def test_point_without_stop_rule_goes_out_in_rounds_of_the_cap(monkeypatch, cap, blocks, last, stacks):
     # blocks - 1 whole blocks and one of `last` trials: ceil(blocks / cap) maps, each of
-    # cap whole blocks but the last, every block cut as when it went out alone
+    # cap whole blocks but the last, each round cut as a whole: a stack per process, more
+    # where the round outgrows STACK_ENTRIES (16 384 trials at (8, 2) take 11 stacks of
+    # at most 1 536), and never an empty one
     monkeypatch.setattr(montecarlo, "ROUND_BLOCKS", cap)
     cfg = base_config(m_grid=(8,), trials=(blocks - 1) * TRIAL_BLOCK + last)
     pool = RecordingPool(2, functools.partial(_stack_counts, cfg))
     trials, totals = _run_point(cfg, 0, pool)
     assert trials == cfg.trials
     assert len(pool.calls) == -(-blocks // cap)
-    stacks = [2] * (blocks - 1) + [min(last, 2)]  # a stack per process, never an empty one
-    assert [len(call) for call in pool.calls] == [sum(stacks[b : b + cap]) for b in range(0, blocks, cap)]
+    assert [len(call) for call in pool.calls] == stacks
+    assert all(len(keys) * 8 * 2 <= STACK_ENTRIES for call in pool.calls for _, keys in call)
     for i, call in enumerate(pool.calls):
         assert all(point == 0 for point, _ in call)
         assert sum(len(keys) for _, keys in call) == min(cap * TRIAL_BLOCK, cfg.trials - i * cap * TRIAL_BLOCK)
@@ -469,6 +479,26 @@ def test_point_without_stop_rule_goes_out_in_rounds_of_the_cap(monkeypatch, cap,
     serial_trials, serial_totals = _run_point(cfg, 0, one)
     assert serial_trials == trials
     np.testing.assert_array_equal(totals, serial_totals)
+
+
+def test_counts_identical_at_one_two_and_three_processes(deadline):
+    # without a stop rule the process count P shapes every round's cut, max(P, ceil(t / cap))
+    # stacks: at (12, 4) 515 trials go out as two stacks at P = 1 and 2 and three at P = 3
+    configs = [
+        dataclasses.replace(campaign.config, trials=2 * TRIAL_BLOCK + 3)
+        for fig in ("fig1", "fig2", "fig3")
+        for campaign in load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg"))
+    ]
+    # exhaustive ML's group products change BLAS shape with group size: at (24, 6), 257 trials go
+    # out at P = 1 and 2 as stacks of 128 and 129, the second ending in a one-member group (gemv),
+    # and at P = 3 as three stacks of 85 or 86
+    configs.append(ExperimentConfig(constellation=QPSK, detectors=("ml-exhaustive",), snr_db=-6.0,
+                                    m_grid=(24, 28, 32), delta=0.25, trials=TRIAL_BLOCK + 1, master_seed=3))
+    for config in configs:
+        one, two, three = ([res.curves[d].points for d in config.detectors] for res in
+                           (sweep(config, workers=k) for k in (1, 2, 3)))
+        assert one == two == three
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -527,6 +557,23 @@ def test_child_exception_is_raised_here(monkeypatch, deadline):
     monkeypatch.setitem(montecarlo.DETECTORS, "zf", in_child_only(fail))
     with pytest.raises(np.linalg.LinAlgError, match="singular stack in a child"):
         sweep(base_config(), workers=2)
+    assert_no_child_left()
+
+
+def test_child_out_of_memory_is_raised_here_and_exits_3(monkeypatch, tmp_path, capsys, deadline):
+    from mimodet import cli
+
+    def fail():
+        raise MemoryError("Unable to allocate a stack in a child")
+
+    monkeypatch.setitem(montecarlo.DETECTORS, "zf", in_child_only(fail))
+    with pytest.raises(MemoryError, match="in a child"):
+        sweep(base_config(), workers=2)
+    assert_no_child_left()
+    config = tmp_path / "x.cfg"
+    config.write_text(cli._echo(base_config()))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"), "--threads", "2"]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate a stack in a child\n"
     assert_no_child_left()
 
 
