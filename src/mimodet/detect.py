@@ -9,10 +9,10 @@ lexicographically smallest index vector.  The sphere decoder returns the
 identical decision for any constellation and n by an exact radius-pruned
 search over the constellation's own symbols, run layer by layer over a whole
 stack of systems at once.  ZF quantizes each entry of the unconstrained
-least-squares solution x_tilde to the nearest symbol.  Both read x_tilde and
-the triangular factor of H^H H from one route, :func:`_zf_solve`, which
-solves (H^H H) x = H^H r, or R x = Q^H r from QR for a member too ill
-conditioned for that, over a stack in one call.
+least-squares solution x_tilde to the nearest symbol.  Both read one
+triangular system (R, z) of [H | r], ||H x - r||^2 = ||R x - z||^2 + const,
+from one route over a stack, :func:`_triangular`: ZF back-substitutes
+R x_tilde = z, and the sphere search runs on (R, z) as it is.
 
 Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
 r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
@@ -69,12 +69,12 @@ SPHERE_FRONTIER = 1 << 10
 #: H is treated as rank deficient when min/max |R_kk| falls below this.
 RANK_TOLERANCE = 1e-10
 
-#: ZF solves a member by its Gram matrix G = H^H H only when its min/max
+#: A member is factored by its Gram matrix G = H^H H only when its min/max
 #: Cholesky pivot is at least this, and by QR (and RANK_TOLERANCE)
 #: otherwise.  G's pivots are the |R_kk| of H's QR, but forming G rounds its
 #: entries by about eps * max|R_kk|^2, so pivot ratios near sqrt(eps) = 1.5e-8
 #: drown in rounding and cannot be told apart from RANK_TOLERANCE.  At 1e-5
-#: the Gram solve's error, about eps / ratio^2, is at most about 2e-6 of |x|.
+#: the Gram route's error, about eps / ratio^2, is at most about 2e-6 of |x|.
 GRAM_TOLERANCE = 1e-5
 
 
@@ -221,9 +221,10 @@ def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
 
 def check_ml_budget(M: int, n: int) -> None:
     """Raise ValueError when exhaustive ML over M^n candidates exceeds ML_BUDGET."""
-    if M**n > ML_BUDGET:
+    small = n <= ML_BUDGET.bit_length()  # M >= 2, so a larger n is refused before any power
+    if not small or M**n > ML_BUDGET:
         raise ValueError(
-            f"{M}^{n} = {M**n} candidates exceeds ML_BUDGET = {ML_BUDGET}; "
+            f"{M}^{n}{f' = {M**n}' if small else ''} candidates exceeds ML_BUDGET = {ML_BUDGET}; "
             "ml-sphere gives the exact ML decision beyond it"
         )
 
@@ -269,7 +270,6 @@ def detect_ml_exhaustive_stack(
     rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
     group = min(len(H), max(1, ML_PASS_CANDIDATES // (rows * nB)))
     G, y = _gram(H, r)
-    y = y[..., 0]
     Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
     Gab = 2.0 * G[:, :na, na:]
     left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
@@ -369,19 +369,15 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> t
 def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
 
-    Any constellation.  :func:`_zf_solve` gives every member's least-squares
-    solution x_tilde and triangular factor L of H^H H, and the stacked
-    radius-pruned search of R x = R x_tilde, R = L^H, runs over the
-    constellation's own symbols at each layer.  The search is exact, so
+    Any constellation.  :func:`_triangular` gives every member's triangular
+    system (R, z), and the stacked radius-pruned search of ||z - R x||^2 runs
+    over the constellation's own symbols at each layer.  The search is exact, so
     every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
     ties.  Raises ValueError on non-finite input and LinAlgError when any
     member is numerically rank deficient.
     """
     H, r = _check_stack(H, r)
-    x_tilde, L = _zf_solve(H, r)
-    # ||H x - r||^2 = ||R (x - x_tilde)||^2 + const for R^H R = H^H H
-    R = L.conj().swapaxes(-1, -2)
-    x, _ = _sphere_stack_search(R, (R @ x_tilde[..., None])[..., 0], c.symbols)
+    x, _ = _sphere_stack_search(*_triangular(H, r), c.symbols)
     return nearest_symbols(c, x)
 
 
@@ -399,56 +395,47 @@ def detect_ml_sphere(
 
 
 def _gram(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = H^H H (..., n, n) and y = H^H r (..., n, 1) of each member, by two stacked products."""
+    """G = H^H H (..., n, n) and y = H^H r (..., n) of each member, by two stacked products."""
     Hh = H.conj().swapaxes(-1, -2)
-    return Hh @ H, Hh @ r[..., None]
+    return Hh @ H, (Hh @ r[..., None])[..., 0]
 
 
-def _gram_cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L (L L^H = G) of each member of G (..., n, n).
+def _triangular(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First n rows (R, z) of the R factor of [H | r] for each member of H (..., m, n), r (..., m).
 
-    A member whose factorization fails gets NaN in place of its factor, so
-    one failing member leaves the other members' factors as they are.
-    """
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        L = np.full_like(G, np.nan)
-        for k in np.ndindex(G.shape[:-2]):
-            try:
-                L[k] = np.linalg.cholesky(G[k])
-            except np.linalg.LinAlgError:
-                pass
-        return L
-
-
-def _zf_solve(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares x_tilde[k] = argmin ||H[k] x - r[k]||^2 over H (..., m, n), and L.
-
-    The package's one least-squares route.  L[k] is lower triangular with
-    L[k] L[k]^H = H[k]^H H[k].  G = H^H H and y = H^H r come from :func:`_gram`
-    and L from a stacked Cholesky factorization of G.  A member
-    whose factorization fails or has a min/max pivot of L below
-    GRAM_TOLERANCE is factored by QR instead (H[k] = Q R, L[k] = R^H), whose
-    RANK_TOLERANCE check raises LinAlgError for a numerically rank deficient
-    member, and R and Q^H r take the place of its G and y.  One stacked solve
-    gives every x_tilde, each member's by LAPACK on its own, and the route a
-    member takes depends on that member's H alone.
+    The package's one least-squares route: R is upper triangular, R^H R =
+    H^H H and R^H z = H^H r, so ||H x - r||^2 = ||R x - z||^2 + const.  One
+    stacked Cholesky factorization of the Gram matrix of [H | r], from
+    :func:`_gram`'s G and y with its corner ||r||^2 raised to 2 ||r||^2 + 1,
+    above ||z||^2, gives both and succeeds or fails by G alone.  A member
+    whose factorization fails or whose min/max diagonal of R is below
+    GRAM_TOLERANCE takes R and z from :func:`_qr_augmented` instead, whose
+    RANK_TOLERANCE check raises LinAlgError for a rank deficient member.
     """
     G, y = _gram(H, r)
-    L = _gram_cholesky(G)
-    pivots = np.diagonal(L, axis1=-2, axis2=-1).real
-    hi = pivots.max(axis=-1)
-    # a NaN pivot (failed factorization) or an infinite one (G overflowed) fails this too
-    qr = ~((pivots.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf))
+    n = H.shape[-1]
+    # the Cholesky factorization reads only the lower triangle
+    A = np.empty(G.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
+    A[..., :n, :n], A[..., n, :n] = G, y.conj()
+    A[..., n, n] = 2.0 * (r.conj()[..., None, :] @ r[..., None]).real[..., 0, 0] + 1.0
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        # a member whose factorization fails gets NaN, and the others keep their factors
+        L = np.full_like(A, np.nan)
+        for k in np.ndindex(A.shape[:-2]):
+            try:
+                L[k] = np.linalg.cholesky(A[k])
+            except np.linalg.LinAlgError:
+                pass
+    R, z = L[..., :n, :n].conj().swapaxes(-1, -2), L[..., n, :n].conj()
+    diag = np.diagonal(R, axis1=-2, axis2=-1).real
+    hi = diag.max(axis=-1)
+    # a NaN diagonal (failed factorization) or an infinite one (G overflowed) fails this too
+    qr = ~((diag.min(axis=-1) >= GRAM_TOLERANCE * hi) & (hi < np.inf))
     if np.any(qr):
-        R, z = _qr_augmented(H[qr], r[qr])
-        L[qr] = R.conj().swapaxes(-1, -2)
-        # R is upper triangular with a nonzero diagonal, so LAPACK's LU inside
-        # solve swaps no rows and leaves R as it is: what remains of its solve
-        # is LAPACK's back-substitution.
-        G[qr], y[qr] = R, z[..., None]
-    return np.linalg.solve(G, y)[..., 0], L
+        R[qr], z[qr] = _qr_augmented(H[qr], r[qr])
+    return R, z
 
 
 def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
@@ -458,8 +445,12 @@ def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarra
     numerically rank deficient.
     """
     H, r = _check_stack(H, r)
-    x_tilde, _ = _zf_solve(H, r)
-    return nearest_symbols(c, x_tilde)
+    R, x = _triangular(H, r)
+    # back-substitution of R x = z over the whole stack, one layer at a time
+    for k in range(x.shape[-1] - 1, -1, -1):
+        x[:, k] /= R[:, k, k]
+        x[:, :k] -= R[:, :k, k] * x[:, k, None]
+    return nearest_symbols(c, x)
 
 
 def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcome:

@@ -4,9 +4,10 @@ These take scipy's routes (adaptive quadrature, ``special.gammaln`` and
 ``special.logsumexp``) to quantities the library computes in closed form
 with ``math`` and numpy, so agreement checks the formulas and not one
 implementation against itself.  scipy comes with the ``test`` extra.
-:func:`zf_gamma` is the exception: it reads ZF's own factor, and
-``test_zf_gamma_matches_dense_inverse_oracle`` checks it against the
-explicit Gram inverse.
+:func:`zf_gamma` is the exception: it reads ZF's own triangular factor R,
+and ``test_zf_gamma_matches_dense_inverse_oracle`` checks it against the
+explicit Gram inverse.  :func:`ml_brute_force` is the exact-ML reference
+that works from (H, r) alone, with no factorization.
 
 :func:`sep_exact` is the exact finite-m symbol error probability of one
 user whose post-detection SNR scale is gamma ~ Gamma(a, 1): the Craig form
@@ -18,6 +19,7 @@ and the genie lower bound on ML's VEP at n > 1.  Square QAM and PSK (BPSK
 included) only.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,15 +29,30 @@ from mimodet.constellation import Constellation, ConstellationKind
 from mimodet.theory import SystemParams
 
 
-def zf_gamma(L: np.ndarray) -> np.ndarray:
-    """Post-detection SNR scales gamma[..., j] = 1 / [(H^H H)^-1]_jj from L of ``detect._zf_solve``.
+def zf_gamma(R: np.ndarray) -> np.ndarray:
+    """Post-detection SNR scales gamma[..., j] = 1 / [(H^H H)^-1]_jj from R of ``detect._triangular``.
 
-    With L L^H = H^H H, (H^H H)^-1 = L^-H L^-1, so gamma[j] is the inverse
-    squared norm of column j of L^-1; conditioned on H the ZF noise seen by
-    user j is CN(0, sigma^2 / gamma[j]).
+    With R^H R = H^H H, (H^H H)^-1 = R^-1 R^-H, so gamma[j] is the inverse
+    squared norm of row j of R^-1, and gamma[n-1] = |R_nn|^2; conditioned on
+    H the ZF noise seen by user j is CN(0, sigma^2 / gamma[j]).
     """
-    Linv = np.linalg.solve(L, np.eye(L.shape[-1], dtype=np.complex128))
-    return 1.0 / np.sum(np.abs(Linv) ** 2, axis=-2)
+    Rinv = np.linalg.solve(R, np.eye(R.shape[-1], dtype=np.complex128))
+    return 1.0 / np.sum(np.abs(Rinv) ** 2, axis=-1)
+
+
+def ml_brute_force(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
+    """Exact ML index vectors (B, n) of a stack H (B, m, n), r (B, m), for n <= 6.
+
+    Scores all M^n index vectors by ||r - H s[x]||^2, one member at a time;
+    a tie goes to the lexicographically smallest vector.
+    """
+    n = H.shape[-1]
+    if n > 6:
+        raise ValueError(f"brute force scores M^n vectors; n = {n} is above 6")
+    # rows in lexicographic order, so argmin's first minimizer breaks ties
+    index = np.array(list(itertools.product(range(c.M), repeat=n)), dtype=np.int64).reshape(-1, n)
+    candidates = c.symbols[index]
+    return np.stack([index[np.argmin(np.sum(np.abs(y - candidates @ h.T) ** 2, axis=1))] for h, y in zip(H, r)])
 
 
 def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> float:

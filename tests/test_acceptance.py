@@ -14,7 +14,7 @@ from scipy import stats
 from mimodet.channel import sample_instance, sample_stack, substream, trial_keys
 from mimodet.cli import main
 from mimodet.constellation import make_constellation
-from mimodet.detect import _zf_solve, detect_ml_exhaustive, detect_ml_sphere, detect_zf
+from mimodet.detect import _triangular, detect_ml_exhaustive, detect_ml_sphere, detect_zf
 from mimodet.montecarlo import ExperimentConfig, fit_slope, sweep
 from mimodet import theory
 
@@ -189,7 +189,7 @@ def test_c4_detector_equivalence():
 # ---------------------------------------------------------------------------
 # criterion 5: chi-square laws of the post-detection SNR statistics
 
-#: Channel samples factored per stacked _zf_solve call.
+#: Channel samples factored per stacked _triangular call.
 GAMMA_GROUP = 4096
 
 
@@ -199,7 +199,7 @@ def _sample_gamma1(m: int, n: int, samples: int, seed: int) -> np.ndarray:
     for lo in range(0, samples, GAMMA_GROUP):
         keys = trial_keys(seed, range(lo, min(lo + GAMMA_GROUP, samples)))
         H = sample_stack(m, n, QPSK, 1.0, keys)[0]  # H is the first draw of each stream
-        out[lo : lo + len(H)] = zf_gamma(_zf_solve(H, np.zeros(H.shape[:-1], dtype=complex))[1])[:, 0]
+        out[lo : lo + len(H)] = zf_gamma(_triangular(H, np.zeros(H.shape[:-1], dtype=complex))[0])[:, 0]
     return out
 
 

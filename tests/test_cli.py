@@ -370,6 +370,21 @@ def test_infeasible_detector_rejected(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_huge_exhaustive_config_exits_2_at_its_detectors_line(tmp_path, capsys):
+    # QPSK at n = 8000: 4^8000 has 4 817 digits, past Python's int-to-text limit; the
+    # refusal is the budget's, at the detectors line, and M^n is never built
+    p = tmp_path / "huge.cfg"
+    p.write_text(
+        INI_CONFIG.replace("kind = qam\nM = 16", "kind = psk\nM = 4")
+        .replace("detectors = zf", "detectors = ml-exhaustive")
+        .replace("n = 2", "n = 8000")
+        .replace("m_grid = 6, 8, 10", "m_grid = 8000")
+    )
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}:6: " in err and "4^8000 candidates exceeds ML_BUDGET = 1048576" in err
+
+
 def test_theory_output_values(capsys):
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", "--delta", "0.3333333333333333"]) == 0
     out = capsys.readouterr().out

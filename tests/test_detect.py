@@ -16,7 +16,7 @@ from mimodet.detect import (
     detect_zf_stack,
 )
 
-from oracles import zf_gamma
+from oracles import ml_brute_force, zf_gamma
 
 QPSK = make_constellation("psk", 4)
 QAM16 = make_constellation("qam", 16)
@@ -26,33 +26,20 @@ PSK8 = make_constellation("psk", 8)
 CUSTOM5 = Constellation([0.0, 1.0, 1j, -1.0 - 0.5j, 0.5 - 1.0j])
 
 
-def brute_force_ml(H, r, c):
-    """Oracle: plain double loop over itertools.product, strict improvement."""
-    best = None
-    best_val = np.inf
-    for cand in itertools.product(range(c.M), repeat=H.shape[1]):
-        val = np.sum(np.abs(H @ c.symbols[list(cand)] - r) ** 2)
-        if val < best_val:
-            best_val = val
-            best = cand
-    return np.array(best), best_val
-
-
 @pytest.mark.parametrize("trial", range(25))
 def test_exhaustive_matches_brute_force_qpsk(trial):
     inst = sample_instance(4, 2, QPSK, 2.0, substream(100, trial))
     out = detect_ml_exhaustive(inst.H, inst.r, QPSK)
-    oracle_idx, oracle_val = brute_force_ml(inst.H, inst.r, QPSK)
+    oracle_idx = ml_brute_force(inst.H[None], inst.r[None], QPSK)[0]
     np.testing.assert_array_equal(out.x_hat, oracle_idx)
-    assert out.metric == pytest.approx(oracle_val, rel=1e-9)
+    assert out.metric == pytest.approx(np.sum(np.abs(inst.H @ QPSK.symbols[oracle_idx] - inst.r) ** 2), rel=1e-9)
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_exhaustive_matches_brute_force_qam16(trial):
     inst = sample_instance(4, 2, QAM16, 1.0, substream(101, trial))
     out = detect_ml_exhaustive(inst.H, inst.r, QAM16)
-    oracle_idx, _ = brute_force_ml(inst.H, inst.r, QAM16)
-    np.testing.assert_array_equal(out.x_hat, oracle_idx)
+    np.testing.assert_array_equal(out.x_hat, ml_brute_force(inst.H[None], inst.r[None], QAM16)[0])
 
 
 def test_exhaustive_noiseless_recovers_truth():
@@ -83,6 +70,16 @@ def test_exhaustive_budget_refusal():
     assert QPSK.M**10 == detect.ML_BUDGET
     inst = sample_instance(10, 10, QPSK, 1e-6, substream(104))
     np.testing.assert_array_equal(detect_ml_exhaustive(inst.H, inst.r, QPSK).x_hat, inst.x_true)
+
+
+def test_ml_budget_refuses_a_huge_n_before_any_power():
+    # M >= 2, so n above ML_BUDGET's bit length is refused without building M^n (4^(10^9)
+    # would take a gigabit integer); up to that length the message still names the count
+    with pytest.raises(ValueError, match=r"^4\^1000000000 candidates exceeds ML_BUDGET = 1048576; ml-sphere"):
+        detect.check_ml_budget(4, 10**9)
+    with pytest.raises(ValueError, match=r"^2\^21 = 2097152 candidates exceeds ML_BUDGET"):
+        detect.check_ml_budget(2, 21)
+    detect.check_ml_budget(2, 20)
 
 
 def test_ml_optimality_over_all_candidates():
@@ -225,34 +222,53 @@ def test_zf_consistent_system_recovers_any_x():
     z = rng.standard_normal((7, 3, 2))
     H = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    x_tilde, _ = detect._zf_solve(H, H @ x)
-    np.testing.assert_allclose(x_tilde, x, rtol=1e-9)
+    R, z = detect._triangular(H, H @ x)
+    np.testing.assert_allclose(np.linalg.solve(R, z), x, rtol=1e-9)
+    # ZF's own back-substitution, with the entries of x as the alphabet
+    np.testing.assert_array_equal(detect_zf(H, H @ x, Constellation(x)).x_hat, [0, 1, 2])
 
 
 def test_zf_gamma_n1_is_column_norm():
     h = sample_instance(9, 1, QPSK, 1.0, substream(114)).H
-    _, L = detect._zf_solve(h, np.zeros(9, dtype=complex))
-    assert zf_gamma(L)[0] == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-12)
+    R, _ = detect._triangular(h, np.zeros(9, dtype=complex))
+    assert zf_gamma(R)[0] == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-12)
 
 
 def test_zf_gamma_matches_dense_inverse_oracle():
     for trial in range(20):
         H = sample_instance(6, 3, QPSK, 1.0, substream(115, trial)).H
-        _, L = detect._zf_solve(H, np.zeros(6, dtype=complex))
+        R, _ = detect._triangular(H, np.zeros(6, dtype=complex))
         G_inv = np.linalg.inv(H.conj().T @ H)  # oracle path: explicit inverse
-        np.testing.assert_allclose(zf_gamma(L), 1.0 / np.diag(G_inv).real, rtol=1e-9)
+        np.testing.assert_allclose(zf_gamma(R), 1.0 / np.diag(G_inv).real, rtol=1e-9)
 
 
 def test_zf_rejects_rank_deficient():
     h = sample_instance(5, 1, QPSK, 1.0, substream(116)).H
     H = np.hstack([h, 2.0 * h])
     with pytest.raises(np.linalg.LinAlgError):
-        detect._zf_solve(H, np.zeros(5, dtype=complex))
+        detect._triangular(H, np.zeros(5, dtype=complex))
 
 
 def zf_stack_of(B, m, n, c, sigma2, key):
     H, _, _, r = sample_stack(m, n, c, sigma2, trial_keys(key, range(B)))
     return H, r
+
+
+def near_dependent_stack(eps_by_member):
+    """The 24-member (8, 3) stack of seed 170, with column 1 of each listed member eps from column 0."""
+    H, r = zf_stack_of(24, 8, 3, QAM16, 0.5, 170)
+    z = substream(171).standard_normal((8, 2))
+    for k, eps in eps_by_member.items():
+        H[k, :, 1] = H[k, :, 0] + eps * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    return H, r
+
+
+@pytest.fixture
+def qr_stacks(monkeypatch):
+    """The stacks :func:`detect._qr_augmented` is called with, in call order."""
+    stacks, qr = [], detect._qr_augmented
+    monkeypatch.setattr(detect, "_qr_augmented", lambda B, y: stacks.append(B) or qr(B, y))
+    return stacks
 
 
 def test_zf_stack_equals_per_instance_loop():
@@ -283,10 +299,7 @@ def test_zf_stack_rejects_bad_members():
 
 
 @pytest.mark.parametrize("m, n", [(48, 16), (12, 4), (8, 8)])
-def test_zf_gram_route_matches_least_squares_oracle(monkeypatch, m, n):
-    qr_stacks = []
-    qr = detect._qr_augmented
-    monkeypatch.setattr(detect, "_qr_augmented", lambda B, y: qr_stacks.append(len(B)) or qr(B, y))
+def test_zf_gram_route_matches_least_squares_oracle(qr_stacks, m, n):
     H, r = zf_stack_of(32, m, n, QAM16, 1.0, 160 + n)
 
     def lstsq_decisions(H):
@@ -303,13 +316,16 @@ def test_zf_gram_route_matches_least_squares_oracle(monkeypatch, m, n):
         return ill
 
     # one member's pivot ratio near 1e-6 (Cholesky succeeds) or 1e-9 (it fails): that member
-    # alone falls back to QR, and every member is solved as it is on its own
+    # alone falls back to QR, and every member's (R, z) is as it is on its own
     for eps in (1e-6, 1e-9):
         ill = near_dependent(eps)
         np.testing.assert_array_equal(detect_zf_stack(ill, r, QAM16), lstsq_decisions(ill))
-        stacked, _ = detect._zf_solve(ill, r)
-        np.testing.assert_array_equal(stacked, [detect._zf_solve(h, y)[0] for h, y in zip(ill, r)])
-    assert qr_stacks == [1] * 6  # member 5 only: one stacked ZF, one stacked and one single solve per eps
+        stacked = detect._triangular(ill, r)
+        for k, (h, y) in enumerate(zip(ill, r)):
+            for part, single in zip(stacked, detect._triangular(h, y)):
+                np.testing.assert_array_equal(part[k], single)
+    # member 5 only: one stacked ZF, one stacked and one single route per eps
+    assert [len(B) for B in qr_stacks] == [1] * 6
     # near 1e-12 QR's rank check refuses it
     with pytest.raises(np.linalg.LinAlgError):
         detect_zf_stack(near_dependent(1e-12), r, QAM16)
@@ -322,7 +338,8 @@ def test_zf_falls_back_when_the_gram_matrix_leaves_float_range(n, scale):
     # H^H H overflows to inf or underflows to 0; QR scales its norms and still solves
     H = (scale * substream(162, n).standard_normal((6, n))).astype(complex)
     x = np.arange(1, n + 1) * (1.0 - 0.5j)
-    np.testing.assert_allclose(detect._zf_solve(H, H @ x)[0], x, rtol=1e-9)
+    R, z = detect._triangular(H, H @ x)
+    np.testing.assert_allclose(np.linalg.solve(R, z), x, rtol=1e-9)
 
 
 def test_zf_noiseless_detection():
@@ -363,11 +380,13 @@ def test_zf_error_variance_matches_gram_inverse():
     G_inv_diag = np.diag(np.linalg.inv(H.conj().T @ H)).real
     draws = 20000
     rng = substream(120, 1)
-    errs = np.empty((draws, 2), dtype=complex)
+    r = np.empty((draws, 6), dtype=complex)
     for i in range(draws):
         z = rng.standard_normal((6, 2))
         v = np.sqrt(sigma2 / 2) * (z[:, 0] + 1j * z[:, 1])
-        errs[i] = detect._zf_solve(H, H @ x + v)[0] - x
+        r[i] = H @ x + v
+    R, z = detect._triangular(np.broadcast_to(H, (draws, 6, 2)), r)
+    errs = np.linalg.solve(R, z[..., None])[..., 0] - x
     emp = np.mean(np.abs(errs) ** 2, axis=0)
     np.testing.assert_allclose(emp, sigma2 * G_inv_diag, rtol=0.05)
 
@@ -556,29 +575,22 @@ def test_detectors_map_each_config_name_to_its_stack_detector():
             np.testing.assert_array_equal(single[name](H[k], r[k], QAM16).x_hat, x_hat[k])
 
 
-def test_sphere_stack_solves_an_ill_conditioned_member_by_qr_alone(monkeypatch):
+def test_sphere_stack_solves_an_ill_conditioned_member_by_qr_alone(qr_stacks):
     # the sphere search takes ZF's route: the Gram factor of every member whose pivots
     # pass GRAM_TOLERANCE, QR for the one member whose pivot ratio is near 1e-6 or 1e-9
-    qr_stacks = []
-    qr = detect._qr_augmented
-    monkeypatch.setattr(detect, "_qr_augmented", lambda B, y: qr_stacks.append(B) or qr(B, y))
-    H, r = zf_stack_of(24, 8, 3, QAM16, 0.5, 170)
+    H, r = near_dependent_stack({})
     exhaustive = detect.detect_ml_exhaustive_stack(H, r, QAM16)
     np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), exhaustive)
     assert qr_stacks == []
-    z = substream(171).standard_normal((8, 2))
-    noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     for eps in (1e-6, 1e-9):
-        ill = H.copy()
-        ill[5, :, 1] = ill[5, :, 0] + eps * noise
+        ill, _ = near_dependent_stack({5: eps})
         qr_stacks.clear()
         stacked = detect.detect_ml_sphere_stack(ill, r, QAM16)
         assert len(qr_stacks) == 1 and np.array_equal(qr_stacks[0], ill[5:6])  # member 5 alone
         np.testing.assert_array_equal(stacked, detect.detect_ml_exhaustive_stack(ill, r, QAM16))
         np.testing.assert_array_equal(stacked, [detect_ml_sphere(h, y, QAM16).x_hat for h, y in zip(ill, r)])
-    ill[5, :, 1] = ill[5, :, 0] + 1e-12 * noise  # QR's rank check refuses it
-    with pytest.raises(np.linalg.LinAlgError):
-        detect.detect_ml_sphere_stack(ill, r, QAM16)
+    with pytest.raises(np.linalg.LinAlgError):  # QR's rank check refuses it
+        detect.detect_ml_sphere_stack(near_dependent_stack({5: 1e-12})[0], r, QAM16)
 
 
 def test_sphere_stack_rejects_rank_deficient_member():
@@ -628,34 +640,85 @@ def test_stack_detectors_decide_alike_on_power_of_two_scaled_systems(stack_detec
     np.testing.assert_array_equal(mixed_r[::2], r[::2] * scale)
 
 def test_zf_solve_stack_equals_per_instance():
+    # the triangular route over a (3, 3) stack of stacks equals each member's on its own
     H, r = zf_stack_of(9, 7, 3, QAM16, 1.0, 152)
     H, r = H.reshape(3, 3, 7, 3), r.reshape(3, 3, 7)
-    x_tilde, L = detect._zf_solve(H, r)
-    gamma = zf_gamma(L)
-    assert x_tilde.shape == gamma.shape == (3, 3, 3)
+    R, z = detect._triangular(H, r)
+    gamma = zf_gamma(R)
+    assert R.shape == (3, 3, 3, 3) and z.shape == gamma.shape == (3, 3, 3)
     for i, j in itertools.product(range(3), repeat=2):
-        single_x, single_L = detect._zf_solve(H[i, j], r[i, j])
-        np.testing.assert_array_equal(x_tilde[i, j], single_x)
-        np.testing.assert_array_equal(gamma[i, j], zf_gamma(single_L))
+        single_R, single_z = detect._triangular(H[i, j], r[i, j])
+        np.testing.assert_array_equal(R[i, j], single_R)
+        np.testing.assert_array_equal(z[i, j], single_z)
+        np.testing.assert_array_equal(gamma[i, j], zf_gamma(single_R))
     deficient = H.copy()
     deficient[1, 2, :, 2] = deficient[1, 2, :, 0]
     with pytest.raises(np.linalg.LinAlgError):
-        detect._zf_solve(deficient, r)
+        detect._triangular(deficient, r)
 
 
 @pytest.mark.parametrize("eps", [None, 1e-6, 1e-9], ids=["all-gram", "qr-1e-6", "qr-1e-9"])
 def test_zf_solve_stack_takes_one_solve_call(monkeypatch, eps):
-    # QR members' R and Q^H r join the Gram members' G and y in one stacked solve,
-    # and every member's x_tilde equals its own one-member solve bit for bit
-    H, r = zf_stack_of(24, 8, 3, QAM16, 0.5, 170)
-    if eps is not None:
-        z = substream(171).standard_normal((8, 2))
-        H[5, :, 1] = H[5, :, 0] + eps * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    single = [detect._zf_solve(h, y) for h, y in zip(H, r)]
-    calls = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
-    x_tilde, L = detect._zf_solve(H, r)
-    assert calls == [(24, 3, 3)]
-    np.testing.assert_array_equal(x_tilde, [x for x, _ in single])
-    np.testing.assert_array_equal(L, [factor for _, factor in single])
+    # QR members' R and z join the Gram members' in one triangular system of the whole
+    # stack, which ZF back-substitutes with no LAPACK solve; every member's (R, z)
+    # equals its own one-member (R, z) bit for bit
+    H, r = near_dependent_stack({} if eps is None else {5: eps})
+    single = [detect._triangular(h, y) for h, y in zip(H, r)]
+    calls, solves = [], []
+    triangular, solve = detect._triangular, np.linalg.solve
+    monkeypatch.setattr(detect, "_triangular", lambda a, b: calls.append(a.shape) or triangular(a, b))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    x_hat = detect_zf_stack(H, r, QAM16)
+    assert calls == [(24, 8, 3)] and solves == []
+    np.testing.assert_array_equal(x_hat, [detect_zf(h, y, QAM16).x_hat for h, y in zip(H, r)])
+    R, z = triangular(H, r)
+    np.testing.assert_array_equal(R, [factor for factor, _ in single])
+    np.testing.assert_array_equal(z, [rhs for _, rhs in single])
+
+
+# ---------------------------------------------------------------------------
+# the triangular system (R, z) that ZF and sphere ML read
+
+
+@pytest.mark.parametrize("eps", [None, 1e-6], ids=["cholesky", "qr"])
+def test_triangular_is_the_r_factor_of_h_and_r_on_both_routes(qr_stacks, eps):
+    # every member on the Cholesky route, or every member's pivot ratio near 1e-6 and all on QR
+    H, r = near_dependent_stack({} if eps is None else dict.fromkeys(range(24), eps))
+    R, z = detect._triangular(H, r)
+    assert [len(B) for B in qr_stacks] == ([] if eps is None else [24])
+    np.testing.assert_array_equal(np.tril(R, -1), 0)
+    Hh, Rh = H.conj().swapaxes(-1, -2), R.conj().swapaxes(-1, -2)
+    G, y = Hh @ H, (Hh @ r[..., None])[..., 0]
+    gap = np.linalg.norm(Rh @ R - G, axis=(-2, -1)) / np.linalg.norm(G, axis=(-2, -1))
+    assert gap.max() < 1e-10
+    gap = np.linalg.norm((Rh @ z[..., None])[..., 0] - y, axis=-1) / np.linalg.norm(y, axis=-1)
+    assert gap.max() < 1e-10
+
+
+def test_triangular_keeps_members_whose_r_lies_in_the_span_of_h_on_cholesky(qr_stacks):
+    # r = 0 or r = H x makes [H | r] rank deficient; the raised corner keeps such members on
+    # the Cholesky route, with the same R as under the stack's own r, and gives z = 0 or z = R x
+    H, r = near_dependent_stack({})
+    x = QAM16.symbols[substream(172).integers(0, QAM16.M, (24, 3))]
+    R, z = detect._triangular(H, r)
+    R0, z0 = detect._triangular(H, np.zeros_like(r))
+    Rx, zx = detect._triangular(H, (H @ x[..., None])[..., 0])
+    assert qr_stacks == []
+    np.testing.assert_array_equal(R0, R)
+    np.testing.assert_array_equal(Rx, R)
+    np.testing.assert_array_equal(z0, 0)
+    Rx_x = (R @ x[..., None])[..., 0]
+    assert (np.linalg.norm(zx - Rx_x, axis=-1) / np.linalg.norm(Rx_x, axis=-1)).max() < 1e-12
+
+
+def test_stack_detectors_match_references_from_h_and_r_alone(qr_stacks):
+    # Gram-route members, and members 5 and 11 forced onto QR (pivot ratio near 1e-6; near
+    # 1e-9, where Cholesky fails): ML against the brute-force oracle, ZF against per-member
+    # least squares, neither of which factors H
+    H, r = near_dependent_stack({5: 1e-6, 11: 1e-9})
+    ml = ml_brute_force(H, r, QAM16)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QAM16), ml)
+    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), ml)
+    zf = [nearest_symbols(QAM16, np.linalg.lstsq(h, y, rcond=None)[0]) for h, y in zip(H, r)]
+    np.testing.assert_array_equal(detect_zf_stack(H, r, QAM16), zf)
+    assert [len(B) for B in qr_stacks] == [2, 2]  # members 5 and 11, once for sphere ML and once for ZF

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -181,6 +182,10 @@ def test_config_rejects_infeasible_ml():
     assert base_config(detectors=("ml-exhaustive",), n=5, m_grid=(8,)).n == 5
     with pytest.raises(ValueError, match=r"ml-exhaustive infeasible at m=8: 16\^6 = 16777216 candidates .* ml-sphere"):
         base_config(detectors=("ml-exhaustive",), n=6, m_grid=(8, 16))
+    # QPSK at n = 8000: 4^8000 has more digits than Python converts to text, and is never built
+    with pytest.raises(ConfigValueError, match=r"4\^8000 candidates exceeds ML_BUDGET = 1048576") as info:
+        base_config(constellation=QPSK, detectors=("ml-exhaustive",), n=8000, m_grid=(8000,))
+    assert info.value.key == "detectors"
 
 
 @pytest.mark.parametrize(
@@ -481,23 +486,51 @@ def test_point_without_stop_rule_goes_out_in_rounds_of_the_cap(monkeypatch, cap,
     np.testing.assert_array_equal(totals, serial_totals)
 
 
+#: SHA-256 of each campaign's counts in test_counts_identical_at_one_two_and_three_processes,
+#: recorded at 1fe6a91, before ZF and sphere ML read the triangular system (R, z): a change
+#: that moves any decision of these campaigns fails here, not only at the bench's golden hashes
+CAMPAIGN_COUNT_SHA256 = {
+    "fig1": "d767ca9537b59a753b11127bd70cfd14e636be99e170010fa4e62eaa84dcd4cd",
+    "fig1.delta-sixth": "5ea3edaca25f7b9b2cc7e6a907e65dc46a2d15f72c9936cbccbd9286948cc5ec",
+    "fig1.fixed-n4": "ad4403e9f977f0c0ff1c1e40e81dcbd4173d73a8165d783cf64b7dd4bbf32fa2",
+    "fig2": "b93306bf03d5c4e041e7a5b68685dccfc47d86dfd2a741009a0d5dfbb57c681e",
+    "fig2.snr2": "0db982d88f01703e8a47deaa7829fe0e0d3052cf9f9b3bee7761ec4399e0f2e4",
+    "fig2.snr4": "cb72d885c936f318d725cc055f231441376f8918780079d56565ff3c8f583754",
+    "fig3": "4db44fe98784c321051552f7df92b13e262ecd87df9b0e433a622cb60706052a",
+    "fig3.qpsk": "7c1d9d469261839e98cb14476be7ecf314c72ec2f2b3acf7befdd1f0ae094274",
+    "fig3.bpsk": "20de1f384626fd969e8db5ab4141ee186a16489a174f589260ba38d66e8a21a0",
+    "ml-exhaustive": "57bc0491e5f609a8e867a76c3bf91a6f918288ae2dfd4b8f80f99f32ce25fd39",
+}
+
+
+def counts_sha256(result) -> str:
+    """SHA-256 of a sweep's trials, vector, symbol and user-1 errors per detector and point."""
+    rows = [[d, p.m, p.n, p.trials, p.errors, p.symbol_errors_total, p.user1_errors]
+            for d, curve in result.curves.items() for p in curve.points]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def test_counts_identical_at_one_two_and_three_processes(deadline):
     # without a stop rule the process count P shapes every round's cut, max(P, ceil(t / cap))
     # stacks: at (12, 4) 515 trials go out as two stacks at P = 1 and 2 and three at P = 3
-    configs = [
-        dataclasses.replace(campaign.config, trials=2 * TRIAL_BLOCK + 3)
-        for fig in ("fig1", "fig2", "fig3")
-        for campaign in load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg"))
-    ]
+    configs = {}
+    for fig in ("fig1", "fig2", "fig3"):
+        for campaign in load_config(str(Path(__file__).resolve().parents[1] / "configs" / f"{fig}.cfg")):
+            name = fig + (f".{campaign.name}" if campaign.name else "")
+            configs[name] = dataclasses.replace(campaign.config, trials=2 * TRIAL_BLOCK + 3)
     # exhaustive ML's group products change BLAS shape with group size: at (24, 6), 257 trials go
     # out at P = 1 and 2 as stacks of 128 and 129, the second ending in a one-member group (gemv),
     # and at P = 3 as three stacks of 85 or 86
-    configs.append(ExperimentConfig(constellation=QPSK, detectors=("ml-exhaustive",), snr_db=-6.0,
-                                    m_grid=(24, 28, 32), delta=0.25, trials=TRIAL_BLOCK + 1, master_seed=3))
-    for config in configs:
-        one, two, three = ([res.curves[d].points for d in config.detectors] for res in
-                           (sweep(config, workers=k) for k in (1, 2, 3)))
+    configs["ml-exhaustive"] = ExperimentConfig(constellation=QPSK, detectors=("ml-exhaustive",), snr_db=-6.0,
+                                                m_grid=(24, 28, 32), delta=0.25, trials=TRIAL_BLOCK + 1,
+                                                master_seed=3)
+    digests = {}
+    for name, config in configs.items():
+        results = [sweep(config, workers=k) for k in (1, 2, 3)]
+        one, two, three = ([res.curves[d].points for d in config.detectors] for res in results)
         assert one == two == three
+        digests[name] = counts_sha256(results[0])
+    assert digests == CAMPAIGN_COUNT_SHA256
     assert_no_child_left()
 
 
