@@ -1,22 +1,23 @@
 """MIMO detectors: exhaustive ML, sphere-decoder ML, and zero-forcing.
 
-The exhaustive detector minimizes ||H x - r||^2 over the full candidate set
-S^n, up to ML_BUDGET candidates, and is the ground-truth oracle for
-everything else.  Per call it builds its operand buffers once over cached,
+Every detector reads one triangular system (R, z) of [H | r], ||H x - r||^2 =
+||R x - z||^2 + const, which :func:`triangular` gives for a whole stack: it is
+the one place where (H, r) is validated and factored.  The exhaustive
+detector minimizes ||R x - z||^2 over the full candidate set S^n, up to
+ML_BUDGET candidates, and is the ground-truth oracle for everything else.
+Per call it forms G = R^H R, builds its operand buffers once over cached,
 transposed candidate tables, scores every candidate by one real matrix
 product per pass, and takes one argmin over a group's passes: ties go to the
 lexicographically smallest index vector.  The sphere decoder returns the
 identical decision for any constellation and n by an exact radius-pruned
-search over the constellation's own symbols, run layer by layer over a whole
-stack of systems at once.  ZF quantizes each entry of the unconstrained
-least-squares solution x_tilde to the nearest symbol.  Both read one
-triangular system (R, z) of [H | r], ||H x - r||^2 = ||R x - z||^2 + const,
-from one route over a stack, :func:`_triangular`: ZF back-substitutes
-R x_tilde = z, and the sphere search runs on (R, z) as it is.
+search of (R, z) as it is, over the constellation's own symbols, run layer by
+layer over a whole stack of systems at once.  ZF back-substitutes R x_tilde =
+z and quantizes each entry of x_tilde to the nearest symbol.
 
-Each detector has one implementation, ``detect_*_stack`` (H (B, m, n),
-r (B, m), c) -> indices (B, n), which :data:`DETECTORS` names; the per-instance
-``detect_*`` functions are its one-member case and add the decision's metric.
+Each detector has one implementation, ``detect_*_stack`` (R (B, n, n),
+z (B, n), c) -> indices (B, n), which :data:`DETECTORS` names; the
+per-instance ``detect_*`` functions (H, r, c) are its one-member case and add
+the decision's metric.
 """
 
 from __future__ import annotations
@@ -86,14 +87,16 @@ class DetectionOutcome:
     metric: float
 
 
-def _check_stack(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validated complex H (B, m, n) and r (B, m), every member well inside float range.
+def triangular(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The triangular system (R (B, n, n), z (B, n)) of a stack H (B, m, n), r (B, m) that every detector reads.
 
-    A nonzero member whose largest real or imaginary part over H and r lies
-    outside [2^-257, 2^256) is scaled into [1/2, 1) by a power of two, which
-    is exact and moves no decision, so no Gram entry or score overflows or
-    underflows.  Other members keep their bits; the caller's arrays are
-    never written.
+    The one place where (H, r) is validated and factored: raises ValueError
+    on a bad shape or a non-finite member, and :func:`_triangular` raises
+    LinAlgError on a numerically rank deficient one.  A nonzero member whose
+    largest real or imaginary part over H and r lies outside [2^-257, 2^256)
+    is first scaled into [1/2, 1) by a power of two, which is exact and moves
+    no decision, so no Gram entry or score overflows or underflows.  Other
+    members keep their bits; the caller's arrays are never written.
     """
     H = np.asarray(H, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
@@ -107,14 +110,14 @@ def _check_stack(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # summing it makes no temporary; out of it, inf or NaN, the entries decide
     with np.errstate(over="ignore"):
         power = sum((v[:, None] @ v[..., None])[:, 0, 0] for v in (Hv, rv))
-    if np.all((power >= 2.0**-480) & (power <= 2.0**480)):
-        return H, r
-    peak = np.maximum(np.abs(Hv).max(axis=1), np.abs(rv).max(axis=1))
-    if not np.all(np.isfinite(peak)):
-        raise ValueError("H and r must be finite")
-    e = np.frexp(peak)[1][:, None]  # 0 for an all-zero member
-    e = np.where(np.abs(e) > 256, -e, 0)
-    return np.ldexp(Hv, e).view(np.complex128).reshape(H.shape), np.ldexp(rv, e).view(np.complex128)
+    if not np.all((power >= 2.0**-480) & (power <= 2.0**480)):
+        peak = np.maximum(np.abs(Hv).max(axis=1), np.abs(rv).max(axis=1))
+        if not np.all(np.isfinite(peak)):
+            raise ValueError("H and r must be finite")
+        e = np.frexp(peak)[1][:, None]  # 0 for an all-zero member
+        e = np.where(np.abs(e) > 256, -e, 0)
+        H, r = np.ldexp(Hv, e).view(np.complex128).reshape(H.shape), np.ldexp(rv, e).view(np.complex128)
+    return _triangular(H, r)
 
 
 def _one_member(stack_detector, H, r, c: Constellation) -> DetectionOutcome:
@@ -123,7 +126,7 @@ def _one_member(stack_detector, H, r, c: Constellation) -> DetectionOutcome:
     if H.ndim != 2:
         raise ValueError(f"H must be a matrix, got shape {H.shape}")
     r = np.asarray(r, dtype=np.complex128).ravel()
-    x_hat = stack_detector(H[None], r[None], c)[0]
+    x_hat = stack_detector(*triangular(H[None], r[None]), c)[0]
     metric = float(np.sum(np.abs(H @ c.symbols[x_hat] - r) ** 2))
     return DetectionOutcome(x_hat=x_hat, metric=metric)
 
@@ -230,14 +233,14 @@ def check_ml_budget(M: int, n: int) -> None:
 
 
 def detect_ml_exhaustive_stack(
-    H: np.ndarray,
-    r: np.ndarray,
+    R: np.ndarray,
+    z: np.ndarray,
     c: Constellation,
 ) -> np.ndarray:
-    """Exhaustive ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
+    """Exhaustive ML decisions for a stack: (R (B, n, n), z (B, n)) of :func:`triangular` -> indices (B, n).
 
-    With x = (a, b), a the first n // 2 entries and G = H^H H, y = H^H r,
-    the objective less ||r||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b), with
+    With x = (a, b), a the first n // 2 entries and G = R^H R, y = R^H z,
+    the objective less ||z||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b), with
     qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  Each member has left =
     [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b (interleaved);
     1; qb], P = a^H (2 G_ab), so one batched real product left @ right scores a
@@ -257,10 +260,9 @@ def detect_ml_exhaustive_stack(
     ML_BUDGET rather than approximating: :func:`detect_ml_sphere_stack` is
     exact beyond it.
     """
-    H, r = _check_stack(H, r)
-    n = H.shape[-1]
+    n = R.shape[-1]
     check_ml_budget(c.M, n)
-    if len(H) == 0:
+    if len(R) == 0:
         return np.zeros((0, n), dtype=np.int64)
     na = n // 2
     ia, ib, Ac, FAt, FBt, right_fixed = _ml_tables(c, n)
@@ -268,14 +270,14 @@ def detect_ml_exhaustive_stack(
     k = len(right_fixed) + 1
     rows = max(1, min(nA, ML_PASS_CANDIDATES // nB, ML_PASS_MACS // (k * nB)))
     rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
-    group = min(len(H), max(1, ML_PASS_CANDIDATES // (rows * nB)))
-    G, y = _gram(H, r)
+    group = min(len(R), max(1, ML_PASS_CANDIDATES // (rows * nB)))
+    G, y = _gram(R, z)
     Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
     Gab = 2.0 * G[:, :na, na:]
     left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
     left[:, :, -1], right[:, :-1] = 1.0, right_fixed
-    ranks = np.empty(len(H), dtype=np.int64)
-    for lo in range(0, len(H), group):
+    ranks = np.empty(len(R), dtype=np.int64)
+    for lo in range(0, len(R), group):
         wa, wb, gab = Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group]
         g = len(wa)
         for s in _spans(nA, wa.size):
@@ -298,8 +300,8 @@ def detect_ml_exhaustive(
     """Global minimizer of ||H x - r||^2 over all M^n candidate vectors.
 
     The one-member case of :func:`detect_ml_exhaustive_stack`: ties break to
-    the lexicographically smallest index vector, and M^n above ML_BUDGET is
-    refused.
+    the lexicographically smallest index vector, M^n above ML_BUDGET is
+    refused, and so is a numerically rank deficient H, with LinAlgError.
     """
     return _one_member(detect_ml_exhaustive_stack, H, r, c)
 
@@ -366,18 +368,15 @@ def _sphere_stack_search(R: np.ndarray, y: np.ndarray, symbols: np.ndarray) -> t
     return best, nodes
 
 
-def detect_ml_sphere_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
-    """Sphere-decoder ML decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
+def detect_ml_sphere_stack(R: np.ndarray, z: np.ndarray, c: Constellation) -> np.ndarray:
+    """Sphere-decoder ML decisions for a stack: (R (B, n, n), z (B, n)) of :func:`triangular` -> indices (B, n).
 
-    Any constellation.  :func:`_triangular` gives every member's triangular
-    system (R, z), and the stacked radius-pruned search of ||z - R x||^2 runs
-    over the constellation's own symbols at each layer.  The search is exact, so
-    every decision equals :func:`detect_ml_exhaustive_stack`'s up to exact
-    ties.  Raises ValueError on non-finite input and LinAlgError when any
-    member is numerically rank deficient.
+    Any constellation.  The stacked radius-pruned search of ||z - R x||^2
+    reads (R, z) as it is and runs over the constellation's own symbols at
+    each layer.  The search is exact, so every decision equals
+    :func:`detect_ml_exhaustive_stack`'s up to exact ties.
     """
-    H, r = _check_stack(H, r)
-    x, _ = _sphere_stack_search(*_triangular(H, r), c.symbols)
+    x, _ = _sphere_stack_search(R, z, c.symbols)
     return nearest_symbols(c, x)
 
 
@@ -394,16 +393,16 @@ def detect_ml_sphere(
     return _one_member(detect_ml_sphere_stack, H, r, c)
 
 
-def _gram(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = H^H H (..., n, n) and y = H^H r (..., n) of each member, by two stacked products."""
-    Hh = H.conj().swapaxes(-1, -2)
-    return Hh @ H, (Hh @ r[..., None])[..., 0]
+def _gram(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = A^H A (..., n, n) and y = A^H b (..., n) of each member, by two stacked products."""
+    Ah = A.conj().swapaxes(-1, -2)
+    return Ah @ A, (Ah @ b[..., None])[..., 0]
 
 
 def _triangular(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First n rows (R, z) of the R factor of [H | r] for each member of H (..., m, n), r (..., m).
 
-    The package's one least-squares route: R is upper triangular, R^H R =
+    The factorization behind :func:`triangular`: R is upper triangular, R^H R =
     H^H H and R^H z = H^H r, so ||H x - r||^2 = ||R x - z||^2 + const.  One
     stacked Cholesky factorization of the Gram matrix of [H | r], from
     :func:`_gram`'s G and y with its corner ||r||^2 raised to 2 ||r||^2 + 1,
@@ -438,14 +437,9 @@ def _triangular(H: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, z
 
 
-def detect_zf_stack(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
-    """ZF decisions for a stack: H (B, m, n), r (B, m) -> indices (B, n).
-
-    Raises ValueError on non-finite input and LinAlgError when any member is
-    numerically rank deficient.
-    """
-    H, r = _check_stack(H, r)
-    R, x = _triangular(H, r)
+def detect_zf_stack(R: np.ndarray, z: np.ndarray, c: Constellation) -> np.ndarray:
+    """ZF decisions for a stack: (R (B, n, n), z (B, n)) of :func:`triangular` -> indices (B, n)."""
+    x = z.copy()
     # back-substitution of R x = z over the whole stack, one layer at a time
     for k in range(x.shape[-1] - 1, -1, -1):
         x[:, k] /= R[:, k, k]
@@ -461,5 +455,5 @@ def detect_zf(H: np.ndarray, r: np.ndarray, c: Constellation) -> DetectionOutcom
     return _one_member(detect_zf_stack, H, r, c)
 
 
-#: The stack detector of each config name, all (H, r, c) -> indices (B, n).
+#: The stack detector of each config name, all (R, z, c) -> indices (B, n).
 DETECTORS = {"ml-exhaustive": detect_ml_exhaustive_stack, "ml-sphere": detect_ml_sphere_stack, "zf": detect_zf_stack}

@@ -10,8 +10,9 @@ round is cut in trial order into stacks, at least one per process, each
 within ``STACK_ENTRIES`` H entries unless it holds one trial.  The stacks'
 integer counts are summed, so sweep output is a pure function of the config,
 independent of worker count, stack sizes, rounds and scheduling, and no stack
-is computed past a stop.  Each stack's trials are sampled and detected as
-stacked arrays by the detectors that ``detect.DETECTORS`` names.
+is computed past a stop.  Each stack's trials are sampled as stacked arrays,
+factored once into the triangular system (R, z) of ``detect.triangular``, and
+detected from it by every detector that ``detect.DETECTORS`` names.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channel import sample_stack, sigma2_from_snr, trial_keys
 from .constellation import Constellation, as_integer
-from .detect import DETECTORS, check_ml_budget
+from .detect import DETECTORS, check_ml_budget, triangular
 
 #: Trials per work block.  Fixed (never derived from worker count) so the
 #: adaptive-stop boundary and all counts are scheduling independent.
@@ -215,15 +216,17 @@ def _stack_counts(config: ExperimentConfig, point_index: int, keys: np.ndarray) 
     """Integer error counts for the trials of Philox ``keys`` at one grid point.
 
     Row k belongs to ``config.detectors[k]`` and holds its vector errors,
-    symbol errors and user-1 errors.  The trials are sampled and detected
-    as one stack, each drawing from its own stream.
+    symbol errors and user-1 errors.  The trials are sampled as one stack,
+    each drawing from its own stream; the stack is validated and factored
+    once, and every detector reads the same (R, z).
     """
     m = config.m_grid[point_index]
     n = config.users_for(m)
     H, x_true, _, r = sample_stack(m, n, config.constellation, config.sigma2, keys)
+    R, z = triangular(H, r)
     counts = np.empty((len(config.detectors), 3), dtype=np.int64)
     for k, det in enumerate(config.detectors):
-        errs = DETECTORS[det](H, r, config.constellation) != x_true
+        errs = DETECTORS[det](R, z, config.constellation) != x_true
         counts[k] = errs.any(axis=1).sum(), errs.sum(), errs[:, 0].sum()
     return counts
 

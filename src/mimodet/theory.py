@@ -78,11 +78,6 @@ class SystemParams:
         return cls(M=c.M, d_min=c.d_min, sigma2=sigma2, m=m, n=n, delta=delta)
 
 
-def q_function(x: float) -> float:
-    """Gaussian tail probability P(N(0,1) > x), via the complementary erf."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def prob_from_log(log_p: float) -> float:
     """Linear-scale probability from its log, clamped to at most 1."""
     return math.exp(min(log_p, 0.0))
@@ -153,19 +148,6 @@ def ml_union_bound_log(p: SystemParams) -> float:
     shifted = np.exp(log_terms - log_terms[top])
     shifted[top] = 0.0
     return float(log_terms[top] + math.log1p(shifted.sum())) - math.log(2.0)
-
-
-def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
-    """log of the averaged pairwise error bound between two symbol vectors:
-
-        P(x* -> x') <= (1/2) (1 + ||x* - x'||^2 / (4 sigma^2))^-m.
-    """
-    x_star = np.asarray(x_star, dtype=np.complex128)
-    x_prime = np.asarray(x_prime, dtype=np.complex128)
-    dist2 = float(np.sum(np.abs(x_star - x_prime) ** 2))
-    if dist2 == 0.0:
-        raise ValueError("pairwise error bound needs distinct symbol vectors")
-    return -math.log(2.0) - m * math.log1p(dist2 / (4.0 * sigma2))
 
 
 def large_n_threshold(rho: float, M: int) -> float:

@@ -7,7 +7,10 @@ implementation against itself.  scipy comes with the ``test`` extra.
 :func:`zf_gamma` is the exception: it reads ZF's own triangular factor R,
 and ``test_zf_gamma_matches_dense_inverse_oracle`` checks it against the
 explicit Gram inverse.  :func:`ml_brute_force` is the exact-ML reference
-that works from (H, r) alone, with no factorization.
+that works from (H, r) alone, with no factorization.  :func:`q_function` and
+:func:`pairwise_error_bound_log` are the Gaussian tail and the averaged
+pairwise error bound that the union bound sums; no library path uses either,
+so they live here, checked against quadrature, mpmath and direct simulation.
 
 :func:`sep_exact` is the exact finite-m symbol error probability of one
 user whose post-detection SNR scale is gamma ~ Gamma(a, 1): the Craig form
@@ -53,6 +56,24 @@ def ml_brute_force(H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray
     index = np.array(list(itertools.product(range(c.M), repeat=n)), dtype=np.int64).reshape(-1, n)
     candidates = c.symbols[index]
     return np.stack([index[np.argmin(np.sum(np.abs(y - candidates @ h.T) ** 2, axis=1))] for h, y in zip(H, r)])
+
+
+def q_function(x: float) -> float:
+    """Gaussian tail probability P(N(0,1) > x), via the complementary erf."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def pairwise_error_bound_log(x_star: np.ndarray, x_prime: np.ndarray, sigma2: float, m: int) -> float:
+    """log of the averaged pairwise error bound between two symbol vectors:
+
+        P(x* -> x') <= (1/2) (1 + ||x* - x'||^2 / (4 sigma^2))^-m.
+    """
+    x_star = np.asarray(x_star, dtype=np.complex128)
+    x_prime = np.asarray(x_prime, dtype=np.complex128)
+    dist2 = float(np.sum(np.abs(x_star - x_prime) ** 2))
+    if dist2 == 0.0:
+        raise ValueError("pairwise error bound needs distinct symbol vectors")
+    return -math.log(2.0) - m * math.log1p(dist2 / (4.0 * sigma2))
 
 
 def q_function_craig(x: float, epsabs: float = 1e-14, epsrel: float = 1e-13) -> float:

@@ -26,6 +26,18 @@ PSK8 = make_constellation("psk", 8)
 CUSTOM5 = Constellation([0.0, 1.0, 1j, -1.0 - 0.5j, 0.5 - 1.0j])
 
 
+def decide(stack_detector, H, r, c):
+    """``stack_detector``'s decisions on a stack (H, r), read from the (R, z) of :func:`detect.triangular`."""
+    return stack_detector(*detect.triangular(H, r), c)
+
+
+def tied_at(H, r, k):
+    """The (R, z) of :func:`detect.triangular` on (H, r) with member k's R set to 0: every candidate of k ties."""
+    R, z = detect.triangular(H, r)
+    R[k] = 0.0
+    return R, z
+
+
 @pytest.mark.parametrize("trial", range(25))
 def test_exhaustive_matches_brute_force_qpsk(trial):
     inst = sample_instance(4, 2, QPSK, 2.0, substream(100, trial))
@@ -110,13 +122,13 @@ def test_split_ml_matches_full_argmin(n):
 
 
 def test_split_ml_exact_tie_breaks_to_first_candidate(monkeypatch):
-    r = sample_instance(5, 5, QPSK, 1.0, substream(126)).r
-    H = np.zeros((5, 5), dtype=complex)
-    out = detect_ml_exhaustive(H, r, QPSK)
-    np.testing.assert_array_equal(out.x_hat, np.zeros(5, dtype=np.int64))
+    # R = 0 scores every candidate ||z||^2 (the route refuses a zero H, the kernel takes any R)
+    z = sample_instance(5, 5, QPSK, 1.0, substream(126)).r[None]
+    R = np.zeros((1, 5, 5), dtype=complex)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), np.zeros((1, 5), dtype=np.int64))
     # the same when the cross term is scored in many row blocks
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 16)
-    np.testing.assert_array_equal(detect_ml_exhaustive(H, r, QPSK).x_hat, np.zeros(5, dtype=np.int64))
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), np.zeros((1, 5), dtype=np.int64))
 
 
 def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
@@ -130,16 +142,16 @@ def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
 
 
 def test_split_ml_tie_across_passes_goes_to_the_earlier_pass(monkeypatch):
-    # H's column 0 is zero, so candidates that differ only in x_0, the first
+    # R's column 0 is zero, so candidates that differ only in x_0, the first
     # entry of the first half, tie exactly.  n = 5 QPSK: a = (x_0, x_1) has 16
     # rows, and 64 candidates per pass make one a-row per pass, so the tied
     # rows x_1 + 4 x_0 lie in four passes, none of them the first when x_1 > 0
-    H, r = zf_stack_of(12, 7, 5, QPSK, 1.5, 129)
-    H[:, :, 0] = 0.0
-    oracle = np.array([all_candidates_argmin(Hk, rk, QPSK) for Hk, rk in zip(H, r)])
+    R, z = detect.triangular(*zf_stack_of(12, 7, 5, QPSK, 1.5, 129))
+    R[:, :, 0] = 0.0
+    oracle = np.array([all_candidates_argmin(Rk, zk, QPSK) for Rk, zk in zip(R, z)])
     assert np.all(oracle[:, 0] == 0) and np.count_nonzero(oracle[:, 1]) >= 6
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 64)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), oracle)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), oracle)
 
 # ---------------------------------------------------------------------------
 # sphere decoder
@@ -273,7 +285,7 @@ def qr_stacks(monkeypatch):
 
 def test_zf_stack_equals_per_instance_loop():
     H, r = zf_stack_of(37, 12, 4, QAM16, 1.0, 128)
-    stacked = detect_zf_stack(H, r, QAM16)
+    stacked = decide(detect_zf_stack, H, r, QAM16)
     assert stacked.shape == (37, 4)
     for k in range(37):
         np.testing.assert_array_equal(stacked[k], detect_zf(H[k], r[k], QAM16).x_hat)
@@ -282,20 +294,29 @@ def test_zf_stack_equals_per_instance_loop():
         np.testing.assert_array_equal(stacked[k], nearest_symbols(QAM16, lstsq))
 
 
-def test_zf_stack_rejects_bad_members():
-    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 129)
-    deficient = H.copy()
-    deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
-    with pytest.raises(np.linalg.LinAlgError):
-        detect_zf_stack(deficient, r, QAM16)
+def test_triangular_rejects_bad_members():
+    # the route is the one place a stack is checked: one rank deficient member (a column
+    # twice another) raises LinAlgError, one non-finite entry of H or r ValueError, and
+    # so does a bad shape; the caller's arrays are left as they are
+    for key in (129, 151):
+        H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, key)
+        deficient = H.copy()
+        deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            detect.triangular(deficient, r)
     for bad in (np.nan, np.inf):
         H_bad, r_bad = H.copy(), r.copy()
         H_bad[2, 1, 0] = bad
-        with pytest.raises(ValueError):
-            detect_zf_stack(H_bad, r, QAM16)
+        with pytest.raises(ValueError, match="finite"):
+            detect.triangular(H_bad, r)
         r_bad[4, 0] = bad
-        with pytest.raises(ValueError):
-            detect_zf_stack(H, r_bad, QAM16)
+        with pytest.raises(ValueError, match="finite"):
+            detect.triangular(H, r_bad)
+    for H_bad, r_bad in ((H[0], r[0]), (H, r[:, :5]), (H.swapaxes(1, 2), r[:, :2])):
+        with pytest.raises(ValueError, match="need"):
+            detect.triangular(H_bad, r_bad)
+    for got, want in zip((H, r), zf_stack_of(5, 6, 2, QAM16, 1.0, 151)):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("m, n", [(48, 16), (12, 4), (8, 8)])
@@ -305,7 +326,7 @@ def test_zf_gram_route_matches_least_squares_oracle(qr_stacks, m, n):
     def lstsq_decisions(H):
         return np.stack([nearest_symbols(QAM16, np.linalg.lstsq(h, y, rcond=None)[0]) for h, y in zip(H, r)])
 
-    np.testing.assert_array_equal(detect_zf_stack(H, r, QAM16), lstsq_decisions(H))
+    np.testing.assert_array_equal(decide(detect_zf_stack, H, r, QAM16), lstsq_decisions(H))
     assert qr_stacks == []  # the normal equations, no QR
     z = substream(161, n).standard_normal((m, 2))
     noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
@@ -319,7 +340,7 @@ def test_zf_gram_route_matches_least_squares_oracle(qr_stacks, m, n):
     # alone falls back to QR, and every member's (R, z) is as it is on its own
     for eps in (1e-6, 1e-9):
         ill = near_dependent(eps)
-        np.testing.assert_array_equal(detect_zf_stack(ill, r, QAM16), lstsq_decisions(ill))
+        np.testing.assert_array_equal(decide(detect_zf_stack, ill, r, QAM16), lstsq_decisions(ill))
         stacked = detect._triangular(ill, r)
         for k, (h, y) in enumerate(zip(ill, r)):
             for part, single in zip(stacked, detect._triangular(h, y)):
@@ -328,7 +349,7 @@ def test_zf_gram_route_matches_least_squares_oracle(qr_stacks, m, n):
     assert [len(B) for B in qr_stacks] == [1] * 6
     # near 1e-12 QR's rank check refuses it
     with pytest.raises(np.linalg.LinAlgError):
-        detect_zf_stack(near_dependent(1e-12), r, QAM16)
+        decide(detect_zf_stack, near_dependent(1e-12), r, QAM16)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -424,24 +445,26 @@ def test_input_validation():
 def test_sphere_stack_equals_per_instance_loop(M, n):
     c = make_constellation("qam", M)
     H, r = zf_stack_of(33, n + 3, n, c, 0.5, 130 + n)
-    stacked = detect.detect_ml_sphere_stack(H, r, c)
+    stacked = decide(detect.detect_ml_sphere_stack, H, r, c)
     assert stacked.shape == (33, n) and stacked.dtype == np.int64
     loop = np.array([detect_ml_sphere(Hk, rk, c).x_hat for Hk, rk in zip(H, r)])
     np.testing.assert_array_equal(stacked, loop)
     if M == 16:  # the exhaustive oracle, where enumeration is cheap
-        np.testing.assert_array_equal(stacked, detect.detect_ml_exhaustive_stack(H, r, c))
+        np.testing.assert_array_equal(stacked, decide(detect.detect_ml_exhaustive_stack, H, r, c))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_exhaustive_stack_equals_per_instance_loop(n):
     B = 6 if n == 8 else 37
     H, r = zf_stack_of(B, n + 2, n, QPSK, 1.5, 140 + n)
-    H[1] = 0.0  # every candidate ties: the all-zeros index vector wins
-    stacked = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    R, z = tied_at(H, r, 1)  # every candidate of member 1 ties: the all-zeros index vector wins
+    stacked = detect.detect_ml_exhaustive_stack(R, z, QPSK)
     assert stacked.shape == (B, n) and stacked.dtype == np.int64
     np.testing.assert_array_equal(stacked[1], np.zeros(n, dtype=np.int64))
-    loop = np.array([detect_ml_exhaustive(Hk, rk, QPSK).x_hat for Hk, rk in zip(H, r)])
+    loop = np.array([detect.detect_ml_exhaustive_stack(R[k : k + 1], z[k : k + 1], QPSK)[0] for k in range(B)])
     np.testing.assert_array_equal(stacked, loop)
+    for k in (0, 2, B - 1):  # the one-member API, from (H, r)
+        np.testing.assert_array_equal(stacked[k], detect_ml_exhaustive(H[k], r[k], QPSK).x_hat)
     if n <= 5:
         for k in (0, 2, B - 1):
             np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], QPSK))
@@ -450,22 +473,20 @@ def test_exhaustive_stack_equals_per_instance_loop(n):
 @pytest.mark.parametrize("per_pass", [16, 64, 200])
 def test_exhaustive_stack_passes_match_one_pass(monkeypatch, per_pass):
     # 16: one a-row per pass; 64: one member per pass; 200: three members per pass
-    H, r = zf_stack_of(11, 5, 3, QPSK, 1.5, 150)
-    H[4] = 0.0
-    one_pass = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    R, z = tied_at(*zf_stack_of(11, 5, 3, QPSK, 1.5, 150), 4)
+    one_pass = detect.detect_ml_exhaustive_stack(R, z, QPSK)
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", per_pass)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), one_pass)
 
 
 @pytest.mark.parametrize("macs", [1, 2000])
 def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
     # n = 5 QPSK: 16 a-rows, each 64 b-rows x 6 real columns = 384 MACs;
     # 1: one a-row per pass, 2000: five a-rows, so the last pass is short
-    H, r = zf_stack_of(9, 7, 5, QPSK, 1.5, 152)
-    H[2] = 0.0
-    one_pass = detect.detect_ml_exhaustive_stack(H, r, QPSK)
+    R, z = tied_at(*zf_stack_of(9, 7, 5, QPSK, 1.5, 152), 2)
+    one_pass = detect.detect_ml_exhaustive_stack(R, z, QPSK)
     monkeypatch.setattr(detect, "ML_PASS_MACS", macs)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), one_pass)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), one_pass)
 
 
 def test_exhaustive_candidate_tables_are_shared_and_read_only():
@@ -480,8 +501,8 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
     assert detect._ml_tables(QPSK, 4)[0].shape == (4**2, 2)
     # a call after the cache is filled decides as the first one did
     H, r = zf_stack_of(9, 7, 5, QPSK, 1.5, 152)
-    first = detect.detect_ml_exhaustive_stack(H, r, QPSK)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QPSK), first)
+    first = decide(detect.detect_ml_exhaustive_stack, H, r, QPSK)
+    np.testing.assert_array_equal(decide(detect.detect_ml_exhaustive_stack, H, r, QPSK), first)
     for k in (0, 4, 8):
         np.testing.assert_array_equal(first[k], all_candidates_argmin(H[k], r[k], QPSK))
 
@@ -504,7 +525,7 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
 @pytest.mark.parametrize("split", [False, True], ids=["default-passes", "short-passes"])
 def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, split):
     H, r = zf_stack_of(7, m, n, c, 0.5, 155 + n)
-    H[3] = 0.0  # every candidate ties: the all-zeros index vector wins
+    R, z = tied_at(H, r, 3)  # every candidate of member 3 ties: the all-zeros index vector wins
     if split:
         # 3 rows of the first half per pass, where it has more than 3, and
         # 3 members per group: 7 members end with a group of one, and a
@@ -513,8 +534,9 @@ def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, sp
         rows = 3 if n_a > 3 else 1
         monkeypatch.setattr(detect, "ML_PASS_MACS", rows * (2 * (n - n // 2) + 2) * n_b)
         monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 3 * rows * n_b)
-    stacked = detect.detect_ml_exhaustive_stack(H, r, c)
-    for k in range(len(H)):
+    stacked = detect.detect_ml_exhaustive_stack(R, z, c)
+    np.testing.assert_array_equal(stacked[3], np.zeros(n, dtype=np.int64))
+    for k in (0, 1, 2, 4, 5, 6):
         np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], c))
 
 
@@ -537,17 +559,17 @@ def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, sp
 def test_sphere_stack_equals_exhaustive_large_frontier(c, m, n, snr_db):
     # m = n or low SNR: the Babai radius is loose and the frontier is large
     H, r = zf_stack_of(64, m, n, c, 10 ** (-snr_db / 10.0), 153 + m)
-    sphere = detect.detect_ml_sphere_stack(H, r, c)
-    np.testing.assert_array_equal(sphere, detect.detect_ml_exhaustive_stack(H, r, c))
+    sphere = decide(detect.detect_ml_sphere_stack, H, r, c)
+    np.testing.assert_array_equal(sphere, decide(detect.detect_ml_exhaustive_stack, H, r, c))
 
 
 @pytest.mark.parametrize("frontier", [1, 3])
 def test_sphere_stack_frontier_slices_match_one_pass(monkeypatch, frontier):
     H, r = zf_stack_of(32, 4, 4, QAM16, 1.0, 154)
     monkeypatch.setattr(detect, "SPHERE_FRONTIER", 1 << 30)
-    one_pass = detect.detect_ml_sphere_stack(H, r, QAM16)
+    one_pass = decide(detect.detect_ml_sphere_stack, H, r, QAM16)
     monkeypatch.setattr(detect, "SPHERE_FRONTIER", frontier)
-    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), one_pass)
+    np.testing.assert_array_equal(decide(detect.detect_ml_sphere_stack, H, r, QAM16), one_pass)
 
 
 @pytest.mark.parametrize(
@@ -556,7 +578,9 @@ def test_sphere_stack_frontier_slices_match_one_pass(monkeypatch, frontier):
     ids=["zf", "sphere", "exhaustive"],
 )
 def test_stack_detectors_accept_empty_stack(stack_detector):
-    x_hat = stack_detector(np.empty((0, 4, 2)), np.empty((0, 4)), QAM16)
+    R, z = detect.triangular(np.empty((0, 4, 2)), np.empty((0, 4)))
+    assert R.shape == (0, 2, 2) and z.shape == (0, 2)
+    x_hat = stack_detector(R, z, QAM16)
     assert x_hat.shape == (0, 2) and x_hat.dtype == np.int64
 
 
@@ -566,56 +590,63 @@ def test_detectors_map_each_config_name_to_its_stack_detector():
         "ml-sphere": detect.detect_ml_sphere_stack,
         "zf": detect.detect_zf_stack,
     }
+    # every detector reads the one (R, z) of the stack and writes neither, so a sweep can
+    # hand the same pair to each
     H, r = zf_stack_of(4, 6, 2, QAM16, 1.0, 153)
+    R, z = detect.triangular(H, r)
+    R0, z0 = R.copy(), z.copy()
     single = {"ml-exhaustive": detect_ml_exhaustive, "ml-sphere": detect_ml_sphere, "zf": detect_zf}
     for name, stack_detector in detect.DETECTORS.items():
-        x_hat = stack_detector(H, r, QAM16)
+        x_hat = stack_detector(R, z, QAM16)
         assert x_hat.shape == (4, 2) and x_hat.dtype == np.int64
         for k in range(4):
             np.testing.assert_array_equal(single[name](H[k], r[k], QAM16).x_hat, x_hat[k])
+        np.testing.assert_array_equal(R, R0)
+        np.testing.assert_array_equal(z, z0)
 
 
 def test_sphere_stack_solves_an_ill_conditioned_member_by_qr_alone(qr_stacks):
-    # the sphere search takes ZF's route: the Gram factor of every member whose pivots
+    # the route gives the sphere search the Gram factor of every member whose pivots
     # pass GRAM_TOLERANCE, QR for the one member whose pivot ratio is near 1e-6 or 1e-9
     H, r = near_dependent_stack({})
-    exhaustive = detect.detect_ml_exhaustive_stack(H, r, QAM16)
-    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), exhaustive)
+    exhaustive = decide(detect.detect_ml_exhaustive_stack, H, r, QAM16)
+    np.testing.assert_array_equal(decide(detect.detect_ml_sphere_stack, H, r, QAM16), exhaustive)
     assert qr_stacks == []
     for eps in (1e-6, 1e-9):
         ill, _ = near_dependent_stack({5: eps})
         qr_stacks.clear()
-        stacked = detect.detect_ml_sphere_stack(ill, r, QAM16)
+        stacked = decide(detect.detect_ml_sphere_stack, ill, r, QAM16)
         assert len(qr_stacks) == 1 and np.array_equal(qr_stacks[0], ill[5:6])  # member 5 alone
-        np.testing.assert_array_equal(stacked, detect.detect_ml_exhaustive_stack(ill, r, QAM16))
+        np.testing.assert_array_equal(stacked, decide(detect.detect_ml_exhaustive_stack, ill, r, QAM16))
         np.testing.assert_array_equal(stacked, [detect_ml_sphere(h, y, QAM16).x_hat for h, y in zip(ill, r)])
     with pytest.raises(np.linalg.LinAlgError):  # QR's rank check refuses it
-        detect.detect_ml_sphere_stack(near_dependent_stack({5: 1e-12})[0], r, QAM16)
+        decide(detect.detect_ml_sphere_stack, near_dependent_stack({5: 1e-12})[0], r, QAM16)
 
 
-def test_sphere_stack_rejects_rank_deficient_member():
+def test_exhaustive_refuses_a_rank_deficient_member():
+    # exhaustive ML needs no inverse, but reads the route's (R, z) as the other two do, so a
+    # rank deficient member is refused with LinAlgError on its own and within a stack
+    h = sample_instance(6, 1, QPSK, 1.0, substream(112)).H
+    with pytest.raises(np.linalg.LinAlgError):
+        detect_ml_exhaustive(np.hstack([h, h]), np.zeros(6, dtype=complex), QPSK)
     H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
     H[3, :, 1] = 2.0 * H[3, :, 0]
     with pytest.raises(np.linalg.LinAlgError):
-        detect.detect_ml_sphere_stack(H, r, QAM16)
+        decide(detect.detect_ml_exhaustive_stack, H, r, QAM16)
 
 
-@pytest.mark.parametrize(
-    "stack_detector",
-    [detect.detect_ml_sphere_stack, detect.detect_ml_exhaustive_stack],
-    ids=["sphere", "exhaustive"],
-)
-def test_ml_stack_rejects_non_finite_member(stack_detector):
+@pytest.mark.parametrize("detector", [detect_ml_sphere, detect_ml_exhaustive], ids=["sphere", "exhaustive"])
+def test_ml_stack_rejects_non_finite_member(detector):
+    # the one-member API takes the route too: a non-finite entry of H or r raises ValueError
     H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
     for bad in (np.nan, np.inf):
         H_bad, r_bad = H.copy(), r.copy()
         H_bad[2, 1, 0] = bad
-        with pytest.raises(ValueError):
-            stack_detector(H_bad, r, QAM16)
+        with pytest.raises(ValueError, match="finite"):
+            detector(H_bad[2], r[2], QAM16)
         r_bad[4, 0] = bad
-        with pytest.raises(ValueError):
-            stack_detector(H, r_bad, QAM16)
-
+        with pytest.raises(ValueError, match="finite"):
+            detector(H[4], r_bad[4], QAM16)
 
 
 @pytest.mark.parametrize("scale", [2.0**530, 2.0**-560], ids=["2^530", "2^-560"])
@@ -627,17 +658,21 @@ def test_ml_stack_rejects_non_finite_member(stack_detector):
 def test_stack_detectors_decide_alike_on_power_of_two_scaled_systems(stack_detector, scale):
     # scaling (H, r) by a power of two is exact, so no decision may move; at
     # these scales G = H^H H and the scores leave float range unless the
-    # scaled members are brought back
+    # route brings the scaled members back before it factors them, and the
+    # kernel reads the (R, z) it returns
     H, _, _, r = sample_stack(6, 4, QAM16, sigma2_from_snr(0.0, QAM16), trial_keys(5, 0, np.arange(256)))
-    expected = stack_detector(H, r, QAM16)
-    np.testing.assert_array_equal(stack_detector(H * scale, r * scale, QAM16), expected)
+    expected = decide(stack_detector, H, r, QAM16)
+    R, z = detect.triangular(H * scale, r * scale)
+    assert np.all(np.isfinite(R)) and np.all(np.isfinite(z))
+    np.testing.assert_array_equal(stack_detector(R, z, QAM16), expected)
     # scaled and unscaled members in one stack, the caller's arrays left as they are
     mixed_H, mixed_r = H.copy(), r.copy()
     mixed_H[::2] *= scale
     mixed_r[::2] *= scale
-    np.testing.assert_array_equal(stack_detector(mixed_H, mixed_r, QAM16), expected)
+    np.testing.assert_array_equal(decide(stack_detector, mixed_H, mixed_r, QAM16), expected)
     np.testing.assert_array_equal(mixed_H[1::2], H[1::2])
     np.testing.assert_array_equal(mixed_r[::2], r[::2] * scale)
+
 
 def test_zf_solve_stack_equals_per_instance():
     # the triangular route over a (3, 3) stack of stacks equals each member's on its own
@@ -660,24 +695,24 @@ def test_zf_solve_stack_equals_per_instance():
 @pytest.mark.parametrize("eps", [None, 1e-6, 1e-9], ids=["all-gram", "qr-1e-6", "qr-1e-9"])
 def test_zf_solve_stack_takes_one_solve_call(monkeypatch, eps):
     # QR members' R and z join the Gram members' in one triangular system of the whole
-    # stack, which ZF back-substitutes with no LAPACK solve; every member's (R, z)
-    # equals its own one-member (R, z) bit for bit
+    # stack, which ZF back-substitutes with no LAPACK solve and leaves as it is; every
+    # member's (R, z) equals its own one-member (R, z) bit for bit.  That the route runs
+    # once per stack, whatever the detectors, is test_montecarlo's to check
     H, r = near_dependent_stack({} if eps is None else {5: eps})
     single = [detect._triangular(h, y) for h, y in zip(H, r)]
-    calls, solves = [], []
-    triangular, solve = detect._triangular, np.linalg.solve
-    monkeypatch.setattr(detect, "_triangular", lambda a, b: calls.append(a.shape) or triangular(a, b))
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
-    x_hat = detect_zf_stack(H, r, QAM16)
-    assert calls == [(24, 8, 3)] and solves == []
-    np.testing.assert_array_equal(x_hat, [detect_zf(h, y, QAM16).x_hat for h, y in zip(H, r)])
-    R, z = triangular(H, r)
+    R, z = detect.triangular(H, r)
     np.testing.assert_array_equal(R, [factor for factor, _ in single])
     np.testing.assert_array_equal(z, [rhs for _, rhs in single])
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    x_hat = detect_zf_stack(R, z, QAM16)
+    assert solves == []
+    np.testing.assert_array_equal(z, [rhs for _, rhs in single])
+    np.testing.assert_array_equal(x_hat, [detect_zf(h, y, QAM16).x_hat for h, y in zip(H, r)])
 
 
 # ---------------------------------------------------------------------------
-# the triangular system (R, z) that ZF and sphere ML read
+# the triangular system (R, z) that every detector reads
 
 
 @pytest.mark.parametrize("eps", [None, 1e-6], ids=["cholesky", "qr"])
@@ -714,11 +749,12 @@ def test_triangular_keeps_members_whose_r_lies_in_the_span_of_h_on_cholesky(qr_s
 def test_stack_detectors_match_references_from_h_and_r_alone(qr_stacks):
     # Gram-route members, and members 5 and 11 forced onto QR (pivot ratio near 1e-6; near
     # 1e-9, where Cholesky fails): ML against the brute-force oracle, ZF against per-member
-    # least squares, neither of which factors H
+    # least squares, neither of which factors H, all three detectors on one (R, z)
     H, r = near_dependent_stack({5: 1e-6, 11: 1e-9})
+    R, z = detect.triangular(H, r)
     ml = ml_brute_force(H, r, QAM16)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(H, r, QAM16), ml)
-    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(H, r, QAM16), ml)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QAM16), ml)
+    np.testing.assert_array_equal(detect.detect_ml_sphere_stack(R, z, QAM16), ml)
     zf = [nearest_symbols(QAM16, np.linalg.lstsq(h, y, rcond=None)[0]) for h, y in zip(H, r)]
-    np.testing.assert_array_equal(detect_zf_stack(H, r, QAM16), zf)
-    assert [len(B) for B in qr_stacks] == [2, 2]  # members 5 and 11, once for sphere ML and once for ZF
+    np.testing.assert_array_equal(detect_zf_stack(R, z, QAM16), zf)
+    assert [len(B) for B in qr_stacks] == [2]  # members 5 and 11, once for all three detectors

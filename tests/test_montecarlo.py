@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimodet
-from mimodet import montecarlo
+from mimodet import detect, montecarlo
 from mimodet.channel import sample_instance, substream, trial_keys
 from mimodet.cli import load_config
 from mimodet.constellation import make_constellation
@@ -270,6 +270,27 @@ def test_run_trial_all_detectors_see_same_instance():
     ):
         errs = x_hat != inst.x_true
         np.testing.assert_array_equal(counts[k], [errs.any(), errs.sum(), errs[0]])
+
+
+@pytest.mark.parametrize("detectors", [("zf", "ml-sphere"), ("ml-exhaustive", "ml-sphere")], ids=["zf", "ml-exhaustive"])
+def test_stack_counts_factor_each_stack_once(monkeypatch, detectors):
+    # however many detectors a config runs, each stack is validated and factored once,
+    # and every detector reads the very (R, z) that factorization returned
+    factored, read = [], []
+    triangular = detect._triangular
+    monkeypatch.setattr(detect, "_triangular", lambda H, r: factored.append(triangular(H, r)) or factored[-1])
+    for name in detectors:
+        stack_detector = montecarlo.DETECTORS[name]
+        monkeypatch.setitem(
+            montecarlo.DETECTORS, name, lambda R, z, c, det=stack_detector: read.append((R, z)) or det(R, z, c)
+        )
+    cfg = base_config(detectors=detectors, snr_db=-3.0)
+    for trials in ([9], range(40)):
+        factored.clear()
+        read.clear()
+        _stack_counts(cfg, 1, trial_keys(cfg.master_seed, 1, trials))
+        assert len(factored) == 1 and len(read) == len(detectors)
+        assert all(R is factored[0][0] and z is factored[0][1] for R, z in read)
 
 
 def test_run_trial_near_noiseless():

@@ -23,15 +23,21 @@ from mimodet.theory import (
     large_n_union_bound_log,
     ml_lower_bound_log,
     ml_union_bound_log,
-    pairwise_error_bound_log,
     prob_from_log,
-    q_function,
     zf_sep_bounds_log,
     zf_vep_bounds_log,
 )
 from mimodet.cli import _prob, load_config
 
-from oracles import ml_lower_bound_integral, ml_union_bound_log_scipy, q_function_craig, q_function_erfc, sep_exact
+from oracles import (
+    ml_lower_bound_integral,
+    ml_union_bound_log_scipy,
+    pairwise_error_bound_log,
+    q_function,
+    q_function_craig,
+    q_function_erfc,
+    sep_exact,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
