@@ -294,27 +294,35 @@ def test_zf_stack_equals_per_instance_loop():
         np.testing.assert_array_equal(stacked[k], nearest_symbols(QAM16, lstsq))
 
 
-def test_triangular_rejects_bad_members():
-    # the route is the one place a stack is checked: one rank deficient member (a column
-    # twice another) raises LinAlgError, one non-finite entry of H or r ValueError, and
-    # so does a bad shape; the caller's arrays are left as they are
-    for key in (129, 151):
-        H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, key)
-        deficient = H.copy()
-        deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
-        with pytest.raises(np.linalg.LinAlgError):
-            detect.triangular(deficient, r)
+def test_zf_stack_rejects_bad_members():
+    # ZF reads the route's (R, z): one rank deficient member (a column twice another)
+    # raises LinAlgError, one non-finite entry of H or r ValueError
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 129)
+    deficient = H.copy()
+    deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        decide(detect_zf_stack, deficient, r, QAM16)
     for bad in (np.nan, np.inf):
         H_bad, r_bad = H.copy(), r.copy()
         H_bad[2, 1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            detect.triangular(H_bad, r)
+            decide(detect_zf_stack, H_bad, r, QAM16)
         r_bad[4, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            detect.triangular(H, r_bad)
+            decide(detect_zf_stack, H, r_bad, QAM16)
+
+
+def test_triangular_rejects_bad_members():
+    # the route is the one place a stack is checked: a bad shape raises ValueError,
+    # and the caller's arrays are left as they are
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
     for H_bad, r_bad in ((H[0], r[0]), (H, r[:, :5]), (H.swapaxes(1, 2), r[:, :2])):
         with pytest.raises(ValueError, match="need"):
             detect.triangular(H_bad, r_bad)
+    deficient = H.copy()
+    deficient[3, :, 1] = 2.0 * deficient[3, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        detect.triangular(deficient, r)
     for got, want in zip((H, r), zf_stack_of(5, 6, 2, QAM16, 1.0, 151)):
         np.testing.assert_array_equal(got, want)
 
@@ -621,6 +629,13 @@ def test_sphere_stack_solves_an_ill_conditioned_member_by_qr_alone(qr_stacks):
         np.testing.assert_array_equal(stacked, [detect_ml_sphere(h, y, QAM16).x_hat for h, y in zip(ill, r)])
     with pytest.raises(np.linalg.LinAlgError):  # QR's rank check refuses it
         decide(detect.detect_ml_sphere_stack, near_dependent_stack({5: 1e-12})[0], r, QAM16)
+
+
+def test_sphere_stack_rejects_rank_deficient_member():
+    H, r = zf_stack_of(5, 6, 2, QAM16, 1.0, 151)
+    H[3, :, 1] = 2.0 * H[3, :, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        decide(detect.detect_ml_sphere_stack, H, r, QAM16)
 
 
 def test_exhaustive_refuses_a_rank_deficient_member():
