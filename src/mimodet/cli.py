@@ -543,7 +543,7 @@ def positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mimodet", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mimodet", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a configured antenna sweep")

@@ -5,9 +5,11 @@ Every detector reads one triangular system (R, z) of [H | r], ||H x - r||^2 =
 the one place where (H, r) is validated and factored.  The exhaustive
 detector minimizes ||R x - z||^2 over the full candidate set S^n, up to
 ML_BUDGET candidates, and is the ground-truth oracle for everything else.
-Per call it forms G = R^H R, builds its operand buffers once over cached,
-transposed candidate tables, scores every candidate by one real matrix
-product per pass, and takes one argmin over a group's passes: ties go to the
+Per call it forms G = R^H R row by row of R, builds its operand buffers
+once over cached, transposed candidate tables, scores by one real matrix
+product per pass every candidate that the exact lower bound ||R_bb b -
+z_b||^2 of its second half b cannot rule out, and takes one argmin over a
+group's passes: no minimizer is pruned, and ties go to the
 lexicographically smallest index vector.  The sphere decoder returns the
 identical decision for any constellation and n by an exact radius-pruned
 search of (R, z) as it is, over the constellation's own symbols, run layer by
@@ -172,9 +174,9 @@ def _own_features(X: np.ndarray) -> np.ndarray:
 
 
 def _own_weights(G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real weights (g, 2 d (d + 1)) of each member's G (g, d, d) and y (g, d) for :func:`_own_features`."""
-    w = np.concatenate([G.reshape(len(G), -1), -2.0 * y], axis=1)
-    return np.concatenate([w.real, -w.imag], axis=1)
+    """Real weights (B, 2 d (d + 1)) of G (d, d, B) and y (d, B), members innermost, for :func:`_own_features`."""
+    w = np.concatenate([G.reshape(-1, G.shape[-1]), -2.0 * y])
+    return np.concatenate([w.real, -w.imag]).T
 
 
 @functools.lru_cache(maxsize=16)
@@ -200,10 +202,10 @@ def _ml_tables(c: Constellation, n: int) -> tuple[np.ndarray, ...]:
 def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
     """Flattened (a, b) rank of each member's minimizer from a group's left (g, nA, k) and right (g, k, nB).
 
-    Each pass scores ``rows`` rows of a against every b for every member by
-    one batched real product and keeps each member's argmin and score; one
-    argmin over the passes then picks, per member, the first pass that
-    reaches the minimum.
+    Each pass scores ``rows`` rows of a against every column of right for
+    every member by one batched real product and keeps each member's argmin
+    and score; one argmin over the passes then picks, per member, the first
+    pass that reaches the minimum.
     """
     g, nA, _ = left.shape
     nB = right.shape[-1]
@@ -220,6 +222,17 @@ def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
         val[p] = q[members, at[p]]
     best = val.argmin(axis=0)
     return best * (rows * nB) + at[best, members]
+
+
+def _pass_rows(nA: int, width: int, k: int, g: int) -> int:
+    """Rows of a per pass for g members against ``width`` columns.
+
+    At most ML_PASS_CANDIDATES candidates over the g members and ML_PASS_MACS
+    multiply-adds per member's product, with the rows spread evenly over the
+    passes that takes.
+    """
+    rows = max(1, min(nA, ML_PASS_CANDIDATES // (g * width), ML_PASS_MACS // (k * width)))
+    return -(-nA // -(-nA // rows))
 
 
 def check_ml_budget(M: int, n: int) -> None:
@@ -244,21 +257,31 @@ def detect_ml_exhaustive_stack(
     qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  Each member has left =
     [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b (interleaved);
     1; qb], P = a^H (2 G_ab), so one batched real product left @ right scores a
-    pass of a-rows against every b, all terms included: every candidate is
-    scored.  Members go through in groups, and left and right are allocated
-    once per call, with their ones and b rows written once.  Per group, qa and
-    qb each come from one real 2-D product of the members' [G | -2 y] with the
+    pass of a-rows against columns b, all terms included.  Members go through
+    in groups, and left and right are allocated once per call, with their ones
+    and b rows written once.  G and y are the Gram matrix of [R | z], summed
+    row by row of R with the members innermost.  Per group, qa and qb each
+    come from one real 2-D product of the members' [G | -2 y] with the
     transposed candidate features [conj(x_i) x_j | conj(x)] of
-    :func:`_ml_tables`, P from one batched complex product, and
-    :func:`_split_ranks` reduces the passes once.  Row-major order over (a, b)
-    is the lexicographic order of x, and a tie goes to the first minimizer of a
-    pass and to the first pass reaching the minimum: to the lexicographically
-    smallest index vector.  A pass scores at most ML_PASS_CANDIDATES candidates
-    over its group, which bounds the temporaries whatever n and B are, and no
-    product costs more than ML_PASS_MACS multiply-adds (a complex one counted
-    as 4), which keeps BLAS on one thread.  Refuses to run when M^n exceeds
-    ML_BUDGET rather than approximating: :func:`detect_ml_sphere_stack` is
-    exact beyond it.
+    :func:`_ml_tables`, and P from one batched complex product.
+
+    R is upper triangular, so the last n - n // 2 rows of R x - z hold b
+    alone, and q(a, b) >= lb[b] = ||R_bb b - z_b||^2 - ||z||^2 for every a;
+    lb comes from the same features as qb, weighted by R_bb^H R_bb and
+    R_bb^H z_b, the sums over the b rows.  Each member's U, its score of
+    b* = argmin lb against every a, is achieved, so no less than its
+    minimum: a column b whose lb is above U + tol for every member of the
+    group holds no minimizer, since each of its candidates scores above U.
+    :func:`_split_ranks` scores the union of the other columns, in ascending
+    order, and reduces the passes once.  Row-major order over (a, b) is the
+    lexicographic order of x, and a tie goes to the first minimizer of a pass
+    and to the first pass reaching the minimum: to the lexicographically
+    smallest index vector, pruned or not.  A pass scores at most
+    ML_PASS_CANDIDATES candidates over its group, which bounds the
+    temporaries whatever n and B are, and no product costs more than
+    ML_PASS_MACS multiply-adds (a complex one counted as 4), which keeps BLAS
+    on one thread.  Refuses to run when M^n exceeds ML_BUDGET rather than
+    approximating: :func:`detect_ml_sphere_stack` is exact beyond it.
     """
     n = R.shape[-1]
     check_ml_budget(c.M, n)
@@ -268,27 +291,62 @@ def detect_ml_exhaustive_stack(
     ia, ib, Ac, FAt, FBt, right_fixed = _ml_tables(c, n)
     nA, nB = len(ia), len(ib)
     k = len(right_fixed) + 1
-    rows = max(1, min(nA, ML_PASS_CANDIDATES // nB, ML_PASS_MACS // (k * nB)))
-    rows = -(-nA // -(-nA // rows))  # the same passes, rows spread evenly over them
-    group = min(len(R), max(1, ML_PASS_CANDIDATES // (rows * nB)))
-    G, y = _gram(R, z)
-    Wa, Wb = _own_weights(G[:, :na, :na], y[:, :na]), _own_weights(G[:, na:, na:], y[:, na:])
-    Gab = 2.0 * G[:, :na, na:]
+    group = min(len(R), max(1, ML_PASS_CANDIDATES // (_pass_rows(nA, nB, k, 1) * nB)))
+    # the Gram matrix of [R | z], members innermost, summed over R's rows
+    # (row i holds columns i.. only) from the last: after the b rows, its
+    # b block and column are R_bb^H R_bb and R_bb^H z_b, the bound's weights,
+    # and its corner is ||z_b||^2
+    Rz = np.empty((n, n + 1, len(R)), dtype=np.complex128)
+    Rz[:, :n], Rz[:, n] = np.moveaxis(R, 0, -1), z.T
+    G = np.zeros((n + 1, n + 1, len(R)), dtype=np.complex128)
+    for i in range(n - 1, -1, -1):
+        G[i:, i:] += Rz[i, i:, None].conj() * Rz[i, i:]
+        if i == na:
+            Wl, zb = _own_weights(G[na:n, na:n], G[na:n, n]), G[n, n].real.copy()
+    Wa, Wb = _own_weights(G[:na, :na], G[:na, n]), _own_weights(G[na:n, na:n], G[na:n, n])
+    Gab = np.ascontiguousarray(np.moveaxis(2.0 * G[:na, na:n], -1, 0))
+    # The features leave ||z_a||^2 = ||z||^2 - ||z_b||^2 out of lb, so a
+    # column is kept where they give at most U + ||z_a||^2 + tol.  Each row k
+    # of R x - z has modulus at most w_k = s sum_i |R_ki| + |z_k|, s the
+    # largest symbol modulus, so the products that any score or bound sums
+    # (forming G and the weights only regroups those of ||R x - z||^2 =
+    # sum_k |(R x - z)_k|^2) total at most sum_k w_k^2 <= T = 2 (s^2 n
+    # ||R||_F^2 + ||z||^2) in modulus.  A float sum of K products errs by at
+    # most about K eps times that total, and no chain here is longer than a
+    # few hundred terms (2 d (d + 1) features with d <= 10 at ML_BUDGET, n per
+    # Gram entry, k per pass product), so each score, bound and norm is
+    # within about 2^-42 T of its exact value: tol = 2^-30 T covers them with
+    # a wide margin, and a pruned candidate's computed score stays above the
+    # computed U.
+    diag = G.reshape((n + 1) ** 2, -1)[:: n + 2].real
+    cuts = diag[n] - zb + 2.0**-29 * (np.abs(c.symbols).max() ** 2 * n * diag[:n].sum(axis=0) + diag[n])
     left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
     left[:, :, -1], right[:, :-1] = 1.0, right_fixed
+    lb, at, members = np.empty((group, nB)), np.empty((group, nA)), np.arange(group)
     ranks = np.empty(len(R), dtype=np.int64)
     for lo in range(0, len(R), group):
-        wa, wb, gab = Wa[lo : lo + group], Wb[lo : lo + group], Gab[lo : lo + group]
+        wa, wb, wl, gab = Wa[lo : lo + group], Wb[lo : lo + group], Wl[lo : lo + group], Gab[lo : lo + group]
         g = len(wa)
         for s in _spans(nA, wa.size):
             np.matmul(wa, FAt[:, s], out=left[:g, s, -2])
         for s in _spans(nB, wb.size):
             np.matmul(wb, FBt[:, s], out=right[:g, -1, s])
+            np.matmul(wl, FBt[:, s], out=lb[:g, s])
         # a^H (2 G_ab), complex, is Re P, Im P interleaved, against the rows
         # Re b_j, -Im b_j of right
         for s in _spans(nA, 4 * gab.size):
             np.matmul(Ac[s], gab, out=left.view(np.complex128)[:g, s, : n - na])
-        ranks[lo : lo + g] = _split_ranks(left[:g], right[:g], rows)
+        top = right[members[:g], :, lb[:g].argmin(axis=1), None]
+        for s in _spans(nA, top.size):
+            np.matmul(left[:g, s], top, out=at[:g, s, None])
+        cut = at[members[:g], at[:g].argmin(axis=1)] + cuts[lo : lo + g]
+        keep = np.flatnonzero((lb[:g] <= cut[:, None]).any(axis=0))
+        nK = len(keep)
+        # a union of every column is right itself; a narrower one is copied
+        # C-contiguous (keep is in range, so "clip" only skips the check)
+        narrow = right[:g] if nK == nB else right[:g].take(keep, axis=2, mode="clip")
+        best = _split_ranks(left[:g], narrow, _pass_rows(nA, nK, k, g))
+        ranks[lo : lo + g] = best // nK * nB + keep[best % nK]
     return np.concatenate([ia[ranks // nB], ib[ranks % nB]], axis=1)
 
 

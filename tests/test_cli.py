@@ -385,6 +385,16 @@ def test_huge_exhaustive_config_exits_2_at_its_detectors_line(tmp_path, capsys):
     assert f"{p}:6: " in err and "4^8000 candidates exceeds ML_BUDGET = 1048576" in err
 
 
+def test_help_keeps_the_module_docstring_lines(capsys):
+    # the subcommand table and the exit codes stay on lines of their own
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("Exit codes: 0 success") for line in lines)
+    assert "    sweep   run a configured antenna sweep, write results CSV + manifest JSON" in lines
+
+
 def test_theory_output_values(capsys):
     assert main(["theory", "--kind", "qam", "--M", "16", "--snr-db", "0", "--delta", "0.3333333333333333"]) == 0
     out = capsys.readouterr().out

@@ -515,6 +515,18 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
         np.testing.assert_array_equal(first[k], all_candidates_argmin(H[k], r[k], QPSK))
 
 
+def short_passes(monkeypatch, c, n):
+    """Cap the exhaustive kernel at 3 members per group and 3 rows of the first half per pass.
+
+    One row where the first half has at most 3, so a first half of M^(n // 2)
+    rows ends with a block of 1 or 2 rows.
+    """
+    n_a, n_b = c.M ** (n // 2), c.M ** (n - n // 2)
+    rows = 3 if n_a > 3 else 1
+    monkeypatch.setattr(detect, "ML_PASS_MACS", rows * (2 * (n - n // 2) + 2) * n_b)
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 3 * rows * n_b)
+
+
 @pytest.mark.parametrize(
     "c, m, n",
     [
@@ -534,18 +546,61 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
 def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, split):
     H, r = zf_stack_of(7, m, n, c, 0.5, 155 + n)
     R, z = tied_at(H, r, 3)  # every candidate of member 3 ties: the all-zeros index vector wins
-    if split:
-        # 3 rows of the first half per pass, where it has more than 3, and
-        # 3 members per group: 7 members end with a group of one, and a
-        # first half of M^(n // 2) rows ends with a block of 1 or 2 rows
-        n_a, n_b = c.M ** (n // 2), c.M ** (n - n // 2)
-        rows = 3 if n_a > 3 else 1
-        monkeypatch.setattr(detect, "ML_PASS_MACS", rows * (2 * (n - n // 2) + 2) * n_b)
-        monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 3 * rows * n_b)
+    if split:  # 7 members end with a group of one
+        short_passes(monkeypatch, c, n)
     stacked = detect.detect_ml_exhaustive_stack(R, z, c)
     np.testing.assert_array_equal(stacked[3], np.zeros(n, dtype=np.int64))
     for k in (0, 1, 2, 4, 5, 6):
         np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], c))
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 20.0])
+@pytest.mark.parametrize(
+    "c, n",
+    [*((QPSK, n) for n in range(1, 9)), *((QAM16, n) for n in range(1, 5))],
+    ids=[*(f"psk4-n{n}" for n in range(1, 9)), *(f"qam16-n{n}" for n in range(1, 5))],
+)
+@pytest.mark.parametrize("split", [False, True], ids=["default-passes", "short-passes"])
+def test_exhaustive_bound_prune_keeps_every_minimizer(monkeypatch, c, n, snr_db, split):
+    # the bound prunes the most at 20 dB and the least at -10 dB; member 2
+    # ties everywhere, so its group keeps every column
+    B = 5 if n >= 7 else 9
+    H, r = zf_stack_of(B, n + 2, n, c, sigma2_from_snr(snr_db, c), 180 + n)
+    R, z = tied_at(H, r, 2)
+    if split:
+        short_passes(monkeypatch, c, n)
+    stacked = detect.detect_ml_exhaustive_stack(R, z, c)
+    np.testing.assert_array_equal(stacked[2], np.zeros(n, dtype=np.int64))
+    others = [k for k in range(B) if k != 2]
+    if n <= 6:
+        np.testing.assert_array_equal(stacked[others], ml_brute_force(H[others], r[others], c))
+    else:
+        for k in others:
+            np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], c))
+
+
+def test_exhaustive_bound_prune_narrows_each_group(monkeypatch):
+    # 20 dB QPSK at (32, 8): groups of 5 members score a handful of the 4^4
+    # second halves, and the group holding a member that ties everywhere
+    # scores all of them
+    widths, split_ranks = [], detect._split_ranks
+
+    def recording(left, right, rows):
+        widths.append(right.shape[-1])
+        return split_ranks(left, right, rows)
+
+    monkeypatch.setattr(detect, "_split_ranks", recording)
+    H, r = zf_stack_of(20, 32, 8, QPSK, sigma2_from_snr(20.0, QPSK), 190)
+    R, z = detect.triangular(H, r)
+    pruned = detect.detect_ml_exhaustive_stack(R, z, QPSK)
+    assert len(widths) == 4 and max(widths) < 4**4 // 8
+    np.testing.assert_array_equal(pruned, detect.detect_ml_sphere_stack(R, z, QPSK))
+    widths.clear()
+    R[7] = 0.0
+    tied = detect.detect_ml_exhaustive_stack(R, z, QPSK)
+    assert widths[1] == 4**4 and max(widths[:1] + widths[2:]) < 4**4 // 8
+    np.testing.assert_array_equal(tied[7], np.zeros(8, dtype=np.int64))
+    np.testing.assert_array_equal(np.delete(tied, 7, axis=0), np.delete(pruned, 7, axis=0))
 
 
 @pytest.mark.parametrize(
