@@ -22,7 +22,7 @@ CONFIGS = ["fig1.cfg", "fig2.cfg", "fig3.cfg"]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=cli.positive_int, default=1)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()

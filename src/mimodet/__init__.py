@@ -16,10 +16,12 @@ import sys as _sys
 #: The environment variables that set how many threads a BLAS build runs.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Each process computes with one BLAS thread: every product stays below
-# OpenBLAS's threading threshold (detect.ML_PASS_MACS) and --threads
-# parallelises by processes, so a second BLAS thread does no work; started
-# by numpy's import on a 2-core VM (OpenBLAS 0.3.31), it spent about 0.1 s
+# Each process computes with one BLAS thread: --threads parallelises by
+# processes, and the largest product of any detector, one member's in
+# exhaustive ML, is 2d(2d+1) M^d multiply-adds with d = n - n // 2 (113 k at
+# QPSK n = 10, 430 k at BPSK n = 20), below the about 1e6 at which a 2-core
+# VM's OpenBLAS 0.3.31 spread a product over threads, so a second BLAS
+# thread does no work; started by numpy's import there, it spent about 0.1 s
 # of CPU per process.  BLAS reads these variables once, when numpy loads
 # it, so this must run before the first import of numpy.  An explicit
 # setting of any of them wins, and a caller that imported numpy first keeps
@@ -30,8 +32,8 @@ if "numpy" not in _sys.modules and not any(var in _os.environ for var in BLAS_TH
 
 #: glibc malloc's mmap and trim thresholds (bytes) that each mimodet process
 #: runs with.  The largest temporaries of a trial stack are H and its
-#: conjugate copy, ``montecarlo.STACK_ENTRIES`` x 16 B = 384 KiB each, and the
-#: exhaustive pass buffer, ``detect.ML_PASS_CANDIDATES`` x 8 B = 512 KiB.
+#: conjugate copy, ``montecarlo.STACK_ENTRIES`` x 16 B = 384 KiB each, and
+#: exhaustive ML's largest product, ``detect.ML_PASS_CANDIDATES`` x 8 B = 512 KiB.
 #: Under glibc's defaults each stack's freed H went back to the kernel and the
 #: next stack faulted its pages in again: 186-244 minor faults per stack of ZF
 #: at (48, 16), exhaustive ML at (32, 8) and sphere ML at (48, 4), against

@@ -5,16 +5,16 @@ Every detector reads one triangular system (R, z) of [H | r], ||H x - r||^2 =
 the one place where (H, r) is validated and factored.  The exhaustive
 detector minimizes ||R x - z||^2 over the full candidate set S^n, up to
 ML_BUDGET candidates, and is the ground-truth oracle for everything else.
-Per call it forms G = R^H R row by row of R, builds its operand buffers
-once over cached, transposed candidate tables, scores by one real matrix
-product per pass every candidate that the exact lower bound ||R_bb b -
-z_b||^2 of its second half b cannot rule out, and takes one argmin over a
-group's passes: no minimizer is pruned, and ties go to the
-lexicographically smallest index vector.  The sphere decoder returns the
-identical decision for any constellation and n by an exact radius-pruned
-search of (R, z) as it is, over the constellation's own symbols, run layer by
-layer over a whole stack of systems at once.  ZF back-substitutes R x_tilde =
-z and quantizes each entry of x_tilde to the nearest symbol.
+It splits each candidate into halves (a, b), bounds every second half b by
+the last rows of R x - z, which hold b alone, and scores the first halves
+of a member only against its own second halves that the bound cannot rule
+out, by one real matrix product per slice of them: no minimizer is pruned,
+and ties go to the lexicographically smallest index vector.  The sphere
+decoder returns the identical decision for any constellation and n by an
+exact radius-pruned search of (R, z) as it is, over the constellation's own
+symbols, run layer by layer over a whole stack of systems at once.  ZF
+back-substitutes R x_tilde = z and quantizes each entry of x_tilde to the
+nearest symbol.
 
 Each detector has one implementation, ``detect_*_stack`` (R (B, n, n),
 z (B, n), c) -> indices (B, n), which :data:`DETECTORS` names; the
@@ -34,29 +34,11 @@ from .constellation import Constellation, nearest_symbols
 #: Refuse exhaustive enumeration beyond this many candidates (M^n).
 ML_BUDGET = 1 << 20
 
-#: Candidates one pass of the exhaustive kernel scores, over all members of
-#: its group: one QPSK instance at n = 8.  Members are grouped up to it and
-#: large instances split into blocks of rows, so the pass's score buffer
-#: (512 KiB at this value) never outgrows it.  Over one ml-enum sweep's stacks
-#: (QPSK, n = 6, 7, 8; 2-core VM) 1 << 14 made groups of one member at
-#: n = 8 and took 71-83 ms there against 49-57 ms at 1 << 15 to 1 << 16;
-#: larger values gained nothing beyond the VM's run-to-run drift.
+#: Entries of the largest real product of the exhaustive kernel, (g, 2 d, N)
+#: float64 over g members or (member, second half) pairs: 512 KiB at this
+#: value.  Groups of members and slices of pairs are sized to it, so the
+#: kernel's temporaries are bounded whatever n and the stack size are.
 ML_PASS_CANDIDATES = 1 << 16
-
-#: Multiply-adds of any one BLAS product of the exhaustive kernel (a complex
-#: one counted as 4): a member's pass product, and a group's own-term and
-#: cross-term products.  OpenBLAS spreads a gemm above its threshold over
-#: all its threads, which on a 2-core AVX-512 VM (OpenBLAS 0.3.31, inherited
-#: threading) was slower as well as twice the CPU: 256 x 10 x 400 took
-#: 140-150 us at 2.0 CPU seconds per wall second, 256 x 10 x 384 took 59 us
-#: at 1.0.  That build's threshold was about 1e6 multiply-adds (its
-#: single-threaded small-matrix kernel takes products up to there); the
-#: generic one is 4 * 65536, and half of that keeps every product on the
-#: calling thread with either.  The package starts BLAS with one thread
-#: (see ``mimodet/__init__.py``), but a caller's BLAS is threaded when it
-#: imported numpy first or set one of ``BLAS_THREAD_VARS``; the cap keeps
-#: every product single-threaded there too, so it stays.
-ML_PASS_MACS = 1 << 17
 
 #: Partial vectors the sphere search expands per step, over all members of
 #: a stack.  A larger frontier is split into slices searched depth first, so
@@ -156,27 +138,22 @@ def _index_vectors(M: int, k: int) -> np.ndarray:
     return (ranks[:, None] // powers) % M
 
 
-def _spans(count: int, cost: int) -> list[slice]:
-    """Consecutive slices of range(count), each costing at most ML_PASS_MACS at ``cost`` per item."""
-    step = max(1, ML_PASS_MACS // max(1, cost))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+def _distances(R: np.ndarray, y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """||R_k s - y_k||^2 (B, N) of each member k of R (B, d, d), y (B, d), for every column [Re s; Im s; 1] of T.
 
-
-def _own_features(X: np.ndarray) -> np.ndarray:
-    """Real features (rows, 2 d (d + 1)) of the rows x of X (rows, d).
-
-    The real and imaginary parts of [conj(x_i) x_j | conj(x)]; their product
-    with :func:`_own_weights` is x^H G x - 2 Re(x^H y).
+    The squared column norms of one batched real product [[Re R, -Im R,
+    -Re y], [Im R, Re R, -Im y]] @ T, whose rows are the real and imaginary
+    parts of R s - y.  Each member's product is a BLAS call of its own, and
+    its row of the result is computed from its own R and y alone, by the
+    same operations at any B.
     """
-    Xc = X.conj()
-    f = np.concatenate([(Xc[:, :, None] * X[:, None, :]).reshape(len(X), -1), Xc], axis=1)
-    return np.concatenate([f.real, f.imag], axis=1)
-
-
-def _own_weights(G: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real weights (B, 2 d (d + 1)) of G (d, d, B) and y (d, B), members innermost, for :func:`_own_features`."""
-    w = np.concatenate([G.reshape(-1, G.shape[-1]), -2.0 * y])
-    return np.concatenate([w.real, -w.imag]).T
+    d = y.shape[-1]
+    W = np.empty((len(R), 2 * d, 2 * d + 1))
+    W[:, :d, :d] = W[:, d:, d:-1] = R.real
+    W[:, d:, :d], W[:, :d, d:-1] = R.imag, -R.imag
+    W[:, :d, -1], W[:, d:, -1] = -y.real, -y.imag
+    P = W @ T
+    return np.einsum("gkn,gkn->gn", P, P)
 
 
 @functools.lru_cache(maxsize=16)
@@ -184,55 +161,16 @@ def _ml_tables(c: Constellation, n: int) -> tuple[np.ndarray, ...]:
     """Read-only candidate tables of exhaustive ML over c^n, shared by every call.
 
     The index vectors ia and ib of the first n // 2 entries a and of the
-    rest b, the conjugated rows Ac of a, the own-term features of a and of b
-    transposed to (features, candidates) and C-contiguous, the faster layout
-    for their products with the members' weights, and ``right_fixed``, the
-    rows of ``right`` that all members share.  They depend only on (c, n).
+    rest b, and the :func:`_distances` table of each half, the columns
+    [Re x; Im x; 1] of its symbol vectors x.  They depend only on (c, n).
     """
     na = n // 2
     ia, ib = _index_vectors(c.M, na), _index_vectors(c.M, n - na)
-    A, Bs = c.symbols[ia], c.symbols[ib]
-    right_fixed = np.concatenate([Bs.conj().view(np.float64).T, np.ones((1, len(Bs)))])
-    tables = (ia, ib, A.conj(), *(np.ascontiguousarray(_own_features(X).T) for X in (A, Bs)), right_fixed)
+    X = (c.symbols[ia], c.symbols[ib])
+    tables = (ia, ib, *(np.concatenate([x.real.T, x.imag.T, np.ones((1, len(x)))]) for x in X))
     for table in tables:
         table.setflags(write=False)
     return tables
-
-
-def _split_ranks(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
-    """Flattened (a, b) rank of each member's minimizer from a group's left (g, nA, k) and right (g, k, nB).
-
-    Each pass scores ``rows`` rows of a against every column of right for
-    every member by one batched real product and keeps each member's argmin
-    and score; one argmin over the passes then picks, per member, the first
-    pass that reaches the minimum.
-    """
-    g, nA, _ = left.shape
-    nB = right.shape[-1]
-    starts = range(0, nA, rows)
-    at, val = np.empty((len(starts), g), dtype=np.intp), np.empty((len(starts), g))
-    members = np.arange(g)
-    # one output buffer serves every pass, a short one included: no pass
-    # allocates, and argmin never copies its scores
-    buf = np.empty(g * rows * nB)
-    for p, lo in enumerate(starts):
-        q = buf[: g * min(rows, nA - lo) * nB].reshape(g, -1)
-        np.matmul(left[:, lo : lo + rows], right, out=q.reshape(g, -1, nB))
-        q.argmin(axis=1, out=at[p])
-        val[p] = q[members, at[p]]
-    best = val.argmin(axis=0)
-    return best * (rows * nB) + at[best, members]
-
-
-def _pass_rows(nA: int, width: int, k: int, g: int) -> int:
-    """Rows of a per pass for g members against ``width`` columns.
-
-    At most ML_PASS_CANDIDATES candidates over the g members and ML_PASS_MACS
-    multiply-adds per member's product, with the rows spread evenly over the
-    passes that takes.
-    """
-    rows = max(1, min(nA, ML_PASS_CANDIDATES // (g * width), ML_PASS_MACS // (k * width)))
-    return -(-nA // -(-nA // rows))
 
 
 def check_ml_budget(M: int, n: int) -> None:
@@ -252,35 +190,18 @@ def detect_ml_exhaustive_stack(
 ) -> np.ndarray:
     """Exhaustive ML decisions for a stack: (R (B, n, n), z (B, n)) of :func:`triangular` -> indices (B, n).
 
-    With x = (a, b), a the first n // 2 entries and G = R^H R, y = R^H z,
-    the objective less ||z||^2 is q = qa[a] + qb[b] + 2 Re(a^H G_ab b), with
-    qa[a] = a^H G_aa a - 2 Re(a^H y_a) and qb alike.  Each member has left =
-    [Re P, Im P (interleaved), qa, 1] and right = [Re b; -Im b (interleaved);
-    1; qb], P = a^H (2 G_ab), so one batched real product left @ right scores a
-    pass of a-rows against columns b, all terms included.  Members go through
-    in groups, and left and right are allocated once per call, with their ones
-    and b rows written once.  G and y are the Gram matrix of [R | z], summed
-    row by row of R with the members innermost.  Per group, qa and qb each
-    come from one real 2-D product of the members' [G | -2 y] with the
-    transposed candidate features [conj(x_i) x_j | conj(x)] of
-    :func:`_ml_tables`, and P from one batched complex product.
-
-    R is upper triangular, so the last n - n // 2 rows of R x - z hold b
-    alone, and q(a, b) >= lb[b] = ||R_bb b - z_b||^2 - ||z||^2 for every a;
-    lb comes from the same features as qb, weighted by R_bb^H R_bb and
-    R_bb^H z_b, the sums over the b rows.  Each member's U, its score of
-    b* = argmin lb against every a, is achieved, so no less than its
-    minimum: a column b whose lb is above U + tol for every member of the
-    group holds no minimizer, since each of its candidates scores above U.
-    :func:`_split_ranks` scores the union of the other columns, in ascending
-    order, and reduces the passes once.  Row-major order over (a, b) is the
-    lexicographic order of x, and a tie goes to the first minimizer of a pass
-    and to the first pass reaching the minimum: to the lexicographically
-    smallest index vector, pruned or not.  A pass scores at most
-    ML_PASS_CANDIDATES candidates over its group, which bounds the
-    temporaries whatever n and B are, and no product costs more than
-    ML_PASS_MACS multiply-adds (a complex one counted as 4), which keeps BLAS
-    on one thread.  Refuses to run when M^n exceeds ML_BUDGET rather than
+    With x = (a, b), a the first n // 2 entries, R is upper triangular, so
+    ||R x - z||^2 = ||R_aa a - (z_a - R_ab b)||^2 + lb[b], and lb[b] =
+    ||R_bb b - z_b||^2 is an exact lower bound on every candidate with
+    second half b.  Per group of members, :func:`_distances` gives lb for
+    every b, and then U, the best score of any a against b* = argmin lb.  A
+    pair (member, b) with lb[b] > U holds no minimizer; each kept pair's
+    a-rows are scored the same way, and each member's minimum over its kept
+    pairs is taken with ties going to the smallest (a, b), which is the
+    lexicographically smallest index vector.  Groups and slices of pairs are
+    sized so that no product holds more than ML_PASS_CANDIDATES entries, and
+    one member's product costs at most 2 d (2 d + 1) M^d multiply-adds, d =
+    n - n // 2.  Refuses to run when M^n exceeds ML_BUDGET rather than
     approximating: :func:`detect_ml_sphere_stack` is exact beyond it.
     """
     n = R.shape[-1]
@@ -288,65 +209,39 @@ def detect_ml_exhaustive_stack(
     if len(R) == 0:
         return np.zeros((0, n), dtype=np.int64)
     na = n // 2
-    ia, ib, Ac, FAt, FBt, right_fixed = _ml_tables(c, n)
+    ia, ib, At, Bt = _ml_tables(c, n)
     nA, nB = len(ia), len(ib)
-    k = len(right_fixed) + 1
-    group = min(len(R), max(1, ML_PASS_CANDIDATES // (_pass_rows(nA, nB, k, 1) * nB)))
-    # the Gram matrix of [R | z], members innermost, summed over R's rows
-    # (row i holds columns i.. only) from the last: after the b rows, its
-    # b block and column are R_bb^H R_bb and R_bb^H z_b, the bound's weights,
-    # and its corner is ||z_b||^2
-    Rz = np.empty((n, n + 1, len(R)), dtype=np.complex128)
-    Rz[:, :n], Rz[:, n] = np.moveaxis(R, 0, -1), z.T
-    G = np.zeros((n + 1, n + 1, len(R)), dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        G[i:, i:] += Rz[i, i:, None].conj() * Rz[i, i:]
-        if i == na:
-            Wl, zb = _own_weights(G[na:n, na:n], G[na:n, n]), G[n, n].real.copy()
-    Wa, Wb = _own_weights(G[:na, :na], G[:na, n]), _own_weights(G[na:n, na:n], G[na:n, n])
-    Gab = np.ascontiguousarray(np.moveaxis(2.0 * G[:na, na:n], -1, 0))
-    # The features leave ||z_a||^2 = ||z||^2 - ||z_b||^2 out of lb, so a
-    # column is kept where they give at most U + ||z_a||^2 + tol.  Each row k
-    # of R x - z has modulus at most w_k = s sum_i |R_ki| + |z_k|, s the
-    # largest symbol modulus, so the products that any score or bound sums
-    # (forming G and the weights only regroups those of ||R x - z||^2 =
-    # sum_k |(R x - z)_k|^2) total at most sum_k w_k^2 <= T = 2 (s^2 n
-    # ||R||_F^2 + ||z||^2) in modulus.  A float sum of K products errs by at
-    # most about K eps times that total, and no chain here is longer than a
-    # few hundred terms (2 d (d + 1) features with d <= 10 at ML_BUDGET, n per
-    # Gram entry, k per pass product), so each score, bound and norm is
-    # within about 2^-42 T of its exact value: tol = 2^-30 T covers them with
-    # a wide margin, and a pruned candidate's computed score stays above the
-    # computed U.
-    diag = G.reshape((n + 1) ** 2, -1)[:: n + 2].real
-    cuts = diag[n] - zb + 2.0**-29 * (np.abs(c.symbols).max() ** 2 * n * diag[:n].sum(axis=0) + diag[n])
-    left, right = np.empty((group, nA, k)), np.empty((group, k, nB))
-    left[:, :, -1], right[:, :-1] = 1.0, right_fixed
-    lb, at, members = np.empty((group, nB)), np.empty((group, nA)), np.arange(group)
+    group = max(1, ML_PASS_CANDIDATES // (2 * (n - na) * nB))
+    step = max(1, ML_PASS_CANDIDATES // max(1, 2 * na * nA))
     ranks = np.empty(len(R), dtype=np.int64)
     for lo in range(0, len(R), group):
-        wa, wb, wl, gab = Wa[lo : lo + group], Wb[lo : lo + group], Wl[lo : lo + group], Gab[lo : lo + group]
-        g = len(wa)
-        for s in _spans(nA, wa.size):
-            np.matmul(wa, FAt[:, s], out=left[:g, s, -2])
-        for s in _spans(nB, wb.size):
-            np.matmul(wb, FBt[:, s], out=right[:g, -1, s])
-            np.matmul(wl, FBt[:, s], out=lb[:g, s])
-        # a^H (2 G_ab), complex, is Re P, Im P interleaved, against the rows
-        # Re b_j, -Im b_j of right
-        for s in _spans(nA, 4 * gab.size):
-            np.matmul(Ac[s], gab, out=left.view(np.complex128)[:g, s, : n - na])
-        top = right[members[:g], :, lb[:g].argmin(axis=1), None]
-        for s in _spans(nA, top.size):
-            np.matmul(left[:g, s], top, out=at[:g, s, None])
-        cut = at[members[:g], at[:g].argmin(axis=1)] + cuts[lo : lo + g]
-        keep = np.flatnonzero((lb[:g] <= cut[:, None]).any(axis=0))
-        nK = len(keep)
-        # a union of every column is right itself; a narrower one is copied
-        # C-contiguous (keep is in range, so "clip" only skips the check)
-        narrow = right[:g] if nK == nB else right[:g].take(keep, axis=2, mode="clip")
-        best = _split_ranks(left[:g], narrow, _pass_rows(nA, nK, k, g))
-        ranks[lo : lo + g] = best // nK * nB + keep[best % nK]
+        Rg, zg = R[lo : lo + group], z[lo : lo + group]
+        lb = _distances(Rg[:, na:, na:], zg[:, na:], Bt)
+
+        def scores(k, b):
+            """Scores (pairs, nA) of every a against the pairs (member k, second half b)."""
+            y = zg[k, :na] - np.einsum("kij,kj->ki", Rg[k, :na, na:], c.symbols[ib[b]])
+            return _distances(Rg[k, :na, :na], y, At) + lb[k, b][:, None]
+
+        rows = np.arange(len(Rg))
+        q = scores(rows, lb.argmin(axis=1))
+        U = q[rows, q.argmin(axis=1)]
+        # No tolerance: a computed score fl(s + lb[b]) with s >= 0 is at least
+        # lb[b], so every candidate of a pruned pair scores above U, and U is
+        # the computed score of a kept pair.  That holds only because a pair's
+        # score comes from the same operations on the same operands in the U
+        # step and in whichever slice below scores it again.
+        k, b = np.nonzero(lb <= U[:, None])
+        a, best = np.empty_like(k), np.empty(len(k))
+        for s in range(0, len(k), step):
+            q = scores(k[s : s + step], b[s : s + step])
+            a[s : s + step] = q.argmin(axis=1)
+            best[s : s + step] = q[np.arange(len(q)), a[s : s + step]]
+        # k is sorted and holds every member: per member, the least score, and
+        # of its pairs at that score the smallest rank a nB + b
+        starts = np.flatnonzero(np.diff(k, prepend=-1))
+        rank = np.where(best == np.minimum.reduceat(best, starts)[k], a * nB + b, nA * nB)
+        ranks[lo : lo + len(Rg)] = np.minimum.reduceat(rank, starts)
     return np.concatenate([ia[ranks // nB], ib[ranks % nB]], axis=1)
 
 

@@ -836,6 +836,16 @@ def test_reference_sweeps_script_fits_only_the_csvs_of_its_manifest(tmp_path, mo
     assert fitted == ["fig1.csv", "fig2.csv", "fig3.csv"]
 
 
+def test_reference_sweeps_script_help_keeps_the_docstring_lines(capsys, monkeypatch):
+    # the usage line stays on a line of its own, not run into the paragraph above it
+    monkeypatch.setattr(sys, "argv", ["run_reference_sweeps.py", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        reference_sweeps_script().main()
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "Usage: python scripts/run_reference_sweeps.py [--threads K] [--out-dir results]" in lines
+
+
 @pytest.mark.parametrize("under", ["afile", "afile/x"])
 def test_reference_sweeps_script_out_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch, under):
     # once a FileExistsError or NotADirectoryError traceback with exit 1

@@ -126,13 +126,13 @@ def test_split_ml_exact_tie_breaks_to_first_candidate(monkeypatch):
     z = sample_instance(5, 5, QPSK, 1.0, substream(126)).r[None]
     R = np.zeros((1, 5, 5), dtype=complex)
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), np.zeros((1, 5), dtype=np.int64))
-    # the same when the cross term is scored in many row blocks
+    # the same when each (member, second half) pair is scored in a slice of its own
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 16)
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), np.zeros((1, 5), dtype=np.int64))
 
 
 def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
-    # one row of the first half per pass: 16 passes over 4^3 second halves
+    # one member per group and one (member, second half) pair per slice
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 16)
     for trial in range(20):
         inst = sample_instance(7, 5, QPSK, 1.5, substream(127, trial))
@@ -144,8 +144,8 @@ def test_split_ml_row_blocks_match_full_argmin(monkeypatch):
 def test_split_ml_tie_across_passes_goes_to_the_earlier_pass(monkeypatch):
     # R's column 0 is zero, so candidates that differ only in x_0, the first
     # entry of the first half, tie exactly.  n = 5 QPSK: a = (x_0, x_1) has 16
-    # rows, and 64 candidates per pass make one a-row per pass, so the tied
-    # rows x_1 + 4 x_0 lie in four passes, none of them the first when x_1 > 0
+    # rows, the tied rows x_1 + 4 x_0 lie in every scored pair, and 64 entries
+    # per product score each pair in a slice of its own
     R, z = detect.triangular(*zf_stack_of(12, 7, 5, QPSK, 1.5, 129))
     R[:, :, 0] = 0.0
     oracle = np.array([all_candidates_argmin(Rk, zk, QPSK) for Rk, zk in zip(R, z)])
@@ -480,20 +480,12 @@ def test_exhaustive_stack_equals_per_instance_loop(n):
 
 @pytest.mark.parametrize("per_pass", [16, 64, 200])
 def test_exhaustive_stack_passes_match_one_pass(monkeypatch, per_pass):
-    # 16: one a-row per pass; 64: one member per pass; 200: three members per pass
+    # n = 3 QPSK: a group of g members takes 64 g entries and a slice of p
+    # pairs 8 p; 16: one member, two pairs; 64: one member, eight pairs;
+    # 200: three members, 25 pairs
     R, z = tied_at(*zf_stack_of(11, 5, 3, QPSK, 1.5, 150), 4)
     one_pass = detect.detect_ml_exhaustive_stack(R, z, QPSK)
     monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", per_pass)
-    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), one_pass)
-
-
-@pytest.mark.parametrize("macs", [1, 2000])
-def test_exhaustive_stack_product_cap_matches_one_pass(monkeypatch, macs):
-    # n = 5 QPSK: 16 a-rows, each 64 b-rows x 6 real columns = 384 MACs;
-    # 1: one a-row per pass, 2000: five a-rows, so the last pass is short
-    R, z = tied_at(*zf_stack_of(9, 7, 5, QPSK, 1.5, 152), 2)
-    one_pass = detect.detect_ml_exhaustive_stack(R, z, QPSK)
-    monkeypatch.setattr(detect, "ML_PASS_MACS", macs)
     np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), one_pass)
 
 
@@ -501,12 +493,19 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
     # an equal constellation built again hits the same entry: the cache keys on its symbols, not its identity
     tables = detect._ml_tables(QPSK, 5)
     again = detect._ml_tables(make_constellation("psk", 4), 5)
-    assert len(tables) == 6 and all(a is b for a, b in zip(tables, again))
+    assert len(tables) == 4 and all(a is b for a, b in zip(tables, again))
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table.flat[0] = 0
-    assert detect._ml_tables(QPSK, 4)[0].shape == (4**2, 2)
+    ia, ib, At, Bt = tables
+    assert ia.shape == (4**2, 2) and ib.shape == (4**3, 3)
+    # each half's table holds the columns [Re x; Im x; 1] of its symbol vectors x, in index order
+    for idx, T in ((ia, At), (ib, Bt)):
+        x = QPSK.symbols[idx]
+        np.testing.assert_array_equal(T, np.concatenate([x.real.T, x.imag.T, np.ones((1, len(x)))]))
+    # n = 1 leaves the first half empty: one a-row, the constant column alone
+    np.testing.assert_array_equal(detect._ml_tables(QPSK, 1)[2], np.ones((1, 1)))
     # a call after the cache is filled decides as the first one did
     H, r = zf_stack_of(9, 7, 5, QPSK, 1.5, 152)
     first = decide(detect.detect_ml_exhaustive_stack, H, r, QPSK)
@@ -515,16 +514,9 @@ def test_exhaustive_candidate_tables_are_shared_and_read_only():
         np.testing.assert_array_equal(first[k], all_candidates_argmin(H[k], r[k], QPSK))
 
 
-def short_passes(monkeypatch, c, n):
-    """Cap the exhaustive kernel at 3 members per group and 3 rows of the first half per pass.
-
-    One row where the first half has at most 3, so a first half of M^(n // 2)
-    rows ends with a block of 1 or 2 rows.
-    """
-    n_a, n_b = c.M ** (n // 2), c.M ** (n - n // 2)
-    rows = 3 if n_a > 3 else 1
-    monkeypatch.setattr(detect, "ML_PASS_MACS", rows * (2 * (n - n // 2) + 2) * n_b)
-    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 3 * rows * n_b)
+def short_passes(monkeypatch):
+    """Size the exhaustive kernel to groups of one member and slices of one (member, second half) pair."""
+    monkeypatch.setattr(detect, "ML_PASS_CANDIDATES", 1)
 
 
 @pytest.mark.parametrize(
@@ -546,8 +538,8 @@ def short_passes(monkeypatch, c, n):
 def test_exhaustive_stack_matches_all_candidates_oracle(monkeypatch, c, m, n, split):
     H, r = zf_stack_of(7, m, n, c, 0.5, 155 + n)
     R, z = tied_at(H, r, 3)  # every candidate of member 3 ties: the all-zeros index vector wins
-    if split:  # 7 members end with a group of one
-        short_passes(monkeypatch, c, n)
+    if split:
+        short_passes(monkeypatch)
     stacked = detect.detect_ml_exhaustive_stack(R, z, c)
     np.testing.assert_array_equal(stacked[3], np.zeros(n, dtype=np.int64))
     for k in (0, 1, 2, 4, 5, 6):
@@ -568,7 +560,7 @@ def test_exhaustive_bound_prune_keeps_every_minimizer(monkeypatch, c, n, snr_db,
     H, r = zf_stack_of(B, n + 2, n, c, sigma2_from_snr(snr_db, c), 180 + n)
     R, z = tied_at(H, r, 2)
     if split:
-        short_passes(monkeypatch, c, n)
+        short_passes(monkeypatch)
     stacked = detect.detect_ml_exhaustive_stack(R, z, c)
     np.testing.assert_array_equal(stacked[2], np.zeros(n, dtype=np.int64))
     others = [k for k in range(B) if k != 2]
@@ -579,28 +571,107 @@ def test_exhaustive_bound_prune_keeps_every_minimizer(monkeypatch, c, n, snr_db,
             np.testing.assert_array_equal(stacked[k], all_candidates_argmin(H[k], r[k], c))
 
 
+def scored_pairs(monkeypatch, R, c):
+    """Counts (B,) that calls of the exhaustive kernel on R fill: the (member, second half) pairs each member scores.
+
+    Wraps :func:`detect._distances` and counts, in each call against the
+    first-half table, the rows whose R is member k's R_aa.  One of each
+    member's pairs is counted twice: the U step scores it, and so does the kept
+    step.
+    """
+    na = R.shape[-1] // 2
+    At = detect._ml_tables(c, R.shape[-1])[2]
+    member = {R[k, :na, :na].tobytes(): k for k in range(len(R))}
+    counts, distances = np.zeros(len(R), dtype=np.int64), detect._distances
+
+    def counting(Ra, y, T):
+        if T is At:
+            np.add.at(counts, [member[Rk.tobytes()] for Rk in Ra], 1)
+        return distances(Ra, y, T)
+
+    monkeypatch.setattr(detect, "_distances", counting)
+    return counts
+
+
 def test_exhaustive_bound_prune_narrows_each_group(monkeypatch):
-    # 20 dB QPSK at (32, 8): groups of 5 members score a handful of the 4^4
-    # second halves, and the group holding a member that ties everywhere
-    # scores all of them
-    widths, split_ranks = [], detect._split_ranks
-
-    def recording(left, right, rows):
-        widths.append(right.shape[-1])
-        return split_ranks(left, right, rows)
-
-    monkeypatch.setattr(detect, "_split_ranks", recording)
+    # 20 dB QPSK at (32, 8): a member scores its first halves against at most
+    # 2 of its 4^4 second halves on average, and a member that ties everywhere
+    # scores all of them, while the others' pairs and decisions do not move
     H, r = zf_stack_of(20, 32, 8, QPSK, sigma2_from_snr(20.0, QPSK), 190)
     R, z = detect.triangular(H, r)
+    counts = scored_pairs(monkeypatch, R, QPSK)
     pruned = detect.detect_ml_exhaustive_stack(R, z, QPSK)
-    assert len(widths) == 4 and max(widths) < 4**4 // 8
+    kept = counts - 1
+    assert kept.min() >= 1 and kept.mean() <= 2
     np.testing.assert_array_equal(pruned, detect.detect_ml_sphere_stack(R, z, QPSK))
-    widths.clear()
     R[7] = 0.0
+    monkeypatch.undo()
+    counts = scored_pairs(monkeypatch, R, QPSK)
     tied = detect.detect_ml_exhaustive_stack(R, z, QPSK)
-    assert widths[1] == 4**4 and max(widths[:1] + widths[2:]) < 4**4 // 8
+    assert counts[7] - 1 == 4**4
+    np.testing.assert_array_equal(np.delete(counts - 1, 7), np.delete(kept, 7))
     np.testing.assert_array_equal(tied[7], np.zeros(8, dtype=np.int64))
     np.testing.assert_array_equal(np.delete(tied, 7, axis=0), np.delete(pruned, 7, axis=0))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("split", [False, True], ids=["default-passes", "short-passes"])
+def test_exhaustive_tie_in_second_half_goes_to_the_first_pair(monkeypatch, n, split):
+    # R's last column is zero, so candidates that differ only in x_(n-1), the
+    # last entry of the second half, tie exactly: their pairs have equal
+    # bounds, so all are kept or none, and with one pair per slice the tied
+    # pairs are scored in different slices
+    R, z = detect.triangular(*zf_stack_of(12, n + 2, n, QPSK, 1.5, 192 + n))
+    R[:, :, -1] = 0.0
+    oracle = np.array([all_candidates_argmin(Rk, zk, QPSK) for Rk, zk in zip(R, z)])
+    assert np.all(oracle[:, -1] == 0)
+    if split:
+        short_passes(monkeypatch)
+    np.testing.assert_array_equal(detect.detect_ml_exhaustive_stack(R, z, QPSK), oracle)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("split", [False, True], ids=["default-passes", "short-passes"])
+def test_exhaustive_u_step_score_is_rescored_bit_for_bit(monkeypatch, n, split):
+    # U is the computed score of each member's pair (k, b*), and the prune
+    # needs no tolerance only because the kept step scores that pair again to
+    # the same bits, in a slice of any size: a pair is keyed by its R_aa and
+    # z_a - R_ab b, and each member's U pair is the one pair scored twice
+    R, z = detect.triangular(*zf_stack_of(20, n + 24, n, QPSK, sigma2_from_snr(-6.0, QPSK), 194 + n))
+    if split:
+        short_passes(monkeypatch)
+    At, rows, distances = detect._ml_tables(QPSK, n)[2], [], detect._distances
+
+    def recording(Ra, y, T):
+        out = distances(Ra, y, T)
+        if T is At:
+            rows.extend((Rk.tobytes() + yk.tobytes(), d.tobytes()) for Rk, yk, d in zip(Ra, y, out))
+        return out
+
+    monkeypatch.setattr(detect, "_distances", recording)
+    detect.detect_ml_exhaustive_stack(R, z, QPSK)
+    first, again = {}, 0
+    for key, scores in rows:
+        if key in first:
+            assert scores == first[key]
+            again += 1
+        first.setdefault(key, scores)
+    assert again == len(R)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_exhaustive_products_stay_within_the_pass_entries(monkeypatch, n):
+    # no (g, 2 d, N) product of a group or a slice of pairs holds more than ML_PASS_CANDIDATES entries
+    R, z = detect.triangular(*zf_stack_of(40, n + 2, n, QPSK, 1.0, 196 + n))
+    sizes, distances = [], detect._distances
+
+    def recording(Ra, y, T):
+        sizes.append(len(Ra) * 2 * Ra.shape[1] * T.shape[1])
+        return distances(Ra, y, T)
+
+    monkeypatch.setattr(detect, "_distances", recording)
+    detect.detect_ml_exhaustive_stack(R, z, QPSK)
+    assert 0 < max(sizes) <= detect.ML_PASS_CANDIDATES
 
 
 @pytest.mark.parametrize(
